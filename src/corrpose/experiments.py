@@ -31,7 +31,7 @@ from .belief import (
     compose_chain,
 )
 from .convert import UtConfig, ut_convert
-from .liegroup import Pose, exp_map, inv_many, log_many_masked
+from .liegroup import Pose, checked_pose_blocks, exp_many, inv_many, log_many_masked
 from .mc import (
     ChainNoiseSpec,
     build_chain_joint,
@@ -137,27 +137,43 @@ def _map_ordered(fn, items, jobs: int):
 # twist <-> Euler bridging (planar poses embed as z = roll = pitch = 0)
 # ---------------------------------------------------------------------------
 
-def _embed3(T: Pose) -> Pose:
-    if T.dim == 3:
-        return T
-    R = np.eye(3)
-    R[:2, :2] = T.R
-    return Pose(R, np.array([T.t[0], T.t[1], 0.0]))
+def _embed3_many(R: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Homogeneous SE(3) stack of (M, d, d) rotations and (M, d) translations.
+
+    Planar blocks embed with z = roll = pitch = 0.
+    """
+    m, d = t.shape
+    out = np.zeros((m, 4, 4))
+    out[:, :d, :d] = R
+    out[:, :d, 3] = t
+    if d == 2:
+        out[:, 2, 2] = 1.0
+    out[:, 3, 3] = 1.0
+    return out
 
 
-def _params_jacobian(T_bar: Pose, h: float = 1e-6) -> np.ndarray:
-    """d params(exp(hat(xi)) T_bar) / d xi at xi = 0, central differences."""
-    m = T_bar.twist_dim
-    J = np.zeros((6, m))
-    for k in range(m):
-        d = np.zeros(m)
-        d[k] = h
-        xp = pose_to_ssc(_embed3(exp_map(d) @ T_bar))
-        xm = pose_to_ssc(_embed3(exp_map(-d) @ T_bar))
-        diff = xp - xm
-        diff[3:] = wrap_angle(diff[3:])
-        J[:, k] = diff / (2 * h)
-    return J
+def _ssc_linearization(means, h: float = 1e-6) -> tuple[np.ndarray, np.ndarray]:
+    """Euler parameters of each mean and d params(exp(hat(xi)) T_bar) / d xi at 0.
+
+    One stack serves all means: each contributes T_bar, exp(h e_k) T_bar and
+    exp(-h e_k) T_bar, composed as rotation and translation blocks, checked
+    like Pose products and converted by a single :func:`params_many` call.
+    Returns the (n, 6) parameter rows and the (n, 6, m) central-difference
+    Jacobians.
+    """
+    m = means[0].twist_dim
+    step = h * np.eye(m)
+    E = exp_many(np.concatenate([step, -step]))
+    d = E.shape[1] - 1
+    ER, Et = E[:, :d, :d], E[:, :d, d]
+    checked_pose_blocks(ER, Et)
+    R = np.concatenate([np.concatenate([T.R[None], ER @ T.R]) for T in means])
+    t = np.concatenate([np.concatenate([T.t[None], ER @ T.t + Et]) for T in means])
+    R = checked_pose_blocks(R, t)
+    P = params_many(_embed3_many(R, t)).reshape(len(means), 2 * m + 1, 6)
+    diff = P[:, 1 : m + 1] - P[:, m + 1 :]
+    diff[:, :, 3:] = wrap_angle(diff[:, :, 3:])
+    return P[:, 0], np.ascontiguousarray(np.swapaxes(diff / (2 * h), 1, 2))
 
 
 def lie_to_ssc(u: UncertainPose) -> SscBelief:
@@ -167,22 +183,18 @@ def lie_to_ssc(u: UncertainPose) -> SscBelief:
     Jacobian of the parameter map at the mean.  Planar beliefs embed with
     z = roll = pitch pinned to zero.
     """
-    J = _params_jacobian(u.mean)
-    return SscBelief(pose_to_ssc(_embed3(u.mean)), J @ u.cov @ J.T)
+    P, J = _ssc_linearization([u.mean])
+    return SscBelief(P[0], J[0] @ u.cov @ J[0].T)
 
 
 def lie_pair_to_ssc(p: PosePairBelief) -> SscBelief:
     """Pair version of :func:`lie_to_ssc`, keeping the cross block."""
-    J1 = _params_jacobian(p.means[0])
-    J2 = _params_jacobian(p.means[1])
+    P, Js = _ssc_linearization(p.means)
     m = p.block_dim
     J = np.zeros((12, 2 * m))
-    J[:6, :m] = J1
-    J[6:, m:] = J2
-    mean = np.concatenate(
-        [pose_to_ssc(_embed3(p.means[0])), pose_to_ssc(_embed3(p.means[1]))]
-    )
-    return SscBelief(mean, J @ p.cov @ J.T)
+    J[:6, :m] = Js[0]
+    J[6:, m:] = Js[1]
+    return SscBelief(P.reshape(-1), J @ p.cov @ J.T)
 
 
 # ---------------------------------------------------------------------------
@@ -403,12 +415,9 @@ def _pair_rows(args):
             else:
                 pred = tail_to_tail(lie_pair_to_ssc(pb)).cov
                 # parameter-space ground truth from the same relative samples
-                mats3 = np.zeros((Tm[ok].shape[0], 4, 4))
-                mats3[:, :2, :2] = Tm[ok][:, :2, :2]
-                mats3[:, 2, 2] = 1.0
-                mats3[:, :2, 3] = Tm[ok][:, :2, 2]
-                mats3[:, 3, 3] = 1.0
-                r = params_many(mats3) - pose_to_ssc(_embed3(rel))
+                T_ok = Tm[ok]
+                r = params_many(_embed3_many(T_ok[:, :2, :2], T_ok[:, :2, 2]))
+                r -= params_many(_embed3_many(rel.R[None], rel.t[None]))[0]
                 r[:, 3:] = np.arctan2(np.sin(r[:, 3:]), np.cos(r[:, 3:]))
                 mc_par = r.T @ r / r.shape[0]
                 err = cov_error(pred, mc_par)

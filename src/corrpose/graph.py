@@ -449,9 +449,7 @@ class Marginals:
         if self._dense is not None:
             return scipy.linalg.cho_solve(self._dense, E)
         with self._lock:
-            return np.column_stack(
-                [self._lu.solve(E[:, k]) for k in range(E.shape[1])]
-            )
+            return self._lu.solve(E)
 
     def pair_belief(self, i: int, j: int) -> PosePairBelief:
         """Joint 6x6 twist covariance (and means) of vertices i and j."""

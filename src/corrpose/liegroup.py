@@ -164,6 +164,33 @@ class Pose:
         return f"Pose(R={self.R.tolist()}, t={self.t.tolist()})"
 
 
+def checked_pose_blocks(R: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Stack version of the :class:`Pose` constructor's checks.
+
+    ``R`` is an (M, d, d) rotation stack and ``t`` the matching (M, d)
+    translations.  The thresholds and exception types are those of
+    ``Pose(R[k], t[k])`` on every row: non-finite entries, residuals beyond
+    ``_RENORMALIZABLE_TOL`` and reflections raise ``ValueError``, and rows
+    drifted beyond ``ORTHONORMALITY_TOL`` are projected back onto the
+    rotations.  Returns the rotation stack, copied only if a row was repaired.
+    """
+    if not (np.isfinite(R).all() and np.isfinite(t).all()):
+        raise ValueError("pose entries must be finite")
+    d = R.shape[-1]
+    residual = np.linalg.norm(np.swapaxes(R, 1, 2) @ R - np.eye(d), axis=(1, 2))
+    drifted = np.flatnonzero(residual > ORTHONORMALITY_TOL)
+    if drifted.size:
+        worst = float(residual[drifted].max())
+        if worst > _RENORMALIZABLE_TOL:
+            raise ValueError(f"rotation block is not orthonormal (residual {worst:.3e})")
+        R = R.copy()
+        for k in drifted:
+            R[k] = project_rotation(R[k])
+    if (np.linalg.det(R) < 0.0).any():
+        raise ValueError("rotation block has determinant -1")
+    return R
+
+
 def _check_twist(xi) -> np.ndarray:
     xi = np.asarray(xi, dtype=float).reshape(-1)
     if xi.shape[0] not in (3, 6):
@@ -466,6 +493,12 @@ def log_many_masked(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     below the cutoff lose precision; scalar :func:`log_map` has the robust
     branch and should be preferred for isolated evaluations.
     """
+    out, ok, _ = _log_stack(mats)
+    return out, ok
+
+
+def _log_stack(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Twists, validity mask and rotation angles of a homogeneous stack."""
     mats = np.asarray(mats, dtype=float)
     if mats.ndim != 3 or mats.shape[1] != mats.shape[2] or mats.shape[1] not in (3, 4):
         raise ValueError(f"expected (M, 3, 3) or (M, 4, 4) stacks, got {mats.shape}")
@@ -488,7 +521,7 @@ def log_many_masked(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         out[:, 0] = (a * tx + b * ty) / det
         out[:, 1] = (-b * tx + a * ty) / det
         out[:, 2] = theta
-        return out, ok
+        return out, ok, theta
     R = mats[:, :3, :3]
     t = mats[:, :3, 3]
     w = 0.5 * np.stack(
@@ -517,15 +550,19 @@ def log_many_masked(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     K = _skew_many(phi)
     K2 = K @ K
     rho = t - 0.5 * np.einsum("mij,mj->mi", K, t) + d[:, None] * np.einsum("mij,mj->mi", K2, t)
-    return np.concatenate([rho, phi], axis=1), ok
+    return np.concatenate([rho, phi], axis=1), ok, theta
 
 
 def log_many(mats: np.ndarray) -> np.ndarray:
-    """Stack version of :func:`log_map`; raises if any row is at the pi boundary."""
-    out, ok = log_many_masked(mats)
+    """Stack version of :func:`log_map`; raises if any row is at the pi boundary.
+
+    The raised :class:`SingularLogError` carries the angle of the first
+    offending row.
+    """
+    out, ok, theta = _log_stack(mats)
     if not ok.all():
         bad = int(np.argmin(ok))
-        raise SingularLogError(np.pi)
+        raise SingularLogError(theta[bad])
     return out
 
 

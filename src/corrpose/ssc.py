@@ -4,7 +4,10 @@ This is the coordinate-based baseline: a pose is a 6-vector
 ``(x, y, z, phi, theta, psi)`` of translation and Euler angles, beliefs are
 Gaussians over stacked parameter vectors, and uncertainty is propagated to
 first order through numerical Jacobians of the head-to-tail, inverse and
-tail-to-tail maps.
+tail-to-tail maps.  Each Jacobian is a central difference evaluated as one
+stack: the mean and its ``2n`` perturbed copies go through a row-wise stack
+version of the map in a single call, with the checks of the :class:`Pose`
+constructor applied to every row.
 
 Euler convention is fixed to Z-Y-X: ``R = Rz(psi) @ Ry(theta) @ Rx(phi)``.
 Only internal consistency matters here (all comparisons against the
@@ -16,14 +19,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .liegroup import Pose
+from .liegroup import Pose, checked_pose_blocks
 
 # Central-difference step for all parameter-space Jacobians.
 _JAC_STEP = 1e-6
 # |theta| closer than this to pi/2 is treated as gimbal lock.
 _GIMBAL_TOL = 1e-6
-
-_ANGLE_IDX = np.array([3, 4, 5])
 
 
 class GimbalLockError(ArithmeticError):
@@ -39,13 +40,55 @@ def wrap_angle(a):
 
 def normalize_params(x) -> np.ndarray:
     """Validated copy of a 6-parameter vector with wrapped angles."""
+    return _normalized_rows(_param_row(x)[None])[0]
+
+
+def _param_row(x) -> np.ndarray:
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.shape[0] != 6:
         raise ValueError(f"parameter vector must have 6 entries, got {x.shape[0]}")
+    return x
+
+
+def _normalized_rows(x: np.ndarray) -> np.ndarray:
+    """Copy of an (M, 6) parameter stack with wrapped angles; entries must be finite."""
     if not np.isfinite(x).all():
         raise ValueError("parameter entries must be finite")
     out = x.copy()
-    out[3:] = wrap_angle(x[3:])
+    out[:, 3:] = wrap_angle(x[:, 3:])
+    return out
+
+
+def _euler_rotations(angles: np.ndarray) -> np.ndarray:
+    """Rotation stack (M, 3, 3) of (M, 3) angles (phi, theta, psi)."""
+    cph, sph = np.cos(angles[:, 0]), np.sin(angles[:, 0])
+    cth, sth = np.cos(angles[:, 1]), np.sin(angles[:, 1])
+    cps, sps = np.cos(angles[:, 2]), np.sin(angles[:, 2])
+    R = np.empty((angles.shape[0], 3, 3))
+    R[:, 0, 0] = cps * cth
+    R[:, 0, 1] = cps * sth * sph - sps * cph
+    R[:, 0, 2] = cps * sth * cph + sps * sph
+    R[:, 1, 0] = sps * cth
+    R[:, 1, 1] = sps * sth * sph + cps * cph
+    R[:, 1, 2] = sps * sth * cph - cps * sph
+    R[:, 2, 0] = -sth
+    R[:, 2, 1] = cth * sph
+    R[:, 2, 2] = cth * cph
+    return R
+
+
+def _params_of_blocks(R: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Parameter rows of rotation/translation stacks; raises at gimbal lock."""
+    theta = np.arcsin(np.clip(-R[:, 2, 0], -1.0, 1.0))
+    locked = np.pi / 2 - np.abs(theta) < _GIMBAL_TOL
+    if locked.any():
+        pitch = float(theta[np.argmax(locked)])
+        raise GimbalLockError(f"pitch {pitch!r} is numerically at gimbal lock")
+    out = np.empty((R.shape[0], 6))
+    out[:, :3] = t
+    out[:, 3] = np.arctan2(R[:, 2, 1], R[:, 2, 2])
+    out[:, 4] = theta
+    out[:, 5] = np.arctan2(R[:, 1, 0], R[:, 0, 0])
     return out
 
 
@@ -84,19 +127,8 @@ def poses_many(params: np.ndarray) -> np.ndarray:
     x = np.asarray(params, dtype=float)
     if x.ndim != 2 or x.shape[1] != 6:
         raise ValueError(f"expected (M, 6) parameters, got {x.shape}")
-    cph, sph = np.cos(x[:, 3]), np.sin(x[:, 3])
-    cth, sth = np.cos(x[:, 4]), np.sin(x[:, 4])
-    cps, sps = np.cos(x[:, 5]), np.sin(x[:, 5])
     out = np.zeros((x.shape[0], 4, 4))
-    out[:, 0, 0] = cps * cth
-    out[:, 0, 1] = cps * sth * sph - sps * cph
-    out[:, 0, 2] = cps * sth * cph + sps * sph
-    out[:, 1, 0] = sps * cth
-    out[:, 1, 1] = sps * sth * sph + cps * cph
-    out[:, 1, 2] = sps * sth * cph - cps * sph
-    out[:, 2, 0] = -sth
-    out[:, 2, 1] = cth * sph
-    out[:, 2, 2] = cth * cph
+    out[:, :3, :3] = _euler_rotations(x[:, 3:])
     out[:, :3, 3] = x[:, :3]
     out[:, 3, 3] = 1.0
     return out
@@ -105,32 +137,68 @@ def poses_many(params: np.ndarray) -> np.ndarray:
 def params_many(mats: np.ndarray) -> np.ndarray:
     """Vectorized :func:`pose_to_ssc` on a stack of homogeneous matrices."""
     mats = np.asarray(mats, dtype=float)
-    R = mats[:, :3, :3]
-    sth = np.clip(-R[:, 2, 0], -1.0, 1.0)
-    theta = np.arcsin(sth)
-    if (np.pi / 2 - np.abs(theta) < _GIMBAL_TOL).any():
-        raise GimbalLockError("a sample pitch is numerically at gimbal lock")
-    out = np.empty((mats.shape[0], 6))
-    out[:, :3] = mats[:, :3, 3]
-    out[:, 3] = np.arctan2(R[:, 2, 1], R[:, 2, 2])
-    out[:, 4] = theta
-    out[:, 5] = np.arctan2(R[:, 1, 0], R[:, 0, 0])
-    return out
+    return _params_of_blocks(mats[:, :3, :3], mats[:, :3, 3])
+
+
+# ---------------------------------------------------------------------------
+# Row-wise stack maps
+# ---------------------------------------------------------------------------
+#
+# Each row reproduces the Pose arithmetic of the scalar map bit for bit:
+# rotation and translation blocks are composed separately with stacked
+# matmul (R1 @ R2 and R1 @ t2 + t1; R^T and -(R^T t) for an inverse), and
+# every intermediate pose gets the checks of the Pose constructor.  The
+# memory layout matters as well: an inverse keeps R^T as a transposed view,
+# as Pose.inverse does, because matmul rounds R^T t differently when R^T is
+# a C-ordered copy.
+
+def _pose_blocks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Checked (R, t) stacks of an (M, 6) parameter stack."""
+    x = _normalized_rows(x)
+    t = np.ascontiguousarray(x[:, :3])
+    return checked_pose_blocks(_euler_rotations(x[:, 3:]), t), t
+
+
+def _compose_blocks(R1, t1, R2, t2) -> tuple[np.ndarray, np.ndarray]:
+    t = (R1 @ t2[:, :, None])[:, :, 0] + t1
+    return checked_pose_blocks(R1 @ R2, t), t
+
+
+def _invert_blocks(R, t) -> tuple[np.ndarray, np.ndarray]:
+    Rt = np.swapaxes(R, 1, 2)
+    t_inv = -(Rt @ t[:, :, None])[:, :, 0]
+    return checked_pose_blocks(Rt, t_inv), t_inv
+
+
+def _compound_rows(z: np.ndarray) -> np.ndarray:
+    """Head-to-tail on (M, 12) rows (x1, x2): parameters of T(x1) @ T(x2)."""
+    return _params_of_blocks(*_compose_blocks(*_pose_blocks(z[:, :6]), *_pose_blocks(z[:, 6:])))
+
+
+def _inverse_rows(z: np.ndarray) -> np.ndarray:
+    """Inverse on (M, 6) rows: parameters of T(x)^-1."""
+    return _params_of_blocks(*_invert_blocks(*_pose_blocks(z)))
+
+
+def _relative_rows(z: np.ndarray) -> np.ndarray:
+    """Tail-to-tail on (M, 12) rows (x1, x2): parameters of T(x1)^-1 @ T(x2)."""
+    base = _invert_blocks(*_pose_blocks(z[:, :6]))
+    return _params_of_blocks(*_compose_blocks(*base, *_pose_blocks(z[:, 6:])))
 
 
 def compound_params(x1, x2) -> np.ndarray:
     """Mean head-to-tail map: parameters of T(x1) @ T(x2)."""
-    return pose_to_ssc(ssc_to_pose(x1) @ ssc_to_pose(x2))
+    return _compound_rows(np.concatenate([_param_row(x1), _param_row(x2)])[None])[0]
 
 
 def inverse_params(x) -> np.ndarray:
     """Mean inverse map: parameters of T(x)^-1."""
-    return pose_to_ssc(ssc_to_pose(x).inverse())
+    return _inverse_rows(_param_row(x)[None])[0]
 
 
 def relative_params(x1, x2) -> np.ndarray:
     """Mean tail-to-tail map: parameters of T(x1)^-1 @ T(x2)."""
-    return pose_to_ssc(ssc_to_pose(x1).inverse() @ ssc_to_pose(x2))
+    return _relative_rows(np.concatenate([_param_row(x1), _param_row(x2)])[None])[0]
 
 
 class SscBelief:
@@ -142,9 +210,7 @@ class SscBelief:
         mean = np.asarray(mean, dtype=float).reshape(-1)
         if mean.shape[0] == 0 or mean.shape[0] % 6:
             raise ValueError("mean must stack whole 6-parameter vectors")
-        mean = np.concatenate(
-            [normalize_params(mean[6 * k : 6 * k + 6]) for k in range(mean.shape[0] // 6)]
-        )
+        mean = _normalized_rows(mean.reshape(-1, 6)).reshape(-1)
         cov = np.asarray(cov, dtype=float)
         n = mean.shape[0]
         if cov.shape != (n, n):
@@ -184,21 +250,24 @@ class SscBelief:
         return cls(np.concatenate([b1.mean, b2.mean]), cov)
 
 
-def _angle_aware_diff(fp: np.ndarray, fm: np.ndarray) -> np.ndarray:
-    d = fp - fm
-    d[_ANGLE_IDX] = wrap_angle(d[_ANGLE_IDX])
-    return d
+def _stack_jacobian(f, x: np.ndarray, h: float = _JAC_STEP) -> tuple[np.ndarray, np.ndarray]:
+    """Value and central-difference Jacobian of a row-wise map, in one call.
+
+    ``f`` maps an (M, n) input stack to (M, 6) parameter rows.  The stack is
+    x, then x + h e_k and x - h e_k for every k; angle differences are
+    wrapped before the division by 2h.
+    """
+    n = x.shape[0]
+    step = h * np.eye(n)
+    F = f(np.concatenate([x[None], x + step, x - step]))
+    d = F[1 : n + 1] - F[n + 1 :]
+    d[:, 3:] = wrap_angle(d[:, 3:])
+    return F[0], np.ascontiguousarray((d / (2 * h)).T)
 
 
-def _jacobian(f, x, h=_JAC_STEP) -> np.ndarray:
-    """Central-difference Jacobian with angle-wrapped output differences."""
-    x = np.asarray(x, dtype=float)
-    J = np.zeros((6, x.shape[0]))
-    for k in range(x.shape[0]):
-        dx = np.zeros_like(x)
-        dx[k] = h
-        J[:, k] = _angle_aware_diff(np.asarray(f(x + dx)), np.asarray(f(x - dx))) / (2 * h)
-    return J
+def _propagate(f, b: SscBelief) -> SscBelief:
+    mean, J = _stack_jacobian(f, b.mean)
+    return SscBelief(mean, J @ b.cov @ J.T)
 
 
 def _require_pair(b: SscBelief, op: str) -> None:
@@ -209,30 +278,22 @@ def _require_pair(b: SscBelief, op: str) -> None:
 def head_to_tail(b: SscBelief) -> SscBelief:
     """Compose a correlated parameter-vector pair (x_ij, x_jk) -> x_ik.
 
-    Mean goes through the homogeneous matrices; covariance is the first-order
+    Mean goes through the pose blocks; covariance is the first-order
     congruence by the 6x12 numerical Jacobian of the compounding map,
     including the cross-covariance blocks of the stacked input.
     """
     _require_pair(b, "head_to_tail")
-    f = lambda z: compound_params(z[:6], z[6:])
-    mean = f(b.mean)
-    J = _jacobian(f, b.mean)
-    return SscBelief(mean, J @ b.cov @ J.T)
+    return _propagate(_compound_rows, b)
 
 
 def ssc_inverse(b: SscBelief) -> SscBelief:
     """Invert a single-pose parameter belief (frame swap)."""
     if b.n != 1:
         raise ValueError("ssc_inverse expects a single-pose belief")
-    mean = inverse_params(b.mean)
-    J = _jacobian(inverse_params, b.mean)
-    return SscBelief(mean, J @ b.cov @ J.T)
+    return _propagate(_inverse_rows, b)
 
 
 def tail_to_tail(b: SscBelief) -> SscBelief:
     """Relative pose of a correlated parameter-vector pair (x_ij, x_ik) -> x_jk."""
     _require_pair(b, "tail_to_tail")
-    f = lambda z: relative_params(z[:6], z[6:])
-    mean = f(b.mean)
-    J = _jacobian(f, b.mean)
-    return SscBelief(mean, J @ b.cov @ J.T)
+    return _propagate(_relative_rows, b)

@@ -108,3 +108,133 @@ def dense_information(solved) -> np.ndarray:
     # gauge prior: identity Jacobian at the solution
     info[:3, :3] += _GAUGE_INFO * np.eye(3)
     return info
+
+
+# ---------------------------------------------------------------------------
+# per-point SSC baseline: the reference for the stacked Jacobians
+# ---------------------------------------------------------------------------
+#
+# One perturbed point at a time through validated Pose objects, exactly as
+# the coordinate baseline was first written.  The stack maps in
+# corrpose.ssc and corrpose.experiments must match these bit for bit.
+
+def point_ssc_to_pose(x):
+    """Pose of a parameter vector: R = Rz(psi) Ry(theta) Rx(phi), t = (x, y, z)."""
+    from corrpose.ssc import normalize_params
+
+    x = normalize_params(x)
+    cph, sph = np.cos(x[3]), np.sin(x[3])
+    cth, sth = np.cos(x[4]), np.sin(x[4])
+    cps, sps = np.cos(x[5]), np.sin(x[5])
+    R = np.array(
+        [
+            [cps * cth, cps * sth * sph - sps * cph, cps * sth * cph + sps * sph],
+            [sps * cth, sps * sth * sph + cps * cph, sps * sth * cph - cps * sph],
+            [-sth, cth * sph, cth * cph],
+        ]
+    )
+    return Pose(R, x[:3])
+
+
+def point_pose_to_ssc(T):
+    """Parameter vector of an SE(3) pose; raises GimbalLockError near |theta| = pi/2."""
+    from corrpose.ssc import _GIMBAL_TOL, GimbalLockError
+
+    R = T.R
+    theta = float(np.arcsin(np.clip(-float(R[2, 0]), -1.0, 1.0)))
+    if np.pi / 2 - abs(theta) < _GIMBAL_TOL:
+        raise GimbalLockError(f"pitch {theta!r} is numerically at gimbal lock")
+    psi = float(np.arctan2(R[1, 0], R[0, 0]))
+    phi = float(np.arctan2(R[2, 1], R[2, 2]))
+    return np.array([T.t[0], T.t[1], T.t[2], phi, theta, psi])
+
+
+def point_compound(x1, x2):
+    return point_pose_to_ssc(point_ssc_to_pose(x1) @ point_ssc_to_pose(x2))
+
+
+def point_inverse(x):
+    return point_pose_to_ssc(point_ssc_to_pose(x).inverse())
+
+
+def point_relative(x1, x2):
+    return point_pose_to_ssc(point_ssc_to_pose(x1).inverse() @ point_ssc_to_pose(x2))
+
+
+def ssc_point_jacobian(f, x, h=1e-6):
+    """Central-difference Jacobian with angle-wrapped output differences,
+    evaluating f at one perturbed point at a time."""
+    from corrpose.ssc import wrap_angle
+
+    x = np.asarray(x, dtype=float)
+    J = np.zeros((6, x.shape[0]))
+    for k in range(x.shape[0]):
+        dx = np.zeros_like(x)
+        dx[k] = h
+        d = np.asarray(f(x + dx)) - np.asarray(f(x - dx))
+        d[3:] = wrap_angle(d[3:])
+        J[:, k] = d / (2 * h)
+    return J
+
+
+def _point_propagate(f, b):
+    from corrpose.ssc import SscBelief
+
+    J = ssc_point_jacobian(f, b.mean)
+    return SscBelief(f(b.mean), J @ b.cov @ J.T)
+
+
+def point_head_to_tail(b):
+    return _point_propagate(lambda z: point_compound(z[:6], z[6:]), b)
+
+
+def point_ssc_inverse(b):
+    return _point_propagate(point_inverse, b)
+
+
+def point_tail_to_tail(b):
+    return _point_propagate(lambda z: point_relative(z[:6], z[6:]), b)
+
+
+def _point_embed3(T):
+    if T.dim == 3:
+        return T
+    R = np.eye(3)
+    R[:2, :2] = T.R
+    return Pose(R, np.array([T.t[0], T.t[1], 0.0]))
+
+
+def point_params_jacobian(T_bar, h=1e-6):
+    """d params(exp(hat(xi)) T_bar) / d xi at xi = 0, one twist at a time."""
+    from corrpose import exp_map
+    from corrpose.ssc import wrap_angle
+
+    m = T_bar.twist_dim
+    J = np.zeros((6, m))
+    for k in range(m):
+        d = np.zeros(m)
+        d[k] = h
+        xp = point_pose_to_ssc(_point_embed3(exp_map(d) @ T_bar))
+        xm = point_pose_to_ssc(_point_embed3(exp_map(-d) @ T_bar))
+        diff = xp - xm
+        diff[3:] = wrap_angle(diff[3:])
+        J[:, k] = diff / (2 * h)
+    return J
+
+
+def point_lie_to_ssc(u):
+    from corrpose.ssc import SscBelief
+
+    J = point_params_jacobian(u.mean)
+    return SscBelief(point_pose_to_ssc(_point_embed3(u.mean)), J @ u.cov @ J.T)
+
+
+def point_lie_pair_to_ssc(p):
+    from corrpose.ssc import SscBelief
+
+    m = p.block_dim
+    J = np.zeros((12, 2 * m))
+    J[:6, :m] = point_params_jacobian(p.means[0])
+    J[6:, m:] = point_params_jacobian(p.means[1])
+    mean = np.concatenate([point_pose_to_ssc(_point_embed3(T)) for T in p.means])
+    return SscBelief(mean, J @ p.cov @ J.T)

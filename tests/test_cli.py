@@ -244,6 +244,49 @@ def test_slam_relpose_adjacent_pairs_more_correlated(tmp_path):
     assert np.mean(near) > np.mean(far)
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_lie_to_ssc_bit_identical_to_point_oracle(dim):
+    from corrpose import PosePairBelief, UncertainPose
+    from oracles import point_lie_pair_to_ssc, point_lie_to_ssc, random_pose, random_psd
+
+    rng = np.random.default_rng(dim)
+    m = 3 if dim == 2 else 6
+    for _ in range(40):
+        means = (random_pose(rng, dim, angle_scale=3.0, trans_scale=5.0),
+                 random_pose(rng, dim, angle_scale=3.0, trans_scale=5.0))
+        cov = random_psd(rng, 2 * m, 1e-3)
+        for got, want in (
+            (experiments.lie_to_ssc(UncertainPose(means[0], cov[:m, :m])),
+             point_lie_to_ssc(UncertainPose(means[0], cov[:m, :m]))),
+            (experiments.lie_pair_to_ssc(PosePairBelief(means, cov)),
+             point_lie_pair_to_ssc(PosePairBelief(means, cov))),
+        ):
+            assert np.array_equal(got.mean, want.mean)
+            assert np.array_equal(got.cov, want.cov)
+
+
+def test_slam_relpose_csv_bytes_match_point_oracle(tmp_path, monkeypatch):
+    from oracles import point_lie_pair_to_ssc, point_tail_to_tail
+
+    cfg = _write_cfg(
+        tmp_path,
+        {"generate": {"n_poses": 120, "seed": 3}, "offsets": [5, 40],
+         "pairs_per_offset": 10, "M": 200, "methods": ["ssc"]},
+    )
+
+    def run(out):
+        assert run_cli("slam-relpose", "--config", str(cfg), "--out", str(out),
+                       "--seed", "3") == 0
+        return [(out / name).read_bytes()
+                for name in ("slam_relpose.csv", "slam_relpose_summary.csv")]
+
+    stacked = run(tmp_path / "stacked")
+    monkeypatch.setattr(experiments, "tail_to_tail", point_tail_to_tail)
+    monkeypatch.setattr(experiments, "lie_pair_to_ssc", point_lie_pair_to_ssc)
+    assert run(tmp_path / "oracle") == stacked
+    assert b",ssc," in stacked[0] and b",1\n" not in stacked[0]
+
+
 # ---------------------------------------------------------------------------
 # convert-demo behavior
 # ---------------------------------------------------------------------------

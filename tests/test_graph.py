@@ -219,6 +219,21 @@ def test_pair_marginals_match_dense_inverse():
     assert worst < 1e-6
 
 
+def test_sparse_pair_marginals_match_dense_inverse():
+    # 250 poses = 750 variables, above the dense limit: the SuperLU branch,
+    # which solves the six columns of a pair in one call
+    g = gr.generate_grid_world(250, seed=12)
+    solved, _ = gr.solve(g)
+    marg = gr.Marginals(solved)
+    assert marg._lu is not None
+    dense_cov = np.linalg.inv(dense_information(solved))
+    for i, j in ((10, 20), (0, 249), (180, 120)):
+        pair = marg.pair_belief(i, j)
+        rows = np.concatenate([3 * i + np.arange(3), 3 * j + np.arange(3)])
+        expect = dense_cov[np.ix_(rows, rows)]
+        assert np.linalg.norm(pair.cov - expect) / np.linalg.norm(expect) < 1e-6
+
+
 def test_extraction_requires_solved_graph():
     g = gr.generate_grid_world(30, seed=2)
     with pytest.raises(gr.GraphStateError):

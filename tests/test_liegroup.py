@@ -339,3 +339,53 @@ def test_batch_matches_scalar(m):
     npt.assert_allclose(log_many(mats), xis, atol=1e-9)
     eye = np.broadcast_to(np.eye(mats.shape[1]), mats.shape)
     npt.assert_allclose(inv_many(mats) @ mats, eye, atol=1e-12)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_log_many_reports_offending_angle(dim, sign):
+    # one row 1e-12 short of pi among ordinary rows: the error names its angle
+    angle = sign * (np.pi - 1e-12)
+    rng = np.random.default_rng(15)
+    xis = rng.normal(0, 0.3, size=(5, 3 if dim == 2 else 6))
+    mats = exp_many(xis)
+    if dim == 2:
+        mats[3] = Pose.planar(0.5, -0.2, angle).matrix()
+    else:
+        mats[3] = Pose(so3_exp(angle * np.array([0.0, 0.6, 0.8])), [0.5, -0.2, 1.0]).matrix()
+    with pytest.raises(SingularLogError) as info:
+        log_many(mats)
+    expected = angle if dim == 2 else abs(angle)  # SO(3) angles are nonnegative
+    assert info.value.angle != np.pi
+    assert abs(info.value.angle - expected) < 1e-14
+
+
+# ---------------------------------------------------------------------------
+# stacked Pose checks
+# ---------------------------------------------------------------------------
+
+def test_checked_pose_blocks_follow_pose_constructor():
+    from corrpose.liegroup import checked_pose_blocks
+
+    rng = np.random.default_rng(16)
+    R = np.stack([so3_exp(rng.normal(size=3)) for _ in range(4)])
+    t = rng.normal(size=(4, 3))
+    assert checked_pose_blocks(R, t) is R  # nothing to repair: no copy
+    drifted = R.copy()
+    drifted[2] = drifted[2] * (1.0 + 1e-6)  # renormalizable drift
+    out = checked_pose_blocks(drifted, t)
+    npt.assert_array_equal(out[2], Pose(drifted[2], t[2]).R)
+    npt.assert_array_equal(out[[0, 1, 3]], R[[0, 1, 3]])
+    scaled = R.copy()
+    scaled[1] *= 2.0
+    reflected = R.copy()
+    reflected[2] *= -1.0
+    for broken, row, message in ((scaled, 1, "not orthonormal"), (reflected, 2, "determinant")):
+        with pytest.raises(ValueError, match=message):
+            Pose(broken[row], t[row])
+        with pytest.raises(ValueError, match=message):
+            checked_pose_blocks(broken, t)
+    bad_t = t.copy()
+    bad_t[0, 1] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        checked_pose_blocks(R, bad_t)

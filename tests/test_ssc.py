@@ -6,7 +6,13 @@ import pytest
 
 import corrpose as cp
 from corrpose import ssc
-from oracles import random_psd
+from oracles import (
+    point_head_to_tail,
+    point_ssc_inverse,
+    point_tail_to_tail,
+    random_psd,
+    ssc_point_jacobian,
+)
 
 
 def random_params(rng, pitch_margin=0.1):
@@ -192,7 +198,9 @@ def test_tail_to_tail_identity_base_adds():
     out = ssc.tail_to_tail(ssc.SscBelief(np.concatenate([np.zeros(6), x2]), cov))
     # with x_ij = 0 the map is (x1, x2) -> inverse(x1) (+) x2; the covariance
     # is J1 s1 J1' + s2 where J1 is the Jacobian through the inverse branch
-    J = ssc._jacobian(lambda z: ssc.relative_params(z[:6], z[6:]), np.concatenate([np.zeros(6), x2]))
+    J = ssc_point_jacobian(
+        lambda z: ssc.relative_params(z[:6], z[6:]), np.concatenate([np.zeros(6), x2])
+    )
     expect = J[:, :6] @ s1 @ J[:, :6].T + s2
     npt.assert_allclose(out.cov, expect, atol=1e-6)
     npt.assert_allclose(J[:, 6:], np.eye(6), atol=1e-6)
@@ -228,8 +236,8 @@ def test_jacobian_step_halving_converges():
     rng = np.random.default_rng(13)
     z = np.concatenate([random_params(rng), random_params(rng)])
     f = lambda v: ssc.compound_params(v[:6], v[6:])
-    J1 = ssc._jacobian(f, z, h=1e-6)
-    J2 = ssc._jacobian(f, z, h=5e-7)
+    J1 = ssc_point_jacobian(f, z, h=1e-6)
+    J2 = ssc_point_jacobian(f, z, h=5e-7)
     assert np.abs(J1 - J2).max() < 1e-5
 
 
@@ -241,3 +249,52 @@ def test_outputs_symmetric_psd():
         out = op(b)
         npt.assert_array_equal(out.cov, out.cov.T)
         assert np.linalg.eigvalsh(out.cov).min() >= -1e-10
+
+
+# ---------------------------------------------------------------------------
+# stacked Jacobians against the per-point oracle
+# ---------------------------------------------------------------------------
+
+def _random_pair_belief(rng, planar):
+    x1, x2 = random_params(rng), random_params(rng)
+    if planar:  # SE(2) embedded: z = roll = pitch = 0
+        x1[2:5] = 0.0
+        x2[2:5] = 0.0
+    return ssc.SscBelief(np.concatenate([x1, x2]), random_psd(rng, 12, 1e-4))
+
+
+@pytest.mark.parametrize("planar", [True, False], ids=["se2-embedded", "se3"])
+def test_stacked_operations_bit_identical_to_point_oracle(planar):
+    rng = np.random.default_rng(15 if planar else 16)
+    for _ in range(60):
+        b = _random_pair_belief(rng, planar)
+        for op, oracle in (
+            (ssc.head_to_tail, point_head_to_tail),
+            (ssc.tail_to_tail, point_tail_to_tail),
+        ):
+            got, want = op(b), oracle(b)
+            assert np.array_equal(got.mean, want.mean)
+            assert np.array_equal(got.cov, want.cov)
+        single = ssc.SscBelief(b.pose_mean(0), b.cov[:6, :6])
+        got, want = ssc.ssc_inverse(single), point_ssc_inverse(single)
+        assert np.array_equal(got.mean, want.mean)
+        assert np.array_equal(got.cov, want.cov)
+
+
+def test_stacked_jacobian_raises_like_point_oracle():
+    # a perturbed point beyond the mean crosses gimbal lock: same error type
+    x1 = np.array([0.0, 0, 0, 0, np.pi / 4, 0])
+    x2 = np.array([1.0, 0, 0, 0, np.pi / 4 - 1.5e-6, 0])
+    b = ssc.SscBelief(np.concatenate([x1, x2]), 1e-6 * np.eye(12))
+    ssc.compound_params(x1, x2)  # the mean itself is clear of the lock
+    with pytest.raises(ssc.GimbalLockError):
+        point_head_to_tail(b)
+    with pytest.raises(ssc.GimbalLockError):
+        ssc.head_to_tail(b)
+
+
+def test_non_finite_parameters_rejected():
+    with pytest.raises(ValueError, match="finite"):
+        ssc.compound_params([0, 0, np.nan, 0, 0, 0], np.zeros(6))
+    with pytest.raises(ValueError, match="6 entries"):
+        ssc.relative_params(np.zeros(5), np.zeros(6))
