@@ -9,6 +9,13 @@ which centers each pose block on the identity and lands in the Lie algebra,
 then rebuilds the stacked covariance from the weighted outer products.  With
 n poses the input space has dimension 6n and the point set has 12n + 1
 members.
+
+All (sigma point, pose block) pairs are evaluated as one matrix stack, in
+chunks of whole sigma points: the coordinate-to-group map and the product
+with the mean inverse run with the checks of the :class:`Pose` constructor
+on every row, and one stacked logarithm reproduces :func:`log_map` bit for
+bit.  The result is identical to converting one point and one pose at a
+time; the weighted sums keep that per-point order.
 """
 
 from __future__ import annotations
@@ -18,8 +25,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .belief import JointPoseBelief
-from .liegroup import SingularLogError, log_map
-from .ssc import SscBelief, ssc_to_pose
+from .liegroup import SingularLogError, _se3_log_blocks
+from .ssc import SscBelief, _compose_blocks, _invert_blocks, _pose_blocks, ssc_to_pose
+
+# Stack rows (sigma points x pose blocks) per evaluation.  Chunks hold whole
+# sigma points, so the stack's temporaries stay at a few MB however many
+# poses the belief has.
+_ROW_BUDGET = 4096
 
 
 class ConversionError(RuntimeError):
@@ -32,6 +44,7 @@ class SigmaPointSingularityError(RuntimeError):
     def __init__(self, index: int, pose: int, angle: float):
         self.index = index
         self.pose = pose
+        self.angle = angle
         super().__init__(
             f"sigma point {index} (pose block {pose}) hit the logarithm "
             f"singularity at rotation angle {angle!r}"
@@ -109,16 +122,28 @@ def sigma_points(mean: np.ndarray, cov: np.ndarray, cfg: UtConfig):
     return points, wm, wc
 
 
-def _stacked_log(point: np.ndarray, mean_inverses, k: int) -> np.ndarray:
-    n = len(mean_inverses)
-    out = np.empty(6 * n)
-    for i in range(n):
-        block = point[6 * i : 6 * i + 6]
+def _centered_logs(b: SscBelief, points: np.ndarray, rows: np.ndarray):
+    """Identity-centered logs of the sigma points ``points[rows]``, in chunks.
+
+    Yields ``(ks, logs)``: sigma-point indices and their (len(ks), 6n) logs
+    ``l(x_k)``.  Raises :class:`SigmaPointSingularityError` for the first
+    offending sigma point and, within it, the first offending pose block.
+    """
+    n = b.n
+    R_inv, t_inv = _invert_blocks(*_pose_blocks(b.mean.reshape(n, 6)))
+    step = max(1, _ROW_BUDGET // n)
+    for lo in range(0, rows.size, step):
+        ks = rows[lo : lo + step]
+        R, t = _pose_blocks(points[ks].reshape(-1, 6))
+        R, t = _compose_blocks(
+            R, t, np.tile(R_inv, (ks.size, 1, 1)), np.tile(t_inv, (ks.size, 1))
+        )
         try:
-            out[6 * i : 6 * i + 6] = log_map(ssc_to_pose(block) @ mean_inverses[i])
+            logs = _se3_log_blocks(R, t)
         except SingularLogError as e:
-            raise SigmaPointSingularityError(k, i, e.angle) from None
-    return out
+            k, i = divmod(e.row, n)
+            raise SigmaPointSingularityError(int(ks[k]), i, e.angle) from None
+        yield ks, logs.reshape(ks.size, 6 * n)
 
 
 def ut_convert(b: SscBelief, cfg: UtConfig = UtConfig()) -> JointPoseBelief:
@@ -132,14 +157,13 @@ def ut_convert(b: SscBelief, cfg: UtConfig = UtConfig()) -> JointPoseBelief:
     """
     points, _, wc = sigma_points(b.mean, b.cov, cfg)
     means = [ssc_to_pose(b.pose_mean(i)) for i in range(b.n)]
-    mean_inverses = [T.inverse() for T in means]
+    # l of the central point (and of any copy of it) is zero by construction
+    rows = np.flatnonzero((wc != 0.0) & (points != points[0]).any(axis=1))
     dim = 6 * b.n
     cov = np.zeros((dim, dim))
-    for k, (w, point) in enumerate(zip(wc, points)):
-        if w == 0.0 or np.array_equal(point, points[0]):
-            continue  # l of the central point is zero by construction
-        ell = _stacked_log(point, mean_inverses, k)
-        cov += w * np.outer(ell, ell)
+    for ks, logs in _centered_logs(b, points, rows):
+        for w, ell in zip(wc[ks], logs):
+            cov += w * np.outer(ell, ell)
     cov = 0.5 * (cov + cov.T)
     return JointPoseBelief(tuple(range(b.n)), means, cov)
 
@@ -151,11 +175,8 @@ def ut_residual_mean(b: SscBelief, cfg: UtConfig = UtConfig()) -> np.ndarray:
     the resulting bias and shrinks with the input covariance.
     """
     points, wm, _ = sigma_points(b.mean, b.cov, cfg)
-    means = [ssc_to_pose(b.pose_mean(i)) for i in range(b.n)]
-    mean_inverses = [T.inverse() for T in means]
     out = np.zeros(6 * b.n)
-    for k, (w, point) in enumerate(zip(wm, points)):
-        if w == 0.0:
-            continue
-        out += w * _stacked_log(point, mean_inverses, k)
+    for ks, logs in _centered_logs(b, points, np.flatnonzero(wm != 0.0)):
+        for w, ell in zip(wm[ks], logs):
+            out += w * ell
     return out

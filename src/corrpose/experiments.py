@@ -220,13 +220,14 @@ def _chain_point(args):
     t0 = time.perf_counter()
     cov = _step_cov(sigma_t, sigma_r)
     joint = build_chain_joint(ChainNoiseSpec(_STEP_MEAN, cov, n_steps, rho))
+    chain = compose_chain(joint)
     predicted = {}
     if "lie-correlated" in methods:
-        predicted["lie-correlated"] = compose_chain(joint).cov
+        predicted["lie-correlated"] = chain.cov
     if "lie-independent" in methods:
         ind = build_chain_joint(ChainNoiseSpec(_STEP_MEAN, cov, n_steps, 0.0))
         predicted["lie-independent"] = compose_chain(ind).cov
-    mean_final = compose_chain(joint).mean
+    mean_final = chain.mean
 
     batch = sample_joint(joint, M, seed)
     acc = batch.pose_matrices(0)

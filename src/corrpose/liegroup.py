@@ -39,8 +39,10 @@ class SingularLogError(ValueError):
     in the resulting twist coordinates.
     """
 
-    def __init__(self, angle: float):
+    def __init__(self, angle: float, row: int | None = None):
         self.angle = float(angle)
+        # Index of the offending row when raised by a stack helper.
+        self.row = row
         super().__init__(
             f"rotation angle {self.angle!r} is numerically at the branch "
             f"boundary pi; the principal logarithm is not defined"
@@ -264,6 +266,9 @@ def so2_log(R) -> float:
     return theta
 
 
+# Rotation angles closer than this to pi recover the log's axis from the
+# symmetric part of R (the antisymmetric part is nearly annihilated there).
+_AXIS_BRANCH = 1e-4
 # Taylor switch points: below _COEFF_CUTOFF the 1-cos/t^2-style ratios are
 # evaluated by series (the direct forms lose ~eps/theta^2 to cancellation);
 # the V-inverse curvature coefficient amplifies that loss by another 1/t^2
@@ -308,7 +313,7 @@ def so3_log(R) -> np.ndarray:
     if theta < _SMALL_ANGLE:
         t2 = theta * theta
         return w * (1.0 + t2 / 6.0 + 7.0 * t2 * t2 / 360.0)
-    if np.pi - theta < 1e-4:
+    if np.pi - theta < _AXIS_BRANCH:
         # The antisymmetric part is nearly annihilated; recover the axis from
         # the symmetric part and use w only to resolve the overall sign.
         nn = np.clip((np.diag(R) - c) / (1.0 - c), 0.0, 1.0)
@@ -340,6 +345,58 @@ def _se3_V_inv(phi) -> np.ndarray:
         d = (1.0 - theta * np.sin(theta) / (2.0 * (1.0 - np.cos(theta)))) / (theta * theta)
     K = skew(phi)
     return np.eye(3) - 0.5 * K + d * (K @ K)
+
+
+def _dot_rows(v: np.ndarray) -> np.ndarray:
+    """Squared norms of (M, 3) rows, rounded as ``np.linalg.norm`` rounds one row."""
+    return (v[:, None, :] @ v[:, :, None])[:, 0, 0]
+
+
+def _se3_log_blocks(R: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Stack version of :func:`log_map` on SE(3) blocks, exact to the last bit.
+
+    ``R`` is an (M, 3, 3) rotation stack and ``t`` the matching (M, 3)
+    translations; row k equals ``log_map(Pose(R[k], t[k]))`` bit for bit,
+    which :func:`log_many` does not.  Each row repeats the scalar operations
+    in their order: vector norms are matmul dot products, as
+    ``np.linalg.norm`` takes them, and V^-1 is built as a matrix before it
+    is applied.  Rows within ``_AXIS_BRANCH`` of pi go through
+    :func:`log_map` and its axis branch; the first singular one raises
+    :class:`SingularLogError` carrying its ``row``.
+    """
+    w = 0.5 * np.stack(
+        [R[:, 2, 1] - R[:, 1, 2], R[:, 0, 2] - R[:, 2, 0], R[:, 1, 0] - R[:, 0, 1]], axis=1
+    )
+    s = np.sqrt(_dot_rows(w))
+    c = np.clip((np.trace(R, axis1=1, axis2=2) - 1.0) / 2.0, -1.0, 1.0)
+    angle = np.arctan2(s, c)
+    small = angle < _SMALL_ANGLE
+    t2 = angle * angle
+    phi = w * np.where(
+        small,
+        1.0 + t2 / 6.0 + 7.0 * t2 * t2 / 360.0,
+        angle / np.where(small | (s == 0.0), 1.0, s),
+    )[:, None]
+    theta = np.sqrt(_dot_rows(phi))
+    small = theta < _VINV_CUTOFF
+    t2 = theta * theta
+    safe = np.where(small, 1.0, theta)
+    d = np.where(
+        small,
+        1.0 / 12.0 + t2 / 720.0 + t2 * t2 / 30240.0,
+        (1.0 - safe * np.sin(safe) / (2.0 * (1.0 - np.cos(safe)))) / (safe * safe),
+    )
+    K = _skew_many(phi)
+    V_inv = np.eye(3) - 0.5 * K + d[:, None, None] * (K @ K)
+    out = np.empty((R.shape[0], 6))
+    out[:, :3] = (V_inv @ t[:, :, None])[:, :, 0]
+    out[:, 3:] = phi
+    for r in np.flatnonzero(np.pi - angle < _AXIS_BRANCH):
+        try:
+            out[r] = log_map(Pose(R[r], t[r]))
+        except SingularLogError as e:
+            raise SingularLogError(e.angle, row=int(r)) from None
+    return out
 
 
 def _se2_ab(theta: float) -> tuple[float, float]:

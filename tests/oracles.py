@@ -238,3 +238,62 @@ def point_lie_pair_to_ssc(p):
     J[6:, m:] = point_params_jacobian(p.means[1])
     mean = np.concatenate([point_pose_to_ssc(_point_embed3(T)) for T in p.means])
     return SscBelief(mean, J @ p.cov @ J.T)
+
+
+# ---------------------------------------------------------------------------
+# per-point unscented conversion: the reference for the stacked logs
+# ---------------------------------------------------------------------------
+#
+# One sigma point and one pose block at a time through ssc_to_pose, Pose
+# products and log_map, as the conversion was first written.  The stacked
+# ut_convert / ut_residual_mean must match these bit for bit.
+
+def _point_stacked_log(point, mean_inverses, k):
+    from corrpose import log_map
+    from corrpose.convert import SigmaPointSingularityError
+    from corrpose.liegroup import SingularLogError
+    from corrpose.ssc import ssc_to_pose
+
+    n = len(mean_inverses)
+    out = np.empty(6 * n)
+    for i in range(n):
+        block = point[6 * i : 6 * i + 6]
+        try:
+            out[6 * i : 6 * i + 6] = log_map(ssc_to_pose(block) @ mean_inverses[i])
+        except SingularLogError as e:
+            raise SigmaPointSingularityError(k, i, e.angle) from None
+    return out
+
+
+def point_ut_convert(b, cfg=None):
+    from corrpose.belief import JointPoseBelief
+    from corrpose.convert import UtConfig, sigma_points
+    from corrpose.ssc import ssc_to_pose
+
+    points, _, wc = sigma_points(b.mean, b.cov, cfg or UtConfig())
+    means = [ssc_to_pose(b.pose_mean(i)) for i in range(b.n)]
+    mean_inverses = [T.inverse() for T in means]
+    dim = 6 * b.n
+    cov = np.zeros((dim, dim))
+    for k, (w, point) in enumerate(zip(wc, points)):
+        if w == 0.0 or np.array_equal(point, points[0]):
+            continue  # l of the central point is zero by construction
+        ell = _point_stacked_log(point, mean_inverses, k)
+        cov += w * np.outer(ell, ell)
+    cov = 0.5 * (cov + cov.T)
+    return JointPoseBelief(tuple(range(b.n)), means, cov)
+
+
+def point_ut_residual_mean(b, cfg=None):
+    from corrpose.convert import UtConfig, sigma_points
+    from corrpose.ssc import ssc_to_pose
+
+    points, wm, _ = sigma_points(b.mean, b.cov, cfg or UtConfig())
+    means = [ssc_to_pose(b.pose_mean(i)) for i in range(b.n)]
+    mean_inverses = [T.inverse() for T in means]
+    out = np.zeros(6 * b.n)
+    for k, (w, point) in enumerate(zip(wm, points)):
+        if w == 0.0:
+            continue
+        out += w * _point_stacked_log(point, mean_inverses, k)
+    return out

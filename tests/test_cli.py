@@ -304,6 +304,20 @@ def test_convert_demo_zero_covariance_collapses(tmp_path):
     assert len({next(iter(v)) for v in xs.values()}) == 1  # same location
 
 
+@pytest.mark.parametrize("seed", [0, 9])
+def test_convert_demo_csv_bytes_match_point_oracle(tmp_path, monkeypatch, seed):
+    from oracles import point_ut_convert
+
+    def run(out):
+        assert run_cli("convert-demo", "--out", str(out), "--seed", str(seed)) == 0
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    stacked = run(tmp_path / "stacked")
+    monkeypatch.setattr(experiments, "ut_convert", point_ut_convert)
+    assert run(tmp_path / "oracle") == stacked
+    assert "ellipses.csv" in stacked
+
+
 def test_convert_demo_containment_ordering(tmp_path):
     assert run_cli("convert-demo", "--out", str(tmp_path), "--seed", "9") == 0
     counts = {r["locus"]: float(r["fraction_true_inside"])

@@ -7,7 +7,7 @@ import pytest
 import corrpose as cp
 from corrpose import convert, ssc
 from corrpose.liegroup import log_many_masked
-from oracles import random_psd
+from oracles import point_ut_convert, point_ut_residual_mean, random_psd
 
 DEMO_MEAN = np.array([3.0, 3.0, 0.0, 0.0, 0.0, np.pi / 4])
 DEMO_COV = np.diag([0.005, 0.005, 1e-5, 1e-5, 1e-5, 0.006])
@@ -155,8 +155,96 @@ def test_unfactorizable_covariance_raises():
         convert._jittered_cholesky(bad - 2 * np.eye(6))
 
 
-def test_sigma_point_singularity_named():
-    cov = np.diag([1e-8, 1e-8, 1e-8, 1e-8, 1e-8, np.pi ** 2 / 6.0])
+def _singularity(f, b):
     with pytest.raises(convert.SigmaPointSingularityError) as exc:
-        convert.ut_convert(ssc.SscBelief(np.zeros(6), cov))
-    assert exc.value.index >= 1
+        f(b)
+    return exc.value.index, exc.value.pose, exc.value.angle, str(exc.value)
+
+
+SINGULARITY_ORACLES = (
+    (convert.ut_convert, point_ut_convert),
+    (convert.ut_residual_mean, point_ut_residual_mean),
+)
+
+
+def test_sigma_point_singularity_named():
+    # the yaw offsets of sigma points 6 (+) and 12 (-) are exactly pi
+    cov = np.diag([1e-8, 1e-8, 1e-8, 1e-8, 1e-8, np.pi ** 2 / 6.0])
+    b = ssc.SscBelief(np.zeros(6), cov)
+    for f, oracle in SINGULARITY_ORACLES:
+        got = _singularity(f, b)
+        assert got[:2] == (6, 0)
+        assert got == _singularity(oracle, b)
+
+
+@pytest.mark.parametrize("budget", [convert._ROW_BUDGET, 5])
+def test_sigma_point_singularity_in_second_pose_block(monkeypatch, budget):
+    # only block 1's yaw reaches pi: sigma point 12 (+) is the first to hit
+    # it; a budget of 5 rows puts it in the sixth stack of two sigma points
+    monkeypatch.setattr(convert, "_ROW_BUDGET", budget)
+    cov = np.diag([1e-4] * 6 + [1e-8] * 5 + [np.pi ** 2 / 12.0])
+    mean = np.concatenate([DEMO_MEAN, DEMO_MEAN + [1.0, 0.5, 0, 0, 0, 0.2]])
+    b = ssc.SscBelief(mean, cov)
+    for f, oracle in SINGULARITY_ORACLES:
+        got = _singularity(f, b)
+        assert got[:2] == (12, 1)
+        assert got == _singularity(oracle, b)
+
+
+# ---------------------------------------------------------------------------
+# bit identity with the per-point conversion
+# ---------------------------------------------------------------------------
+
+UT_CONFIGS = {
+    "standard": convert.UtConfig(),
+    "kappa1": convert.UtConfig(kappa=1.0),
+    "scaled": convert.UtConfig(mode="scaled", alpha=0.5, beta=2.0),
+}
+
+
+def joint_belief(n, seed):
+    """Seeded n-pose Euler belief with correlated blocks, angles within 0.5 rad."""
+    rng = np.random.default_rng([seed, n])
+    mean = np.concatenate(
+        [np.r_[rng.uniform(-5, 5, 3), rng.uniform(-0.5, 0.5, 3)] for _ in range(n)]
+    )
+    dim = 6 * n
+    A = 0.02 * rng.standard_normal((dim, dim))
+    cov = A @ A.T / dim + np.diag(np.tile([1e-3] * 3 + [1e-4] * 3, n))
+    return ssc.SscBelief(mean, cov)
+
+
+def assert_matches_point_oracle(b, cfg):
+    got, want = convert.ut_convert(b, cfg), point_ut_convert(b, cfg)
+    assert np.array_equal(got.cov, want.cov)
+    for T, T_want in zip(got.means, want.means):
+        assert np.array_equal(T.R, T_want.R) and np.array_equal(T.t, T_want.t)
+    assert np.array_equal(convert.ut_residual_mean(b, cfg), point_ut_residual_mean(b, cfg))
+
+
+@pytest.mark.parametrize("cfg", UT_CONFIGS.values(), ids=UT_CONFIGS.keys())
+@pytest.mark.parametrize("n", [1, 2, 3, 20])
+def test_bit_identical_to_point_oracle(n, cfg):
+    for seed in range(3 if n < 20 else 1):
+        assert_matches_point_oracle(joint_belief(n, seed), cfg)
+
+
+@pytest.mark.parametrize("cfg", UT_CONFIGS.values(), ids=UT_CONFIGS.keys())
+def test_bit_identical_near_branch_cut(cfg):
+    # yaw spreads put sigma-point rotations near 3 rad in block 0 and within
+    # the log's near-pi axis branch in block 1
+    spread = cfg.spread_and_weights(12)[0]
+    rng = np.random.default_rng(21)
+    cov = np.zeros((12, 12))
+    cov[:3, :3] = random_psd(rng, 3, 0.1)
+    cov[6:9, 6:9] = random_psd(rng, 3, 0.1)
+    cov[3:5, 3:5] = cov[9:11, 9:11] = 1e-6 * np.eye(2)
+    cov[5, 5] = 3.0 ** 2 / spread
+    cov[11, 11] = (np.pi - 5e-5) ** 2 / spread
+    mean = np.concatenate([DEMO_MEAN, DEMO_MEAN + [1.0, 0.5, 0, 0.1, -0.2, 0.2]])
+    assert_matches_point_oracle(ssc.SscBelief(mean, cov), cfg)
+
+
+def test_bit_identical_across_stack_chunks(monkeypatch):
+    monkeypatch.setattr(convert, "_ROW_BUDGET", 7)  # two sigma points per stack
+    assert_matches_point_oracle(joint_belief(3, 5), UT_CONFIGS["standard"])

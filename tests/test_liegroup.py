@@ -389,3 +389,43 @@ def test_checked_pose_blocks_follow_pose_constructor():
     bad_t[0, 1] = np.inf
     with pytest.raises(ValueError, match="finite"):
         checked_pose_blocks(R, bad_t)
+
+
+# ---------------------------------------------------------------------------
+# row-exact stacked SE(3) log
+# ---------------------------------------------------------------------------
+
+def test_se3_log_blocks_row_exact_against_log_map():
+    from corrpose.liegroup import _AXIS_BRANCH, _SMALL_ANGLE, _VINV_CUTOFF, _se3_log_blocks
+
+    rng = np.random.default_rng(17)
+    angles = np.concatenate([
+        [0.0, 0.0],
+        np.exp(rng.uniform(np.log(1e-9), np.log(3.0), 2000)),
+        _SMALL_ANGLE * np.exp(rng.uniform(-0.1, 0.1, 200)),
+        _VINV_CUTOFF * np.exp(rng.uniform(-0.1, 0.1, 200)),
+        np.pi - _AXIS_BRANCH * np.exp(rng.uniform(-2.0, 0.5, 200)),
+    ])
+    axes = rng.normal(size=(angles.size, 3))
+    axes /= np.linalg.norm(axes, axis=1)[:, None]
+    R = np.stack([so3_exp(a * u) for a, u in zip(angles, axes)])
+    t = rng.normal(0, 3.0, size=(angles.size, 3))
+    got = _se3_log_blocks(R, t)
+    want = np.stack([log_map(Pose(Rk, tk)) for Rk, tk in zip(R, t)])
+    assert np.array_equal(got, want)
+
+
+def test_se3_log_blocks_names_first_singular_row():
+    from corrpose.liegroup import _se3_log_blocks
+
+    rng = np.random.default_rng(18)
+    R = np.stack([so3_exp(rng.normal(0, 0.3, 3)) for _ in range(6)])
+    t = rng.normal(size=(6, 3))
+    for row, angle in ((2, np.pi - 1e-12), (4, np.pi)):
+        R[row] = so3_exp(angle * np.array([0.0, 0.6, 0.8]))
+    with pytest.raises(SingularLogError) as info:
+        _se3_log_blocks(R, t)
+    with pytest.raises(SingularLogError) as scalar:
+        log_map(Pose(R[2], t[2]))
+    assert info.value.row == 2
+    assert info.value.angle == scalar.value.angle
