@@ -10,11 +10,10 @@ then rebuilds the stacked covariance from the weighted outer products.  With
 n poses the input space has dimension 6n and the point set has 12n + 1
 members.
 
-All (sigma point, pose block) pairs are evaluated as one matrix stack, in
-chunks of whole sigma points: the coordinate-to-group map and the product
-with the mean inverse run with the checks of the :class:`Pose` constructor
-on every row, and one stacked logarithm reproduces :func:`log_map` bit for
-bit.  The result is identical to converting one point and one pose at a
+All (sigma point, pose block) pairs are evaluated as one matrix stack: the
+coordinate-to-group map and the product with the mean inverse run with the
+checks of the :class:`Pose` constructor on every row, and one stacked
+logarithm reproduces :func:`log_map` bit for bit.  The result is identical to converting one point and one pose at a
 time; the weighted sums keep that per-point order.
 """
 
@@ -27,11 +26,6 @@ import numpy as np
 from .belief import JointPoseBelief
 from .liegroup import SingularLogError, _se3_log_blocks
 from .ssc import SscBelief, _compose_blocks, _invert_blocks, _pose_blocks, ssc_to_pose
-
-# Stack rows (sigma points x pose blocks) per evaluation.  Chunks hold whole
-# sigma points, so the stack's temporaries stay at a few MB however many
-# poses the belief has.
-_ROW_BUDGET = 4096
 
 
 class ConversionError(RuntimeError):
@@ -122,28 +116,26 @@ def sigma_points(mean: np.ndarray, cov: np.ndarray, cfg: UtConfig):
     return points, wm, wc
 
 
-def _centered_logs(b: SscBelief, points: np.ndarray, rows: np.ndarray):
-    """Identity-centered logs of the sigma points ``points[rows]``, in chunks.
+def _centered_logs(b: SscBelief, points: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """(len(rows), 6n) identity-centered logs ``l(x_k)`` of ``points[rows]``.
 
-    Yields ``(ks, logs)``: sigma-point indices and their (len(ks), 6n) logs
-    ``l(x_k)``.  Raises :class:`SigmaPointSingularityError` for the first
-    offending sigma point and, within it, the first offending pose block.
+    Raises :class:`SigmaPointSingularityError` for the first offending sigma
+    point and, within it, the first offending pose block.
     """
     n = b.n
-    R_inv, t_inv = _invert_blocks(*_pose_blocks(b.mean.reshape(n, 6)))
-    step = max(1, _ROW_BUDGET // n)
-    for lo in range(0, rows.size, step):
-        ks = rows[lo : lo + step]
-        R, t = _pose_blocks(points[ks].reshape(-1, 6))
-        R, t = _compose_blocks(
-            R, t, np.tile(R_inv, (ks.size, 1, 1)), np.tile(t_inv, (ks.size, 1))
-        )
-        try:
-            logs = _se3_log_blocks(R, t)
-        except SingularLogError as e:
-            k, i = divmod(e.row, n)
-            raise SigmaPointSingularityError(int(ks[k]), i, e.angle) from None
-        yield ks, logs.reshape(ks.size, 6 * n)
+    R_mean, t_mean = _pose_blocks(b.mean.reshape(n, 6))
+    # invert the tiled means so every right operand is a transposed view of
+    # R, the layout Pose.inverse gives the per-point product
+    R_inv, t_inv = _invert_blocks(
+        np.tile(R_mean, (rows.size, 1, 1)), np.tile(t_mean, (rows.size, 1))
+    )
+    R, t = _compose_blocks(*_pose_blocks(points[rows].reshape(-1, 6)), R_inv, t_inv)
+    try:
+        logs = _se3_log_blocks(R, t)
+    except SingularLogError as e:
+        k, i = divmod(e.row, n)
+        raise SigmaPointSingularityError(int(rows[k]), i, e.angle) from None
+    return logs.reshape(rows.size, 6 * n)
 
 
 def ut_convert(b: SscBelief, cfg: UtConfig = UtConfig()) -> JointPoseBelief:
@@ -161,9 +153,8 @@ def ut_convert(b: SscBelief, cfg: UtConfig = UtConfig()) -> JointPoseBelief:
     rows = np.flatnonzero((wc != 0.0) & (points != points[0]).any(axis=1))
     dim = 6 * b.n
     cov = np.zeros((dim, dim))
-    for ks, logs in _centered_logs(b, points, rows):
-        for w, ell in zip(wc[ks], logs):
-            cov += w * np.outer(ell, ell)
+    for w, ell in zip(wc[rows], _centered_logs(b, points, rows)):
+        cov += w * np.outer(ell, ell)
     cov = 0.5 * (cov + cov.T)
     return JointPoseBelief(tuple(range(b.n)), means, cov)
 
@@ -175,8 +166,8 @@ def ut_residual_mean(b: SscBelief, cfg: UtConfig = UtConfig()) -> np.ndarray:
     the resulting bias and shrinks with the input covariance.
     """
     points, wm, _ = sigma_points(b.mean, b.cov, cfg)
+    rows = np.flatnonzero(wm != 0.0)
     out = np.zeros(6 * b.n)
-    for ks, logs in _centered_logs(b, points, np.flatnonzero(wm != 0.0)):
-        for w, ell in zip(wm[ks], logs):
-            out += w * ell
+    for w, ell in zip(wm[rows], _centered_logs(b, points, rows)):
+        out += w * ell
     return out

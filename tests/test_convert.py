@@ -177,11 +177,8 @@ def test_sigma_point_singularity_named():
         assert got == _singularity(oracle, b)
 
 
-@pytest.mark.parametrize("budget", [convert._ROW_BUDGET, 5])
-def test_sigma_point_singularity_in_second_pose_block(monkeypatch, budget):
-    # only block 1's yaw reaches pi: sigma point 12 (+) is the first to hit
-    # it; a budget of 5 rows puts it in the sixth stack of two sigma points
-    monkeypatch.setattr(convert, "_ROW_BUDGET", budget)
+def test_sigma_point_singularity_in_second_pose_block():
+    # only block 1's yaw reaches pi: sigma point 12 (+) is the first to hit it
     cov = np.diag([1e-4] * 6 + [1e-8] * 5 + [np.pi ** 2 / 12.0])
     mean = np.concatenate([DEMO_MEAN, DEMO_MEAN + [1.0, 0.5, 0, 0, 0, 0.2]])
     b = ssc.SscBelief(mean, cov)
@@ -244,7 +241,3 @@ def test_bit_identical_near_branch_cut(cfg):
     mean = np.concatenate([DEMO_MEAN, DEMO_MEAN + [1.0, 0.5, 0, 0.1, -0.2, 0.2]])
     assert_matches_point_oracle(ssc.SscBelief(mean, cov), cfg)
 
-
-def test_bit_identical_across_stack_chunks(monkeypatch):
-    monkeypatch.setattr(convert, "_ROW_BUDGET", 7)  # two sigma points per stack
-    assert_matches_point_oracle(joint_belief(3, 5), UT_CONFIGS["standard"])
