@@ -69,7 +69,6 @@ from .graph import (
     Marginals,
     PoseGraph,
     SolveReport,
-    extract_pair_belief,
     generate_grid_world,
     load_graph,
     solve,
@@ -133,7 +132,6 @@ __all__ = [
     "Marginals",
     "PoseGraph",
     "SolveReport",
-    "extract_pair_belief",
     "generate_grid_world",
     "load_graph",
     "solve",

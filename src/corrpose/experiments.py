@@ -4,12 +4,16 @@ Each runner takes a merged configuration mapping (JSON file contents with
 command-line overrides applied), writes CSV tables (plus a plot script where
 it helps) into the output directory and returns the written paths.  All
 randomness derives from the configured seed, per-work-item, so re-running a
-configuration reproduces every output byte for byte regardless of the worker
-count.  Timings go to stderr, never into the deterministic CSVs.
+configuration reproduces every output byte for byte.  Timings go to stderr,
+never into the deterministic CSVs.
 
-Config keys shared by all experiments: ``seed`` (int), ``out`` (directory),
-``jobs`` (parallel workers).  Experiment-specific keys are documented on the
-runners and default to the desk-scale setups.
+Config keys shared by all experiments: ``seed`` (int), ``out`` (directory).
+``jobs`` must be a positive integer (checked by :func:`run_experiment`) but
+has no effect: per-item work is small numpy calls holding the interpreter
+lock, so a thread pool only slowed runs down (500-pose ``slam-relpose`` on
+two cores: 4.6-8.0 s with two workers, 3.8-4.4 s with one).
+Experiment-specific keys are documented on the runners and default to the
+desk-scale setups.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ from __future__ import annotations
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -125,14 +128,6 @@ def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _map_ordered(fn, items, jobs: int):
-    """Apply fn to items, optionally in parallel, preserving input order."""
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=jobs) as ex:
-        return list(ex.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # twist <-> Euler bridging (planar poses embed as z = roll = pitch = 0)
 # ---------------------------------------------------------------------------
@@ -215,8 +210,7 @@ def _ssc_chain_cov(step_belief: SscBelief, n_steps: int) -> SscBelief:
     return acc
 
 
-def _chain_point(args):
-    sweep, value, n_steps, sigma_t, sigma_r, rho, M, p, dof_mode, methods, seed = args
+def _chain_point(sweep, value, n_steps, sigma_t, sigma_r, rho, M, p, dof_mode, methods, seed):
     t0 = time.perf_counter()
     cov = _step_cov(sigma_t, sigma_r)
     joint = build_chain_joint(ChainNoiseSpec(_STEP_MEAN, cov, n_steps, rho))
@@ -263,7 +257,7 @@ def run_compose_sweep(cfg) -> list[Path]:
     """Chained-odometry containment sweep over N / sigma_r / sigma_t.
 
     Keys: sweep ("N" | "sigma_r" | "sigma_t"), values (list), N, sigma_t,
-    sigma_r, rho, M, p, dof_mode, methods, seed, out, jobs.
+    sigma_r, rho, M, p, dof_mode, methods, seed, out.
     """
     sweep = _cfg_get(cfg, "sweep", "N", str)
     if sweep not in ("N", "sigma_r", "sigma_t"):
@@ -281,10 +275,9 @@ def run_compose_sweep(cfg) -> list[Path]:
     dof_mode = _cfg_get(cfg, "dof_mode", "full", str)
     methods = _cfg_methods(cfg)
     seed = _cfg_get(cfg, "seed", 0, int)
-    jobs = _positive(cfg, "jobs", 1, int)
     out = _out_dir(cfg)
 
-    work = []
+    rows = []
     for idx, v in enumerate(values):
         n, st, sr = n_steps, sigma_t, sigma_r
         if sweep == "N":
@@ -293,8 +286,7 @@ def run_compose_sweep(cfg) -> list[Path]:
             sr = float(v)
         else:
             st = float(v)
-        work.append((sweep, v, n, st, sr, rho, M, p, dof_mode, methods, [seed, idx]))
-    rows = [r for chunk in _map_ordered(_chain_point, work, jobs) for r in chunk]
+        rows += _chain_point(sweep, v, n, st, sr, rho, M, p, dof_mode, methods, [seed, idx])
     path = _write_csv(
         out / "compose_sweep.csv",
         ["sweep_var", "value", "method", "containment", "cov_error"],
@@ -384,10 +376,8 @@ def _load_or_generate(cfg) -> graphmod.PoseGraph:
     )
 
 
-def _pair_rows(args):
-    marg, offset, i, j, M, methods, seed = args
+def _pair_rows(pb, offset, i, j, M, methods, seed):
     try:
-        pb = marg.pair_belief(i, j)
         batch = sample_joint(pb, M, seed)
         T1 = batch.pose_matrices(0)
         T2 = batch.pose_matrices(1)
@@ -434,14 +424,14 @@ def run_slam_relpose(cfg) -> list[Path]:
     """Relative-pose covariance accuracy on marginals of a solved pose graph.
 
     Keys: graph (path) or generate ({n_poses, seed, ...}), offsets (list),
-    pairs_per_offset, M, methods, jacobian_mode, seed, out, jobs.
+    pairs_per_offset, M, methods, jacobian_mode, seed, out.  All pair
+    marginals come from one :meth:`Marginals.pair_beliefs` call.
     """
     offsets = _cfg_get(cfg, "offsets", [10, 50, 100], list)
     cap = _positive(cfg, "pairs_per_offset", 200, int)
     M = _positive(cfg, "M", 1_000, int)
     methods = _cfg_methods(cfg)
     seed = _cfg_get(cfg, "seed", 0, int)
-    jobs = _positive(cfg, "jobs", 1, int)
     jmode = _cfg_get(cfg, "jacobian_mode", "numeric", str)
     out = _out_dir(cfg)
 
@@ -457,7 +447,7 @@ def run_slam_relpose(cfg) -> list[Path]:
     marg = graphmod.Marginals(solved, jacobian_mode=jmode)
     keys = sorted(solved.vertices)
 
-    work = []
+    pairs, pair_args = [], []
     for oidx, offset in enumerate(offsets):
         offset = int(offset)
         if offset <= 0:
@@ -467,9 +457,11 @@ def run_slam_relpose(cfg) -> list[Path]:
             sel = np.linspace(0, len(starts) - 1, cap).round().astype(int)
             starts = [starts[s] for s in dict.fromkeys(sel)]
         for pidx, i in enumerate(starts):
-            work.append((marg, offset, i, i + offset, M, methods, [seed, oidx, pidx]))
+            pairs.append((i, i + offset))
+            pair_args.append((offset, i, i + offset, M, methods, [seed, oidx, pidx]))
 
-    rows = [r for chunk in _map_ordered(_pair_rows, work, jobs) for r in chunk]
+    beliefs = marg.pair_beliefs(pairs)
+    rows = [r for pb, args in zip(beliefs, pair_args) for r in _pair_rows(pb, *args)]
     header = [
         "offset", "i", "j", "method", "cov_error", "normalized_cov_error",
         "corr_coeff_x", "corr_coeff_y", "corr_coeff_theta", "error",
@@ -664,6 +656,7 @@ EXPERIMENTS = {
 def run_experiment(name: str, cfg) -> list[Path]:
     if name not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {name!r}; choose from {sorted(EXPERIMENTS)}")
+    _positive(cfg, "jobs", 1, int)  # validated, no effect (module docstring)
     return EXPERIMENTS[name](dict(cfg))
 
 

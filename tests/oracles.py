@@ -110,6 +110,27 @@ def dense_information(solved) -> np.ndarray:
     return info
 
 
+def six_column_pair_belief(marg, i, j):
+    """Pair marginal from a solve of the pair's own six columns on the factor
+    of ``marg``: one query at a time, the reference for
+    ``Marginals.pair_beliefs``."""
+    import scipy.linalg
+
+    from corrpose import PosePairBelief
+
+    index = marg._sys.index
+    cols = np.concatenate([3 * index[i] + np.arange(3), 3 * index[j] + np.arange(3)])
+    E = np.zeros((marg._nvars, 6))
+    E[cols, np.arange(6)] = 1.0
+    if marg._dense is not None:
+        X = scipy.linalg.cho_solve(marg._dense, E)
+    else:
+        X = marg._lu.solve(E)
+    cov = X[cols, :]
+    cov = 0.5 * (cov + cov.T)
+    return PosePairBelief((marg._graph.vertices[i], marg._graph.vertices[j]), cov)
+
+
 # ---------------------------------------------------------------------------
 # per-point SSC baseline: the reference for the stacked Jacobians
 # ---------------------------------------------------------------------------

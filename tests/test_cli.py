@@ -2,6 +2,10 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -88,6 +92,31 @@ def test_byte_determinism_and_jobs_independence(tmp_path):
         )
         outs.append((out / "compose_sweep.csv").read_bytes())
     assert outs[0] == outs[1] == outs[2]
+
+
+@pytest.mark.parametrize("experiment", sorted(experiments.EXPERIMENTS))
+def test_jobs_zero_exits_2(tmp_path, capsys, experiment):
+    # --jobs has no effect, but every experiment still validates it
+    rc = run_cli(experiment, "--out", str(tmp_path), "--jobs", "0")
+    assert rc == 2
+    assert "'jobs' must be positive" in capsys.readouterr().err
+
+
+def test_python_m_corrpose_runs_from_source_tree(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    cfg = _write_cfg(
+        tmp_path,
+        {"generate": {"n_poses": 30, "seed": 1}, "offsets": [5],
+         "pairs_per_offset": 3, "M": 100, "methods": ["lie-correlated"]},
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "corrpose", "slam-relpose", "--config", str(cfg),
+         "--out", str(tmp_path / "out"), "--seed", "1"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert len(read_csv(tmp_path / "out" / "slam_relpose.csv")) == 3
 
 
 def test_csv_has_header_and_17_digit_floats(tmp_path):
@@ -285,6 +314,33 @@ def test_slam_relpose_csv_bytes_match_point_oracle(tmp_path, monkeypatch):
     monkeypatch.setattr(experiments, "lie_pair_to_ssc", point_lie_pair_to_ssc)
     assert run(tmp_path / "oracle") == stacked
     assert b",ssc," in stacked[0] and b",1\n" not in stacked[0]
+
+
+def test_slam_relpose_csv_bytes_match_six_column_oracle(tmp_path, monkeypatch):
+    from oracles import six_column_pair_belief
+
+    from corrpose import graph
+
+    cfg = _write_cfg(
+        tmp_path,
+        {"generate": {"n_poses": 120, "seed": 5}, "offsets": [3, 10, 40],
+         "pairs_per_offset": 12, "M": 200},
+    )
+
+    def run(out, jobs="1"):
+        assert run_cli("slam-relpose", "--config", str(cfg), "--out", str(out),
+                       "--seed", "5", "--jobs", jobs) == 0
+        return [(out / name).read_bytes()
+                for name in ("slam_relpose.csv", "slam_relpose_summary.csv")]
+
+    got = run(tmp_path / "got")
+    assert run(tmp_path / "jobs2", jobs="2") == got
+    monkeypatch.setattr(
+        graph.Marginals, "pair_beliefs",
+        lambda self, pairs: [six_column_pair_belief(self, i, j) for i, j in pairs],
+    )
+    assert run(tmp_path / "oracle") == got
+    assert b",1\n" not in got[0]
 
 
 # ---------------------------------------------------------------------------

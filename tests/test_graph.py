@@ -8,7 +8,7 @@ import pytest
 
 import corrpose as cp
 from corrpose import graph as gr
-from oracles import dense_information
+from oracles import dense_information, six_column_pair_belief
 
 MANHATTAN = os.environ.get("CORRPOSE_MANHATTAN", "data/manhattan3500.g2o")
 needs_manhattan = pytest.mark.skipif(
@@ -143,6 +143,30 @@ def test_rank_deficient_normal_equations_raise():
         gr.Marginals(consistent)
 
 
+def _with_unconstrained_heading(g):
+    """g plus one vertex whose only edge leaves its heading unconstrained."""
+    k = max(g.vertices) + 1
+    step = cp.Pose.planar(1.0, 0.0, 0.0)
+    vertices = dict(g.vertices)
+    vertices[k] = vertices[k - 1] @ step
+    edges = list(g.edges) + [gr.Edge(k - 1, k, step, np.diag([100.0, 100.0, 0.0]))]
+    return vertices, edges
+
+
+def test_sparse_rank_deficient_information_raises():
+    # 251 poses = 753 variables, above the dense limit: SuperLU factors the
+    # singular matrix without complaint (its smallest pivot is rounding
+    # noise), so the pivot-ratio check must refuse it
+    vertices, edges = _with_unconstrained_heading(gr.generate_grid_world(250, seed=12))
+    with pytest.raises(gr.RankDeficiencyError, match="pivot"):
+        gr.solve(gr.PoseGraph(vertices, edges))
+    with pytest.raises(gr.RankDeficiencyError, match="pivot"):
+        gr.Marginals(gr.PoseGraph(vertices, edges, solved=True))
+    # the healthy graph it was built from still factors
+    solved, report = gr.solve(gr.generate_grid_world(250, seed=12))
+    assert report.converged and gr.Marginals(solved)._lu is not None
+
+
 def test_solve_rejects_disconnected():
     gt, edges = triangle_ground_truth()
     verts = {k: T for k, T in enumerate(gt)}
@@ -194,7 +218,7 @@ def test_two_pose_closed_form():
     W = np.diag([50.0, 40.0, 200.0])
     g = gr.PoseGraph({0: T0, 1: T1}, [gr.Edge(0, 1, T0.inverse() @ T1, W)])
     solved, _ = gr.solve(g)
-    pair = gr.extract_pair_belief(solved, 0, 1)
+    pair = gr.Marginals(solved).pair_belief(0, 1)
     dense = dense_information(solved)
     expect = np.linalg.inv(dense)
     npt.assert_allclose(pair.cov, expect, rtol=1e-6, atol=1e-12)
@@ -234,15 +258,46 @@ def test_sparse_pair_marginals_match_dense_inverse():
         assert np.linalg.norm(pair.cov - expect) / np.linalg.norm(expect) < 1e-6
 
 
+# dense branch, and a SuperLU graph on which one multi-column solve over
+# several pairs would round 184 of 600 slam-relpose pairs differently
+@pytest.mark.parametrize("n_poses,seed", [(120, 12), (500, 7)])
+def test_pair_beliefs_bit_identical_to_six_column_solves(n_poses, seed):
+    g = gr.generate_grid_world(n_poses, seed=seed)
+    solved, _ = gr.solve(g)
+    marg = gr.Marginals(solved)
+    pairs = [(i, i + 10) for i in range(0, 100, 3)]
+    pairs += [(5, 17), (17, 5), (5, 60), (60, 17), (100, 101), (101, 100)]  # repeats
+    pairs += [(180 % n_poses, 120 % n_poses), (n_poses - 1, 0)]  # reversed
+    got = marg.pair_beliefs(pairs)
+    assert len(got) == len(pairs)
+    for (i, j), pb in zip(pairs, got):
+        want = six_column_pair_belief(marg, i, j)
+        assert pb.means == want.means
+        assert np.array_equal(pb.cov, want.cov)
+    assert marg.pair_beliefs([]) == []
+
+
+def test_pair_beliefs_checks_every_pair_before_solving(monkeypatch):
+    solved, _ = gr.solve(gr.generate_grid_world(30, seed=2))
+    marg = gr.Marginals(solved)
+    solves = []
+    monkeypatch.setattr(marg, "_solve_columns", lambda cols: solves.append(cols))
+    with pytest.raises(KeyError):
+        marg.pair_beliefs([(0, 5), (1, 6), (0, 999)])
+    with pytest.raises(ValueError):
+        marg.pair_beliefs([(0, 5), (4, 4)])
+    assert solves == []
+
+
 def test_extraction_requires_solved_graph():
     g = gr.generate_grid_world(30, seed=2)
     with pytest.raises(gr.GraphStateError):
-        gr.extract_pair_belief(g, 0, 5)
+        gr.Marginals(g).pair_belief(0, 5)
     solved, _ = gr.solve(g)
     with pytest.raises(ValueError):
-        gr.extract_pair_belief(solved, 4, 4)
+        gr.Marginals(solved).pair_belief(4, 4)
     with pytest.raises(KeyError):
-        gr.extract_pair_belief(solved, 0, 999)
+        gr.Marginals(solved).pair_belief(0, 999)
 
 
 def test_gauge_invariance_of_between():
@@ -292,7 +347,7 @@ def test_marginals_match_monte_carlo_resolves():
     edges = [gr.Edge(a, b, gt[a].inverse() @ gt[b], info) for a, b in pairs]
     base = gr.PoseGraph({k: T for k, T in enumerate(gt)}, edges)
     solved, _ = gr.solve(base)
-    pair = gr.extract_pair_belief(solved, 4, 11)
+    pair = gr.Marginals(solved).pair_belief(4, 11)
 
     draws = []
     for trial in range(500):
