@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .belief import JointPoseBelief
-from .liegroup import SingularLogError, _se3_log_blocks
-from .ssc import SscBelief, _compose_blocks, _invert_blocks, _pose_blocks, ssc_to_pose
+from .liegroup import SingularLogError, _se3_log_blocks, compose_blocks, invert_blocks
+from .ssc import SscBelief, _pose_blocks, ssc_to_pose
 
 
 class ConversionError(RuntimeError):
@@ -126,10 +126,10 @@ def _centered_logs(b: SscBelief, points: np.ndarray, rows: np.ndarray) -> np.nda
     R_mean, t_mean = _pose_blocks(b.mean.reshape(n, 6))
     # invert the tiled means so every right operand is a transposed view of
     # R, the layout Pose.inverse gives the per-point product
-    R_inv, t_inv = _invert_blocks(
+    R_inv, t_inv = invert_blocks(
         np.tile(R_mean, (rows.size, 1, 1)), np.tile(t_mean, (rows.size, 1))
     )
-    R, t = _compose_blocks(*_pose_blocks(points[rows].reshape(-1, 6)), R_inv, t_inv)
+    R, t = compose_blocks(*_pose_blocks(points[rows].reshape(-1, 6)), R_inv, t_inv)
     try:
         logs = _se3_log_blocks(R, t)
     except SingularLogError as e:

@@ -14,6 +14,15 @@ lock, so a thread pool only slowed runs down (500-pose ``slam-relpose`` on
 two cores: 4.6-8.0 s with two workers, 3.8-4.4 s with one).
 Experiment-specific keys are documented on the runners and default to the
 desk-scale setups.
+
+``slam-relpose`` evaluates the first-order predictions of its pairs
+(``between``, ``between_ignoring_correlation`` and the SSC baseline) on
+stacks of ``_PAIR_BLOCK`` = 64 pairs, identical bit for bit to one pair at a
+time; only the Monte-Carlo oracle, seeded per pair, runs pair by pair.  A
+block that raises is evaluated again one pair at a time through the same
+code, so a failing pair still flags only its own rows.  The block size is a
+constant, not an option: it trades the per-call overhead of small numpy
+calls against the peak memory of one stack of every pair.
 """
 
 from __future__ import annotations
@@ -30,11 +39,12 @@ from .belief import (
     PosePairBelief,
     UncertainPose,
     between,
+    between_covs,
     between_ignoring_correlation,
     compose_chain,
 )
 from .convert import UtConfig, ut_convert
-from .liegroup import Pose, checked_pose_blocks, exp_many, inv_many, log_many_masked
+from .liegroup import Pose, checked_pose_blocks, exp_many, log_many_masked
 from .mc import (
     ChainNoiseSpec,
     build_chain_joint,
@@ -43,6 +53,7 @@ from .mc import (
     cov_error,
     mc_relative_cov,
     normalized_cov_error,
+    relative_samples,
     sample_joint,
 )
 from .ssc import (
@@ -51,11 +62,18 @@ from .ssc import (
     params_many,
     pose_to_ssc,
     ssc_to_pose,
-    tail_to_tail,
+    tail_to_tail_many,
     wrap_angle,
 )
 
 KNOWN_METHODS = ("lie-correlated", "lie-independent", "ssc")
+
+# Pairs per stacked evaluation of the first-order predictions in
+# slam-relpose (module docstring).  It bounds peak memory: on a 500-pose run
+# (600 pairs) one stack of all pairs was no faster than 64-pair blocks and
+# raised peak RSS by 10 MB (14%); 64-pair blocks stay within 1 MB of the
+# pair-at-a-time loop.
+_PAIR_BLOCK = 64
 
 
 class ConfigError(ValueError):
@@ -182,14 +200,22 @@ def lie_to_ssc(u: UncertainPose) -> SscBelief:
     return SscBelief(P[0], J[0] @ u.cov @ J[0].T)
 
 
+def _lie_pairs_to_ssc(pairs) -> tuple[np.ndarray, np.ndarray]:
+    """Unchecked (k, 12) means and (k, 12, 12) covariances of
+    :func:`lie_pair_to_ssc` for k pairs, all 2k means linearized in one stack."""
+    P, Js = _ssc_linearization([T for p in pairs for T in p.means])
+    k, m = len(pairs), pairs[0].block_dim
+    J = np.zeros((k, 12, 2 * m))
+    J[:, :6, :m] = Js[0::2]
+    J[:, 6:, m:] = Js[1::2]
+    cov = np.stack([p.cov for p in pairs])
+    return P.reshape(k, 12), J @ cov @ np.swapaxes(J, 1, 2)
+
+
 def lie_pair_to_ssc(p: PosePairBelief) -> SscBelief:
     """Pair version of :func:`lie_to_ssc`, keeping the cross block."""
-    P, Js = _ssc_linearization(p.means)
-    m = p.block_dim
-    J = np.zeros((12, 2 * m))
-    J[:6, :m] = Js[0]
-    J[6:, m:] = Js[1]
-    return SscBelief(P.reshape(-1), J @ p.cov @ J.T)
+    mean, cov = _lie_pairs_to_ssc([p])
+    return SscBelief(mean[0], cov[0])
 
 
 # ---------------------------------------------------------------------------
@@ -376,15 +402,40 @@ def _load_or_generate(cfg) -> graphmod.PoseGraph:
     )
 
 
-def _pair_rows(pb, offset, i, j, M, methods, seed):
+# Errors that fail one pair's rows (error=1) instead of the whole run.
+_PAIR_ERRORS = (ArithmeticError, ValueError, RuntimeError)
+
+
+def _predict(block, method: str) -> np.ndarray:
+    """(k, m, m) predicted relative-pose covariances of one method for k pairs."""
+    if method == "lie-correlated":
+        return between_covs(block, use_cross=True)
+    if method == "lie-independent":
+        return between_covs(block, use_cross=False)
+    return tail_to_tail_many(*_lie_pairs_to_ssc(block))[1]
+
+
+def _block_predictions(block, methods) -> list:
+    """Each pair's {method: predicted covariance}, or the error that stopped it.
+
+    The block is one stacked evaluation per method.  If it raises, each pair
+    runs again alone through the same code, so only a failing pair is lost.
+    """
     try:
-        batch = sample_joint(pb, M, seed)
-        T1 = batch.pose_matrices(0)
-        T2 = batch.pose_matrices(1)
-        Tm = inv_many(T1) @ T2
-        rel = pb.means[0].inverse() @ pb.means[1]
-        xis, ok = log_many_masked(Tm @ rel.inverse().matrix())
-        xis = xis[ok]
+        covs = {method: _predict(block, method) for method in dict.fromkeys(methods)}
+    except _PAIR_ERRORS as e:
+        if len(block) == 1:
+            return [e]
+        return [out for pb in block for out in _block_predictions([pb], methods)]
+    return [{method: c[r] for method, c in covs.items()} for r in range(len(block))]
+
+
+def _pair_rows(pb, pred, offset, i, j, M, methods, seed):
+    """CSV rows of one pair: its predictions (or their error) against its
+    own Monte-Carlo oracle."""
+    try:
+        samples = relative_samples(pb, M, seed)
+        xis = samples.twists[samples.kept]
         mc_twist = xis.T @ xis / xis.shape[0]
 
         s1, s2, cross = pb.sigma1, pb.sigma2, pb.cross
@@ -392,30 +443,26 @@ def _pair_rows(pb, offset, i, j, M, methods, seed):
             cross[c, c] / np.sqrt(s1[c, c] * s2[c, c]) if s1[c, c] * s2[c, c] > 0 else 0.0
             for c in range(3)
         ]
+        if isinstance(pred, Exception):
+            raise pred
 
         rows = []
         for method in methods:
-            if method == "lie-correlated":
-                pred = between(pb).cov
-                err = cov_error(pred, mc_twist)
-                nerr = normalized_cov_error(pred, mc_twist)
-            elif method == "lie-independent":
-                pred = between_ignoring_correlation(pb).cov
-                err = cov_error(pred, mc_twist)
-                nerr = normalized_cov_error(pred, mc_twist)
-            else:
-                pred = tail_to_tail(lie_pair_to_ssc(pb)).cov
+            if method == "ssc":
                 # parameter-space ground truth from the same relative samples
-                T_ok = Tm[ok]
+                T_ok = samples.mats[samples.kept]
+                rel = samples.mean
                 r = params_many(_embed3_many(T_ok[:, :2, :2], T_ok[:, :2, 2]))
                 r -= params_many(_embed3_many(rel.R[None], rel.t[None]))[0]
                 r[:, 3:] = np.arctan2(np.sin(r[:, 3:]), np.cos(r[:, 3:]))
-                mc_par = r.T @ r / r.shape[0]
-                err = cov_error(pred, mc_par)
-                nerr = normalized_cov_error(pred, mc_par)
+                mc = r.T @ r / r.shape[0]
+            else:
+                mc = mc_twist
+            err = cov_error(pred[method], mc)
+            nerr = normalized_cov_error(pred[method], mc)
             rows.append((offset, i, j, method, err, nerr, *corr, 0))
         return rows
-    except (ArithmeticError, ValueError, RuntimeError) as e:
+    except _PAIR_ERRORS as e:
         _log(f"slam-relpose pair ({i},{j}) failed: {e}")
         return [(offset, i, j, m, "", "", "", "", "", 1) for m in methods]
 
@@ -425,7 +472,8 @@ def run_slam_relpose(cfg) -> list[Path]:
 
     Keys: graph (path) or generate ({n_poses, seed, ...}), offsets (list),
     pairs_per_offset, M, methods, jacobian_mode, seed, out.  All pair
-    marginals come from one :meth:`Marginals.pair_beliefs` call.
+    marginals come from one :meth:`Marginals.pair_beliefs` call; the
+    predictions are made per block of ``_PAIR_BLOCK`` pairs.
     """
     offsets = _cfg_get(cfg, "offsets", [10, 50, 100], list)
     cap = _positive(cfg, "pairs_per_offset", 200, int)
@@ -461,7 +509,12 @@ def run_slam_relpose(cfg) -> list[Path]:
             pair_args.append((offset, i, i + offset, M, methods, [seed, oidx, pidx]))
 
     beliefs = marg.pair_beliefs(pairs)
-    rows = [r for pb, args in zip(beliefs, pair_args) for r in _pair_rows(pb, *args)]
+    rows = []
+    for start in range(0, len(beliefs), _PAIR_BLOCK):
+        block = beliefs[start : start + _PAIR_BLOCK]
+        preds = _block_predictions(block, methods)
+        for pb, pred, args in zip(block, preds, pair_args[start : start + _PAIR_BLOCK]):
+            rows += _pair_rows(pb, pred, *args)
     header = [
         "offset", "i", "j", "method", "cov_error", "normalized_cov_error",
         "corr_coeff_x", "corr_coeff_y", "corr_coeff_theta", "error",

@@ -15,22 +15,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
 from .belief import PosePairBelief
-from .liegroup import Pose, exp_map, exp_many, inv_many, log_many
+from .liegroup import Pose, adjoint_blocks, exp_map, exp_many, inv_many, log_many
 
 # Central-difference step for twist-space residual Jacobians.
 _JAC_STEP = 1e-6
 # Information placed on each channel of the gauge prior.
 _GAUGE_INFO = 1e8
-# Below this many scalar variables the normal equations are solved densely.
-_DENSE_LIMIT = 600
-# A sparse LU factor whose smallest |U_ii| is at most this fraction of its
-# largest is singular.  Generated graphs of 250-3500 poses give 8e-12 to 7e-9;
-# one vertex with an unconstrained channel gives 2.4e-21.
+# An information matrix is singular when some LU pivot |U_jj| is at most
+# this fraction of the diagonal entry of its own column.  Generated graphs of
+# 250-3500 poses give at least 6.9e-9; one vertex with an unconstrained
+# heading gives 9e-19 to 5e-18 (edge information 1e2 to 1e8 on the other
+# channels), a two-pose graph with one 1.3e-16.
 _MIN_PIVOT_RATIO = np.finfo(float).eps
 
 
@@ -270,7 +269,7 @@ class _System:
         r, rp = self.residuals(T)
         Jr_inv = _inv_right_jacobian_many(r)
         Tj_inv = inv_many(T[self.jj])
-        Jj = Jr_inv @ _adjoint_many(Tj_inv)
+        Jj = Jr_inv @ adjoint_blocks(Tj_inv[:, :2, :2], Tj_inv[:, :2, 2])
         Jp = _inv_right_jacobian_many(-rp[None])[0]  # left-Jacobian inverse
         return -Jj, Jj, Jp
 
@@ -308,15 +307,6 @@ class _System:
         return A, b
 
 
-def _adjoint_many(T: np.ndarray) -> np.ndarray:
-    out = np.zeros((T.shape[0], 3, 3))
-    out[:, :2, :2] = T[:, :2, :2]
-    out[:, 0, 2] = T[:, 1, 2]
-    out[:, 1, 2] = -T[:, 0, 2]
-    out[:, 2, 2] = 1.0
-    return out
-
-
 def _ad_many(xi: np.ndarray) -> np.ndarray:
     out = np.zeros((xi.shape[0], 3, 3))
     out[:, 0, 1] = -xi[:, 2]
@@ -338,29 +328,23 @@ def _inv_right_jacobian_many(xi: np.ndarray, terms: int = 14) -> np.ndarray:
 
 
 def _factor(info: scipy.sparse.csc_matrix):
-    """Factor an information matrix: (Cholesky, None) below ``_DENSE_LIMIT``
-    variables, else (None, COLAMD SuperLU).  Singular matrices raise, also
-    when SuperLU's smallest pivot is only rounding (it stops on zero alone)."""
-    if info.shape[0] < _DENSE_LIMIT:
-        try:
-            return scipy.linalg.cho_factor(info.toarray()), None
-        except np.linalg.LinAlgError as e:
-            raise RankDeficiencyError(str(e)) from None
+    """COLAMD SuperLU factor of an information matrix.  Singular matrices
+    raise, also when a pivot is only rounding (SuperLU stops on zero alone)."""
     try:
         lu = scipy.sparse.linalg.splu(info, permc_spec="COLAMD")
     except RuntimeError as e:
         raise RankDeficiencyError(str(e)) from None
-    pivots = np.abs(lu.U.diagonal())
-    ratio = pivots.min() / pivots.max()
+    # U column j holds column k of info where perm_c[k] == j
+    pivots = np.abs(lu.U.diagonal())[lu.perm_c]
+    diag = info.diagonal()
+    ratio = np.divide(pivots, diag, out=np.zeros_like(pivots), where=diag > 0).min()
     if not ratio > _MIN_PIVOT_RATIO:
         raise RankDeficiencyError(f"singular information: LU pivot ratio {ratio:.3g}")
-    return None, lu
+    return lu
 
 
 def _solve_normal_equations(A: scipy.sparse.csr_matrix, b: np.ndarray) -> np.ndarray:
-    dense, lu = _factor((A.T @ A).tocsc())
-    rhs = A.T @ b
-    return scipy.linalg.cho_solve(dense, rhs) if lu is None else lu.solve(rhs)
+    return _factor((A.T @ A).tocsc()).solve(A.T @ b)
 
 
 def _renormalized(T: np.ndarray) -> np.ndarray:
@@ -439,13 +423,11 @@ class Marginals:
         A, _ = self._sys.assemble(self._sys.pose_matrices(graph))
         info = (A.T @ A).tocsc()
         self._nvars = info.shape[0]
-        self._dense, self._lu = _factor(info)
+        self._lu = _factor(info)
 
     def _solve_columns(self, cols: np.ndarray) -> np.ndarray:
         E = np.zeros((self._nvars, cols.shape[0]))
         E[cols, np.arange(cols.shape[0])] = 1.0
-        if self._dense is not None:
-            return scipy.linalg.cho_solve(self._dense, E)
         return self._lu.solve(E)
 
     def _check_pair(self, i: int, j: int) -> None:

@@ -193,6 +193,42 @@ def checked_pose_blocks(R: np.ndarray, t: np.ndarray) -> np.ndarray:
     return R
 
 
+# Rotation and translation stacks compose like Pose objects, bit for bit:
+# R1 @ R2 and R1 @ t2 + t1 with stacked matmul, R^T and -(R^T t) for an
+# inverse, and every result checked like a Pose.  An inverse keeps R^T as a
+# transposed view, as Pose.inverse does, because matmul rounds products with
+# R^T differently when R^T is a C-ordered copy.
+
+def compose_blocks(R1, t1, R2, t2) -> tuple[np.ndarray, np.ndarray]:
+    """Checked (R, t) stacks of the row-wise products ``T1[k] @ T2[k]``."""
+    t = (R1 @ t2[:, :, None])[:, :, 0] + t1
+    return checked_pose_blocks(R1 @ R2, t), t
+
+
+def invert_blocks(R, t) -> tuple[np.ndarray, np.ndarray]:
+    """Checked (R, t) stacks of the row-wise inverses ``T[k]^-1``."""
+    Rt = np.swapaxes(R, 1, 2)
+    t_inv = -(Rt @ t[:, :, None])[:, :, 0]
+    return checked_pose_blocks(Rt, t_inv), t_inv
+
+
+def adjoint_blocks(R: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Row-wise :func:`adjoint` of (M, d, d) rotation and (M, d) translation stacks."""
+    k, d = t.shape
+    if d == 2:
+        Ad = np.zeros((k, 3, 3))
+        Ad[:, :2, :2] = R
+        Ad[:, 0, 2] = t[:, 1]
+        Ad[:, 1, 2] = -t[:, 0]
+        Ad[:, 2, 2] = 1.0
+        return Ad
+    Ad = np.zeros((k, 6, 6))
+    Ad[:, :3, :3] = R
+    Ad[:, 3:, 3:] = R
+    Ad[:, :3, 3:] = _skew_many(t) @ R
+    return Ad
+
+
 def _check_twist(xi) -> np.ndarray:
     xi = np.asarray(xi, dtype=float).reshape(-1)
     if xi.shape[0] not in (3, 6):
@@ -438,18 +474,7 @@ def log_map(T: Pose) -> np.ndarray:
 
 def adjoint(T: Pose) -> np.ndarray:
     """Matrix of the adjoint action: ``T @ exp_map(xi) == exp_map(adjoint(T) @ xi) @ T``."""
-    if T.dim == 2:
-        Ad = np.zeros((3, 3))
-        Ad[:2, :2] = T.R
-        Ad[0, 2] = T.t[1]
-        Ad[1, 2] = -T.t[0]
-        Ad[2, 2] = 1.0
-        return Ad
-    Ad = np.zeros((6, 6))
-    Ad[:3, :3] = T.R
-    Ad[3:, 3:] = T.R
-    Ad[:3, 3:] = skew(T.t) @ T.R
-    return Ad
+    return adjoint_blocks(T.R[None], T.t[None])[0]
 
 
 def bch_approx(xi1, xi2, order: int) -> np.ndarray:

@@ -9,6 +9,7 @@ containment counting.  Everything is deterministic per seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy import linalg as sla
@@ -163,27 +164,45 @@ def sample_joint(b, M: int, seed) -> SampleBatch:
     return SampleBatch(z @ L.T, means[0].twist_dim, means, seed)
 
 
-def mc_relative_cov(b: PosePairBelief, M: int, seed) -> np.ndarray:
-    """Sample covariance of the relative-pose twist, the ground-truth oracle.
+class RelativeSamples(NamedTuple):
+    """Monte-Carlo relative poses of a pair belief (see :func:`relative_samples`)."""
+
+    mean: Pose  # predicted relative pose T_bar_12 = T_bar_1^-1 T_bar_2
+    mats: np.ndarray  # (M, d+1, d+1) sampled relative poses T_m
+    twists: np.ndarray  # (M, m) log(T_m T_bar_12^-1), unspecified where not kept
+    kept: np.ndarray  # (M,) False where the logarithm hit its branch boundary
+
+
+def relative_samples(b: PosePairBelief, M: int, seed) -> RelativeSamples:
+    """Relative poses of M correlated pair draws, the ground-truth oracle's samples.
 
     Draws correlated pairs, forms ``T_m = (exp(xi_1) T_bar_1)^-1 exp(xi_2)
-    T_bar_2``, maps each about the predicted mean with
-    ``xi_m = log(T_m T_bar_12^-1)`` and averages ``xi_m xi_m^T``.  Samples at
-    the logarithm branch boundary are excluded; more than 0.1% of them is an
-    error.
+    T_bar_2`` and maps each about the predicted mean with
+    ``xi_m = log(T_m T_bar_12^-1)``.  Samples at the logarithm branch
+    boundary are masked out; more than 0.1% of them raises
+    :class:`SamplingError`.
     """
     batch = sample_joint(b, M, seed)
     T1 = batch.pose_matrices(0)
     T2 = batch.pose_matrices(1)
     Tm = inv_many(T1) @ T2
-    mean_rel_inv = (b.means[0].inverse() @ b.means[1]).inverse().matrix()
-    xis, ok = log_many_masked(Tm @ mean_rel_inv)
+    rel = b.means[0].inverse() @ b.means[1]
+    xis, ok = log_many_masked(Tm @ rel.inverse().matrix())
     excluded = int(batch.M - ok.sum())
     if excluded > _MAX_SINGULAR_FRACTION * batch.M:
         raise SamplingError(
             f"{excluded} of {batch.M} samples hit the logarithm branch boundary"
         )
-    kept = xis[ok]
+    return RelativeSamples(rel, Tm, xis, ok)
+
+
+def mc_relative_cov(b: PosePairBelief, M: int, seed) -> np.ndarray:
+    """Sample covariance of the relative-pose twist, the ground-truth oracle.
+
+    Averages ``xi_m xi_m^T`` over the kept :func:`relative_samples`.
+    """
+    s = relative_samples(b, M, seed)
+    kept = s.twists[s.kept]
     return (kept.T @ kept) / kept.shape[0]
 
 

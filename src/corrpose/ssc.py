@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .liegroup import Pose, checked_pose_blocks
+from .belief import checked_covs
+from .liegroup import Pose, checked_pose_blocks, compose_blocks, invert_blocks
 
 # Central-difference step for all parameter-space Jacobians.
 _JAC_STEP = 1e-6
@@ -144,13 +145,9 @@ def params_many(mats: np.ndarray) -> np.ndarray:
 # Row-wise stack maps
 # ---------------------------------------------------------------------------
 #
-# Each row reproduces the Pose arithmetic of the scalar map bit for bit:
-# rotation and translation blocks are composed separately with stacked
-# matmul (R1 @ R2 and R1 @ t2 + t1; R^T and -(R^T t) for an inverse), and
-# every intermediate pose gets the checks of the Pose constructor.  The
-# memory layout matters as well: an inverse keeps R^T as a transposed view,
-# as Pose.inverse does, because matmul rounds R^T t differently when R^T is
-# a C-ordered copy.
+# Each row reproduces the Pose arithmetic of the scalar map bit for bit: the
+# poses go through liegroup.compose_blocks / invert_blocks, which compose
+# rotation and translation blocks like Pose objects and check every result.
 
 def _pose_blocks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Checked (R, t) stacks of an (M, 6) parameter stack."""
@@ -159,31 +156,20 @@ def _pose_blocks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return checked_pose_blocks(_euler_rotations(x[:, 3:]), t), t
 
 
-def _compose_blocks(R1, t1, R2, t2) -> tuple[np.ndarray, np.ndarray]:
-    t = (R1 @ t2[:, :, None])[:, :, 0] + t1
-    return checked_pose_blocks(R1 @ R2, t), t
-
-
-def _invert_blocks(R, t) -> tuple[np.ndarray, np.ndarray]:
-    Rt = np.swapaxes(R, 1, 2)
-    t_inv = -(Rt @ t[:, :, None])[:, :, 0]
-    return checked_pose_blocks(Rt, t_inv), t_inv
-
-
 def _compound_rows(z: np.ndarray) -> np.ndarray:
     """Head-to-tail on (M, 12) rows (x1, x2): parameters of T(x1) @ T(x2)."""
-    return _params_of_blocks(*_compose_blocks(*_pose_blocks(z[:, :6]), *_pose_blocks(z[:, 6:])))
+    return _params_of_blocks(*compose_blocks(*_pose_blocks(z[:, :6]), *_pose_blocks(z[:, 6:])))
 
 
 def _inverse_rows(z: np.ndarray) -> np.ndarray:
     """Inverse on (M, 6) rows: parameters of T(x)^-1."""
-    return _params_of_blocks(*_invert_blocks(*_pose_blocks(z)))
+    return _params_of_blocks(*invert_blocks(*_pose_blocks(z)))
 
 
 def _relative_rows(z: np.ndarray) -> np.ndarray:
     """Tail-to-tail on (M, 12) rows (x1, x2): parameters of T(x1)^-1 @ T(x2)."""
-    base = _invert_blocks(*_pose_blocks(z[:, :6]))
-    return _params_of_blocks(*_compose_blocks(*base, *_pose_blocks(z[:, 6:])))
+    base = invert_blocks(*_pose_blocks(z[:, :6]))
+    return _params_of_blocks(*compose_blocks(*base, *_pose_blocks(z[:, 6:])))
 
 
 def compound_params(x1, x2) -> np.ndarray:
@@ -210,19 +196,12 @@ class SscBelief:
         mean = np.asarray(mean, dtype=float).reshape(-1)
         if mean.shape[0] == 0 or mean.shape[0] % 6:
             raise ValueError("mean must stack whole 6-parameter vectors")
-        mean = _normalized_rows(mean.reshape(-1, 6)).reshape(-1)
         cov = np.asarray(cov, dtype=float)
         n = mean.shape[0]
         if cov.shape != (n, n):
             raise ValueError(f"covariance must be {n}x{n}, got {cov.shape}")
-        scale = max(1.0, float(np.abs(cov).max()))
-        if np.abs(cov - cov.T).max() > 1e-10 * scale:
-            raise ValueError("covariance is not symmetric within tolerance")
-        cov = 0.5 * (cov + cov.T)
-        if np.linalg.eigvalsh(cov).min() < -1e-10 * scale:
-            raise ValueError("covariance is not positive semi-definite within tolerance")
+        mean, cov = (a[0] for a in _checked_beliefs(mean[None], cov[None]))
         mean.flags.writeable = False
-        cov.flags.writeable = False
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 
@@ -250,24 +229,50 @@ class SscBelief:
         return cls(np.concatenate([b1.mean, b2.mean]), cov)
 
 
-def _stack_jacobian(f, x: np.ndarray, h: float = _JAC_STEP) -> tuple[np.ndarray, np.ndarray]:
-    """Value and central-difference Jacobian of a row-wise map, in one call.
+def _checked_beliefs(mean: np.ndarray, cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The :class:`SscBelief` checks on k beliefs stacked as (k, 6n) means and
+    (k, 6n, 6n) covariances: wrapped means, symmetrized read-only covariances."""
+    mean = _normalized_rows(mean.reshape(-1, 6)).reshape(mean.shape)
+    return mean, checked_covs(cov, what="covariance")
 
-    ``f`` maps an (M, n) input stack to (M, 6) parameter rows.  The stack is
-    x, then x + h e_k and x - h e_k for every k; angle differences are
-    wrapped before the division by 2h.
+
+def _stack_jacobian(f, x: np.ndarray, h: float = _JAC_STEP) -> tuple[np.ndarray, np.ndarray]:
+    """Values and central-difference Jacobians of a row-wise map at k points, in one call.
+
+    ``f`` maps an (M, n) input stack to (M, 6) parameter rows.  For each of
+    the (k, n) points ``x`` the stack holds x, then x + h e_i and x - h e_i
+    for every unit vector e_i; angle differences are wrapped before the
+    division by 2h.  Returns (k, 6) values and (k, 6, n) Jacobians.
     """
-    n = x.shape[0]
+    k, n = x.shape
     step = h * np.eye(n)
-    F = f(np.concatenate([x[None], x + step, x - step]))
-    d = F[1 : n + 1] - F[n + 1 :]
-    d[:, 3:] = wrap_angle(d[:, 3:])
-    return F[0], np.ascontiguousarray((d / (2 * h)).T)
+    X = np.concatenate([x[:, None], x[:, None] + step, x[:, None] - step], axis=1)
+    F = f(X.reshape(-1, n)).reshape(k, 2 * n + 1, 6)
+    d = F[:, 1 : n + 1] - F[:, n + 1 :]
+    d[:, :, 3:] = wrap_angle(d[:, :, 3:])
+    return F[:, 0], np.ascontiguousarray(np.swapaxes(d / (2 * h), 1, 2))
+
+
+def _propagated(f, mean: np.ndarray, cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unchecked first-order pushforward of k stacked beliefs through a row-wise map."""
+    F, J = _stack_jacobian(f, mean)
+    return F, J @ cov @ np.swapaxes(J, 1, 2)
 
 
 def _propagate(f, b: SscBelief) -> SscBelief:
-    mean, J = _stack_jacobian(f, b.mean)
-    return SscBelief(mean, J @ b.cov @ J.T)
+    mean, cov = _propagated(f, b.mean[None], b.cov[None])
+    return SscBelief(mean[0], cov[0])
+
+
+def tail_to_tail_many(mean: np.ndarray, cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`tail_to_tail` of k pair beliefs in one stacked evaluation.
+
+    ``mean`` is (k, 12) and ``cov`` (k, 12, 12); each pair is checked as
+    ``SscBelief(mean[r], cov[r])`` would check it, and so is each result.
+    Returns the (k, 6) means and (k, 6, 6) covariances, identical bit for
+    bit to the one-pair calls.
+    """
+    return _checked_beliefs(*_propagated(_relative_rows, *_checked_beliefs(mean, cov)))
 
 
 def _require_pair(b: SscBelief, op: str) -> None:

@@ -8,6 +8,11 @@ sample covariances come from raw averaging.
 import numpy as np
 
 from corrpose import Pose, hat
+from corrpose.belief import between, between_ignoring_correlation
+from corrpose.experiments import _embed3_many, _log, lie_pair_to_ssc
+from corrpose.liegroup import inv_many, log_many_masked
+from corrpose.mc import cov_error, normalized_cov_error, sample_joint
+from corrpose.ssc import params_many, tail_to_tail
 
 
 def series_exp(xi, max_terms=40, tol=1e-16):
@@ -114,19 +119,13 @@ def six_column_pair_belief(marg, i, j):
     """Pair marginal from a solve of the pair's own six columns on the factor
     of ``marg``: one query at a time, the reference for
     ``Marginals.pair_beliefs``."""
-    import scipy.linalg
-
     from corrpose import PosePairBelief
 
     index = marg._sys.index
     cols = np.concatenate([3 * index[i] + np.arange(3), 3 * index[j] + np.arange(3)])
     E = np.zeros((marg._nvars, 6))
     E[cols, np.arange(6)] = 1.0
-    if marg._dense is not None:
-        X = scipy.linalg.cho_solve(marg._dense, E)
-    else:
-        X = marg._lu.solve(E)
-    cov = X[cols, :]
+    cov = marg._lu.solve(E)[cols, :]
     cov = 0.5 * (cov + cov.T)
     return PosePairBelief((marg._graph.vertices[i], marg._graph.vertices[j]), cov)
 
@@ -318,3 +317,136 @@ def point_ut_residual_mean(b, cfg=None):
             continue
         out += w * _point_stacked_log(point, mean_inverses, k)
     return out
+
+
+# ---------------------------------------------------------------------------
+# per-pair first-order predictions: the reference for the stacked blocks
+# ---------------------------------------------------------------------------
+#
+# One pair at a time through Pose objects and 2-D matrices, as between() and
+# slam-relpose were first written.  belief.between_covs and the stacked
+# slam-relpose rows must match these bit for bit.
+
+def point_adjoint(T):
+    from corrpose import skew
+
+    if T.dim == 2:
+        Ad = np.zeros((3, 3))
+        Ad[:2, :2] = T.R
+        Ad[0, 2] = T.t[1]
+        Ad[1, 2] = -T.t[0]
+        Ad[2, 2] = 1.0
+        return Ad
+    Ad = np.zeros((6, 6))
+    Ad[:3, :3] = T.R
+    Ad[3:, 3:] = T.R
+    Ad[:3, 3:] = skew(T.t) @ T.R
+    return Ad
+
+
+def point_finalize(cov):
+    from corrpose.belief import _DEGENERACY_TOL, NumericalDegeneracyError
+
+    cov = 0.5 * (cov + cov.T)
+    w, V = np.linalg.eigh(cov)
+    if w.min() < _DEGENERACY_TOL:
+        raise NumericalDegeneracyError(
+            f"propagated covariance has eigenvalue {w.min():.3e} beyond tolerance"
+        )
+    if w.min() < 0.0:
+        cov = (V * np.clip(w, 0.0, None)) @ V.T
+        cov = 0.5 * (cov + cov.T)
+    return cov
+
+
+def point_validated_cov(cov, what="covariance"):
+    from corrpose.belief import _PSD_TOL, _SYM_TOL
+
+    cov = np.asarray(cov, dtype=float)
+    if not np.isfinite(cov).all():
+        raise ValueError(f"{what} entries must be finite")
+    scale = max(1.0, float(np.abs(cov).max()))
+    if np.abs(cov - cov.T).max() > _SYM_TOL * scale:
+        raise ValueError(f"{what} is not symmetric within tolerance")
+    cov = 0.5 * (cov + cov.T)
+    if np.linalg.eigvalsh(cov).min() < _PSD_TOL * scale:
+        raise ValueError(f"{what} is not positive semi-definite within tolerance")
+    return cov
+
+
+def point_between(p, *, use_cross=True):
+    """(mean, cov) of between(p), or of between_ignoring_correlation(p)."""
+    T_ij, T_ik = p.means
+    T_ij_inv = T_ij.inverse()
+    Ad = point_adjoint(T_ij_inv)
+    inner = p.sigma1 + p.sigma2
+    if use_cross:
+        inner = inner - p.cross - p.cross.T
+    return T_ij_inv @ T_ik, point_validated_cov(point_finalize(Ad @ inner @ Ad.T))
+
+
+def point_pair_rows(pb, offset, i, j, M, methods, seed):
+    """slam-relpose CSV rows of one pair, everything computed for that pair alone."""
+    try:
+        batch = sample_joint(pb, M, seed)
+        T1 = batch.pose_matrices(0)
+        T2 = batch.pose_matrices(1)
+        Tm = inv_many(T1) @ T2
+        rel = pb.means[0].inverse() @ pb.means[1]
+        xis, ok = log_many_masked(Tm @ rel.inverse().matrix())
+        xis = xis[ok]
+        mc_twist = xis.T @ xis / xis.shape[0]
+
+        s1, s2, cross = pb.sigma1, pb.sigma2, pb.cross
+        corr = [
+            cross[c, c] / np.sqrt(s1[c, c] * s2[c, c]) if s1[c, c] * s2[c, c] > 0 else 0.0
+            for c in range(3)
+        ]
+
+        rows = []
+        for method in methods:
+            if method == "lie-correlated":
+                pred = between(pb).cov
+                err = cov_error(pred, mc_twist)
+                nerr = normalized_cov_error(pred, mc_twist)
+            elif method == "lie-independent":
+                pred = between_ignoring_correlation(pb).cov
+                err = cov_error(pred, mc_twist)
+                nerr = normalized_cov_error(pred, mc_twist)
+            else:
+                pred = tail_to_tail(lie_pair_to_ssc(pb)).cov
+                # parameter-space ground truth from the same relative samples
+                T_ok = Tm[ok]
+                r = params_many(_embed3_many(T_ok[:, :2, :2], T_ok[:, :2, 2]))
+                r -= params_many(_embed3_many(rel.R[None], rel.t[None]))[0]
+                r[:, 3:] = np.arctan2(np.sin(r[:, 3:]), np.cos(r[:, 3:]))
+                mc_par = r.T @ r / r.shape[0]
+                err = cov_error(pred, mc_par)
+                nerr = normalized_cov_error(pred, mc_par)
+            rows.append((offset, i, j, method, err, nerr, *corr, 0))
+        return rows
+    except (ArithmeticError, ValueError, RuntimeError) as e:
+        _log(f"slam-relpose pair ({i},{j}) failed: {e}")
+        return [(offset, i, j, m, "", "", "", "", "", 1) for m in methods]
+
+
+def patch_point_pair_rows(monkeypatch):
+    """Make slam-relpose compute every pair alone through point_pair_rows,
+    with the per-point predictions above."""
+    import sys
+
+    from corrpose import experiments
+    from corrpose.belief import UncertainPose
+
+    oracles = sys.modules[__name__]
+    monkeypatch.setattr(experiments, "_block_predictions", lambda block, methods: block)
+    monkeypatch.setattr(
+        experiments, "_pair_rows", lambda pb, pred, *args: point_pair_rows(pb, *args)
+    )
+    monkeypatch.setattr(oracles, "between", lambda p: UncertainPose(*point_between(p)))
+    monkeypatch.setattr(
+        oracles, "between_ignoring_correlation",
+        lambda p: UncertainPose(*point_between(p, use_cross=False)),
+    )
+    monkeypatch.setattr(oracles, "tail_to_tail", point_tail_to_tail)
+    monkeypatch.setattr(oracles, "lie_pair_to_ssc", point_lie_pair_to_ssc)

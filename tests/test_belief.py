@@ -355,3 +355,66 @@ def test_monte_carlo_consistency_all_operations_small_noise():
 def test_degenerate_propagation_raises():
     with pytest.raises(cp.NumericalDegeneracyError):
         cp.belief.finalize_propagated_cov(np.diag([1.0, -1e-6]))
+
+
+# ---------------------------------------------------------------------------
+# stacked between
+# ---------------------------------------------------------------------------
+
+def _random_pairs(rng, dim, n):
+    """Random pairs; every fifth one has a rank-2 joint covariance, so its
+    relative covariance lands in the clipping band of finalize."""
+    m = 3 if dim == 2 else 6
+    pairs = []
+    for k in range(n):
+        means = (random_pose(rng, dim, angle_scale=3.0, trans_scale=5.0),
+                 random_pose(rng, dim, angle_scale=3.0, trans_scale=5.0))
+        if k % 5 == 0:
+            B = 0.03 * rng.normal(size=(2 * m, 2))
+            cov = B @ B.T
+        else:
+            cov = random_psd(rng, 2 * m, 1e-3)
+        pairs.append(cp.PosePairBelief(means, cov))
+    return pairs
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_between_covs_bit_identical_to_one_pair_calls(dim):
+    from oracles import point_between
+
+    pairs = _random_pairs(np.random.default_rng(10 + dim), dim, 70)
+    clipped = 0
+    for use_cross, op in ((True, cp.between), (False, cp.between_ignoring_correlation)):
+        stacked = cp.belief.between_covs(pairs, use_cross=use_cross)
+        assert stacked.shape == (70, 3 if dim == 2 else 6, 3 if dim == 2 else 6)
+        assert not stacked.flags.writeable
+        for pb, got in zip(pairs, stacked):
+            want_mean, want = point_between(pb, use_cross=use_cross)
+            one = op(pb)
+            assert np.array_equal(got, want)
+            assert np.array_equal(one.cov, want)
+            assert np.array_equal(one.mean.R, want_mean.R)
+            assert np.array_equal(one.mean.t, want_mean.t)
+            raw = cp.belief._between_blocks([pb], use_cross=use_cross)[2][0]
+            clipped += np.linalg.eigh(0.5 * (raw + raw.T))[0].min() < 0.0
+    assert clipped  # the clipping branch was exercised
+
+
+def test_stacked_cov_checks_raise_like_one_matrix():
+    from corrpose.belief import _finalized_covs, checked_covs
+
+    good = np.eye(3)
+    degenerate = np.diag([1.0, -1e-6, 0.0])
+    with pytest.raises(cp.NumericalDegeneracyError) as one:
+        cp.belief.finalize_propagated_cov(degenerate)
+    with pytest.raises(cp.NumericalDegeneracyError) as stacked:
+        _finalized_covs(np.stack([good, degenerate, good]))
+    assert str(stacked.value) == str(one.value)
+    asym = np.eye(3)
+    asym[0, 1] = 1e-3
+    for bad, match in ((asym, "symmetric"), (-np.eye(3), "semi-definite"),
+                       (np.full((3, 3), np.nan), "finite")):
+        with pytest.raises(ValueError, match=match):
+            cp.UncertainPose(cp.Pose.identity(2), bad)
+        with pytest.raises(ValueError, match=match):
+            checked_covs(np.stack([good, bad]), what="covariance")

@@ -294,26 +294,205 @@ def test_lie_to_ssc_bit_identical_to_point_oracle(dim):
             assert np.array_equal(got.cov, want.cov)
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_stacked_ssc_predictions_bit_identical(dim):
+    from oracles import point_lie_pair_to_ssc, point_tail_to_tail, random_pose, random_psd
+
+    from corrpose import PosePairBelief
+    from corrpose.ssc import tail_to_tail, tail_to_tail_many
+
+    rng = np.random.default_rng(20 + dim)
+    m = 3 if dim == 2 else 6
+    pairs = [
+        PosePairBelief((random_pose(rng, dim, angle_scale=1.2, trans_scale=5.0),
+                        random_pose(rng, dim, angle_scale=1.2, trans_scale=5.0)),
+                       random_psd(rng, 2 * m, 1e-3))
+        for _ in range(30)
+    ]
+    mean, cov = tail_to_tail_many(*experiments._lie_pairs_to_ssc(pairs))
+    assert mean.shape == (30, 6) and cov.shape == (30, 6, 6)
+    for r, pb in enumerate(pairs):
+        one = tail_to_tail(experiments.lie_pair_to_ssc(pb))
+        point = point_tail_to_tail(point_lie_pair_to_ssc(pb))
+        assert np.array_equal(mean[r], one.mean) and np.array_equal(cov[r], one.cov)
+        assert np.array_equal(mean[r], point.mean) and np.array_equal(cov[r], point.cov)
+
+
+def test_stacked_ssc_predictions_raise_like_one_pair():
+    from corrpose import Pose, PosePairBelief, so3_exp
+    from corrpose.ssc import GimbalLockError, tail_to_tail, tail_to_tail_many
+
+    ok = PosePairBelief.from_blocks(Pose.identity(3), Pose.identity(3),
+                                    1e-4 * np.eye(6), 1e-4 * np.eye(6))
+    # both means pitch by pi/4, their relative pose by pi/2: gimbal lock
+    locked = PosePairBelief.from_blocks(
+        Pose(so3_exp([0.0, -np.pi / 4, 0.0]), np.zeros(3)),
+        Pose(so3_exp([0.0, np.pi / 4, 0.0]), np.zeros(3)),
+        1e-4 * np.eye(6), 1e-4 * np.eye(6),
+    )
+    pair_belief = experiments.lie_pair_to_ssc(locked)
+    with pytest.raises(GimbalLockError):
+        tail_to_tail(pair_belief)
+    with pytest.raises(GimbalLockError):
+        tail_to_tail_many(*experiments._lie_pairs_to_ssc([ok, locked, ok]))
+
+
+def _slam_csvs(cfg, out, seed):
+    assert run_cli("slam-relpose", "--config", str(cfg), "--out", str(out),
+                   "--seed", str(seed)) == 0
+    return [(out / name).read_bytes()
+            for name in ("slam_relpose.csv", "slam_relpose_summary.csv")]
+
+
 def test_slam_relpose_csv_bytes_match_point_oracle(tmp_path, monkeypatch):
-    from oracles import point_lie_pair_to_ssc, point_tail_to_tail
+    from oracles import patch_point_pair_rows
 
     cfg = _write_cfg(
         tmp_path,
         {"generate": {"n_poses": 120, "seed": 3}, "offsets": [5, 40],
          "pairs_per_offset": 10, "M": 200, "methods": ["ssc"]},
     )
-
-    def run(out):
-        assert run_cli("slam-relpose", "--config", str(cfg), "--out", str(out),
-                       "--seed", "3") == 0
-        return [(out / name).read_bytes()
-                for name in ("slam_relpose.csv", "slam_relpose_summary.csv")]
-
-    stacked = run(tmp_path / "stacked")
-    monkeypatch.setattr(experiments, "tail_to_tail", point_tail_to_tail)
-    monkeypatch.setattr(experiments, "lie_pair_to_ssc", point_lie_pair_to_ssc)
-    assert run(tmp_path / "oracle") == stacked
+    stacked = _slam_csvs(cfg, tmp_path / "stacked", 3)
+    patch_point_pair_rows(monkeypatch)
+    assert _slam_csvs(cfg, tmp_path / "oracle", 3) == stacked
     assert b",ssc," in stacked[0] and b",1\n" not in stacked[0]
+
+
+# the 120-pose test config, and the 500-pose seed-7 graph whose marginals
+# round differently under grouped solves (600 pairs: ten blocks, the last
+# one short)
+@pytest.mark.parametrize("generate,offsets,cap,M", [
+    ({"n_poses": 120, "seed": 5}, [3, 10, 40], 12, 200),
+    ({"n_poses": 500, "seed": 7}, [10, 50, 100], 200, 1000),
+])
+def test_slam_relpose_rows_match_point_pair_rows(tmp_path, monkeypatch, generate, offsets,
+                                                 cap, M):
+    from oracles import patch_point_pair_rows
+
+    cfg = _write_cfg(
+        tmp_path, {"generate": generate, "offsets": offsets, "pairs_per_offset": cap, "M": M},
+    )
+    seed = generate["seed"]
+    rows = []
+    real = experiments._pair_rows
+    monkeypatch.setattr(
+        experiments, "_pair_rows", lambda *a: rows.append(real(*a)) or rows[-1]
+    )
+    stacked = _slam_csvs(cfg, tmp_path / "stacked", seed)
+    patch_point_pair_rows(monkeypatch)
+    oracle_rows = []
+    real_oracle = experiments._pair_rows
+    monkeypatch.setattr(
+        experiments, "_pair_rows",
+        lambda *a: oracle_rows.append(real_oracle(*a)) or oracle_rows[-1],
+    )
+    assert _slam_csvs(cfg, tmp_path / "oracle", seed) == stacked
+    assert len(rows) == len(oracle_rows) == len(offsets) * cap
+    for got, want in zip(rows, oracle_rows):
+        assert [r[:4] for r in got] == [r[:4] for r in want]
+        assert np.array_equal(np.array([r[4:] for r in got], dtype=float),
+                              np.array([r[4:] for r in want], dtype=float))
+    assert b",1\n" not in stacked[0]
+
+
+@pytest.mark.parametrize("method", ["lie-correlated", "lie-independent", "ssc"])
+def test_slam_relpose_partial_block_single_method(tmp_path, monkeypatch, method):
+    from oracles import patch_point_pair_rows
+
+    n_pairs = experiments._PAIR_BLOCK + 9  # one full block, one short one
+    cfg = _write_cfg(
+        tmp_path,
+        {"generate": {"n_poses": 120, "seed": 6}, "offsets": [4, 30],
+         "pairs_per_offset": n_pairs // 2 + 1, "M": 100, "methods": [method]},
+    )
+    stacked = _slam_csvs(cfg, tmp_path / "stacked", 6)
+    assert stacked[0].count(b"\n") - 1 == 2 * (n_pairs // 2 + 1)
+    patch_point_pair_rows(monkeypatch)
+    assert _slam_csvs(cfg, tmp_path / "oracle", 6) == stacked
+
+
+def _pair_key(line):
+    return tuple(line.split(",")[:3])
+
+
+def _assert_only_pair_failed(good, got, key):
+    """Rows of pair ``key`` (offset, i, j) carry error=1, all others are unchanged."""
+    assert len(got) == len(good)
+    flagged = [line for line in got if line.endswith(",,,,,,1")]
+    assert len(flagged) == 3 and {_pair_key(line) for line in flagged} == {key}
+    assert [g for g in good if _pair_key(g) != key] == [b for b in got if _pair_key(b) != key]
+
+
+def test_slam_relpose_failing_pair_flags_only_its_rows(tmp_path, monkeypatch, capsys):
+    from corrpose import NumericalDegeneracyError
+
+    cfg = _write_cfg(
+        tmp_path,
+        {"generate": {"n_poses": 120, "seed": 5}, "offsets": [3, 10],
+         "pairs_per_offset": 40, "M": 100},
+    )
+    good = _slam_csvs(cfg, tmp_path / "good", 5)[0].decode().splitlines()
+
+    real_beliefs = experiments.graphmod.Marginals.pair_beliefs
+    pair_of = {}
+
+    def pair_beliefs(self, pairs):
+        beliefs = real_beliefs(self, pairs)
+        pair_of.update((id(pb), ij) for pb, ij in zip(beliefs, pairs))
+        return beliefs
+
+    real_covs = experiments.between_covs
+    calls = []
+
+    def between_covs(block, *, use_cross=True):
+        # pair 50 of 80 sits in the first 64-pair block
+        calls.append(len(block))
+        if not use_cross and any(pair_of[id(pb)] == bad for pb in block):
+            raise NumericalDegeneracyError("injected")
+        return real_covs(block, use_cross=use_cross)
+
+    monkeypatch.setattr(experiments.graphmod.Marginals, "pair_beliefs", pair_beliefs)
+    monkeypatch.setattr(experiments, "between_covs", between_covs)
+    lines = good[1:]
+    bad = tuple(int(v) for v in _pair_key(lines[3 * 50])[1:])
+    capsys.readouterr()
+    got = _slam_csvs(cfg, tmp_path / "bad", 5)[0].decode().splitlines()
+    err = capsys.readouterr().err
+    assert err.count("failed") == 1
+    assert f"slam-relpose pair ({bad[0]},{bad[1]}) failed: injected" in err
+    assert calls[:2] == [64, 64] and calls.count(1) == 2 * 64  # then one pair at a time
+    _assert_only_pair_failed(good, got, ("10", str(bad[0]), str(bad[1])))
+
+
+def test_slam_relpose_branch_cut_budget_fails_one_pair(tmp_path, monkeypatch, capsys):
+    # a pair whose oracle loses 2 of 1000 samples to the logarithm's branch
+    # cut (0.2%, beyond the 0.1% budget) fails alone
+    import corrpose.mc as mcmod
+
+    cfg = _write_cfg(
+        tmp_path,
+        {"generate": {"n_poses": 120, "seed": 5}, "offsets": [3, 10],
+         "pairs_per_offset": 12, "M": 1000},
+    )
+    good = _slam_csvs(cfg, tmp_path / "good", 5)[0].decode().splitlines()
+    real = mcmod.log_many_masked
+    calls = []
+
+    def lossy(mats):
+        xis, ok = real(mats)
+        calls.append(mats.shape[0])
+        if len(calls) == 16:  # pair 15: the fourth one of offset 10
+            ok = ok.copy()
+            ok[[17, 400]] = False
+        return xis, ok
+
+    monkeypatch.setattr(mcmod, "log_many_masked", lossy)
+    capsys.readouterr()
+    got = _slam_csvs(cfg, tmp_path / "lossy", 5)[0].decode().splitlines()
+    err = capsys.readouterr().err
+    assert calls == [1000] * 24
+    assert err.count("failed") == 1 and "2 of 1000 samples" in err
+    _assert_only_pair_failed(good, got, _pair_key(good[1 + 3 * 15]))
 
 
 def test_slam_relpose_csv_bytes_match_six_column_oracle(tmp_path, monkeypatch):

@@ -143,27 +143,31 @@ def test_rank_deficient_normal_equations_raise():
         gr.Marginals(consistent)
 
 
-def _with_unconstrained_heading(g):
+def _with_unconstrained_heading(g, info):
     """g plus one vertex whose only edge leaves its heading unconstrained."""
     k = max(g.vertices) + 1
     step = cp.Pose.planar(1.0, 0.0, 0.0)
     vertices = dict(g.vertices)
     vertices[k] = vertices[k - 1] @ step
-    edges = list(g.edges) + [gr.Edge(k - 1, k, step, np.diag([100.0, 100.0, 0.0]))]
+    edges = list(g.edges) + [gr.Edge(k - 1, k, step, np.diag([info, info, 0.0]))]
     return vertices, edges
 
 
 def test_sparse_rank_deficient_information_raises():
-    # 251 poses = 753 variables, above the dense limit: SuperLU factors the
-    # singular matrix without complaint (its smallest pivot is rounding
-    # noise), so the pivot-ratio check must refuse it
-    vertices, edges = _with_unconstrained_heading(gr.generate_grid_world(250, seed=12))
-    with pytest.raises(gr.RankDeficiencyError, match="pivot"):
-        gr.solve(gr.PoseGraph(vertices, edges))
-    with pytest.raises(gr.RankDeficiencyError, match="pivot"):
-        gr.Marginals(gr.PoseGraph(vertices, edges, solved=True))
+    # SuperLU factors the singular matrix without complaint (its smallest
+    # pivot is rounding noise), so the pivot-ratio check must refuse it.  At
+    # edge information 1e7 the smallest pivot over the largest (the 1e8
+    # gauge prior) is 2.5e-16, above machine epsilon; over its own column's
+    # diagonal entry it is 4.8e-18.
+    g = gr.generate_grid_world(250, seed=12)
+    for info in (1e2, 1e6, 1e7, 1e8):
+        vertices, edges = _with_unconstrained_heading(g, info)
+        with pytest.raises(gr.RankDeficiencyError, match="pivot"):
+            gr.solve(gr.PoseGraph(vertices, edges))
+        with pytest.raises(gr.RankDeficiencyError, match="pivot"):
+            gr.Marginals(gr.PoseGraph(vertices, edges, solved=True))
     # the healthy graph it was built from still factors
-    solved, report = gr.solve(gr.generate_grid_world(250, seed=12))
+    solved, report = gr.solve(g)
     assert report.converged and gr.Marginals(solved)._lu is not None
 
 
@@ -244,8 +248,7 @@ def test_pair_marginals_match_dense_inverse():
 
 
 def test_sparse_pair_marginals_match_dense_inverse():
-    # 250 poses = 750 variables, above the dense limit: the SuperLU branch,
-    # which solves the six columns of a pair in one call
+    # 250 poses: SuperLU solves the six columns of a pair in one call
     g = gr.generate_grid_world(250, seed=12)
     solved, _ = gr.solve(g)
     marg = gr.Marginals(solved)
@@ -258,8 +261,8 @@ def test_sparse_pair_marginals_match_dense_inverse():
         assert np.linalg.norm(pair.cov - expect) / np.linalg.norm(expect) < 1e-6
 
 
-# dense branch, and a SuperLU graph on which one multi-column solve over
-# several pairs would round 184 of 600 slam-relpose pairs differently
+# a test-sized graph, and one on which one multi-column solve over several
+# pairs would round 184 of 600 slam-relpose pairs differently
 @pytest.mark.parametrize("n_poses,seed", [(120, 12), (500, 7)])
 def test_pair_beliefs_bit_identical_to_six_column_solves(n_poses, seed):
     g = gr.generate_grid_world(n_poses, seed=seed)
