@@ -18,7 +18,7 @@ np.set_printoptions(precision=4, suppress=True)
 g = cp.generate_grid_world(200, seed=1)  # swap in cp.load_graph("file.g2o")
 print(f"graph: {g.n_vertices} vertices, {g.n_edges} edges")
 
-solved, report = cp.solve(g, jacobian_mode="analytic")
+solved, report = cp.solve(g)
 print(f"solved in {report.iterations} iterations, "
       f"chi2 {report.initial_chi2:.1f} -> {report.final_chi2:.1f}")
 

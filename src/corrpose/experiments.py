@@ -44,7 +44,7 @@ from .belief import (
     compose_chain,
 )
 from .convert import UtConfig, ut_convert
-from .liegroup import Pose, checked_pose_blocks, exp_many, log_many_masked
+from .liegroup import Pose, checked_pose_blocks, exp_many
 from .mc import (
     ChainNoiseSpec,
     build_chain_joint,
@@ -55,6 +55,7 @@ from .mc import (
     normalized_cov_error,
     relative_samples,
     sample_joint,
+    twists_about,
 )
 from .ssc import (
     SscBelief,
@@ -253,7 +254,7 @@ def _chain_point(sweep, value, n_steps, sigma_t, sigma_r, rho, M, p, dof_mode, m
     acc = batch.pose_matrices(0)
     for k in range(1, n_steps):
         acc = acc @ batch.pose_matrices(k)
-    xis, ok = log_many_masked(acc @ mean_final.inverse().matrix())
+    xis, ok = twists_about(acc, mean_final)
     xis = xis[ok]
     mc_twist = xis.T @ xis / xis.shape[0]
 
@@ -471,28 +472,27 @@ def run_slam_relpose(cfg) -> list[Path]:
     """Relative-pose covariance accuracy on marginals of a solved pose graph.
 
     Keys: graph (path) or generate ({n_poses, seed, ...}), offsets (list),
-    pairs_per_offset, M, methods, jacobian_mode, seed, out.  All pair
-    marginals come from one :meth:`Marginals.pair_beliefs` call; the
-    predictions are made per block of ``_PAIR_BLOCK`` pairs.
+    pairs_per_offset, M, methods, seed, out.  All pair marginals come from
+    one :meth:`Marginals.pair_beliefs` call; the predictions are made per
+    block of ``_PAIR_BLOCK`` pairs.
     """
     offsets = _cfg_get(cfg, "offsets", [10, 50, 100], list)
     cap = _positive(cfg, "pairs_per_offset", 200, int)
     M = _positive(cfg, "M", 1_000, int)
     methods = _cfg_methods(cfg)
     seed = _cfg_get(cfg, "seed", 0, int)
-    jmode = _cfg_get(cfg, "jacobian_mode", "numeric", str)
     out = _out_dir(cfg)
 
     t0 = time.perf_counter()
     g = _load_or_generate(cfg)
-    solved, report = graphmod.solve(g, jacobian_mode=jmode)
+    solved, report = graphmod.solve(g)
     _log(
         f"slam-relpose: solved {g.n_vertices} poses / {g.n_edges} edges "
         f"in {report.iterations} iterations "
         f"(chi2 {report.initial_chi2:.4g} -> {report.final_chi2:.4g}, "
         f"{time.perf_counter() - t0:.1f} s)"
     )
-    marg = graphmod.Marginals(solved, jacobian_mode=jmode)
+    marg = graphmod.Marginals(solved)
     keys = sorted(solved.vertices)
 
     pairs, pair_args = [], []
@@ -674,13 +674,12 @@ def run_convert_demo(cfg) -> list[Path]:
 def run_solve_graph(cfg) -> list[Path]:
     """Load (or generate), solve, and dump the per-vertex solution.
 
-    Keys: graph (path) or generate mapping, jacobian_mode, out.
+    Keys: graph (path) or generate mapping, out.
     """
-    jmode = _cfg_get(cfg, "jacobian_mode", "numeric", str)
     out = _out_dir(cfg)
     g = _load_or_generate(cfg)
     t0 = time.perf_counter()
-    solved, report = graphmod.solve(g, jacobian_mode=jmode)
+    solved, report = graphmod.solve(g)
     _log(f"solve-graph: {report} ({time.perf_counter() - t0:.1f} s)")
     rows = []
     for k in sorted(solved.vertices):

@@ -4,10 +4,10 @@ twist-space marginal covariance extraction.
 The solver works on-manifold: vertex updates are left perturbations
 ``T <- exp(hat(delta)) @ T`` and edge residuals are
 ``log(Z^-1 (T_i^-1 T_j))`` whitened by the square root of the edge
-information.  The gauge is fixed by a strong prior on the lowest-keyed
-vertex.  Marginals are recovered from the information matrix assembled in
-the same twist coordinates, so extracted pair beliefs feed the belief
-module's between() directly.
+information, with closed-form analytic Jacobians.  The gauge is fixed by a
+strong prior on the lowest-keyed vertex.  Marginals are recovered from the
+information matrix assembled in the same twist coordinates, so extracted
+pair beliefs feed the belief module's between() directly.
 """
 
 from __future__ import annotations
@@ -19,18 +19,21 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .belief import PosePairBelief
-from .liegroup import Pose, adjoint_blocks, exp_map, exp_many, inv_many, log_many
+from .liegroup import (_VINV_CUTOFF, Pose, adjoint_blocks, exp_map, exp_many, inv_many,
+                       log_many)
 
-# Central-difference step for twist-space residual Jacobians.
-_JAC_STEP = 1e-6
 # Information placed on each channel of the gauge prior.
 _GAUGE_INFO = 1e8
+# Gauss-Newton stops once chi2 falls by less than this fraction, or after
+# this many iterations.
+_REL_TOL = 1e-9
+_MAX_ITERATIONS = 100
 # An information matrix is singular when some LU pivot |U_jj| is at most
-# this fraction of the diagonal entry of its own column.  Generated graphs of
-# 250-3500 poses give at least 6.9e-9; one vertex with an unconstrained
-# heading gives 9e-19 to 5e-18 (edge information 1e2 to 1e8 on the other
-# channels), a two-pose graph with one 1.3e-16.
-_MIN_PIVOT_RATIO = np.finfo(float).eps
+# this fraction of the diagonal entry of its own column, about three decades
+# from each side: generated graphs of 30-3500 poses give at least 5.7e-10 at
+# every Gauss-Newton step, one vertex with an unconstrained heading 2e-19 to
+# 8e-18 (edge information 1e2 to 1e8 elsewhere), a two-pose graph 1.3e-16.
+_MIN_PIVOT_RATIO = 1e-13
 
 
 class GraphParseError(ValueError):
@@ -183,19 +186,10 @@ def load_graph(path) -> PoseGraph:
 # linearization machinery shared by the solver and the marginal extraction
 # ---------------------------------------------------------------------------
 
-def _wrap(a: np.ndarray) -> np.ndarray:
-    return np.arctan2(np.sin(a), np.cos(a))
-
-
 class _System:
     """Vectorized residual/Jacobian evaluation in per-vertex twist coordinates."""
 
-    def __init__(self, graph: PoseGraph, *, jacobian_mode: str = "numeric",
-                 step: float = _JAC_STEP):
-        if jacobian_mode not in ("numeric", "analytic"):
-            raise ValueError(f"unknown jacobian_mode {jacobian_mode!r}")
-        self.jacobian_mode = jacobian_mode
-        self.step = step
+    def __init__(self, graph: PoseGraph):
         self.keys = sorted(graph.vertices)
         self.index = {k: i for i, k in enumerate(self.keys)}
         self.n = len(self.keys)
@@ -231,55 +225,22 @@ class _System:
         rw = np.einsum("eab,eb->ea", self.W, r)
         return float((rw ** 2).sum() + (self.prior_w ** 2) * (rp ** 2).sum())
 
-    # -- Jacobians ---------------------------------------------------------
+    def jacobians(self, T: np.ndarray, r: np.ndarray, rp: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Residual Jacobians (Ji, Jj, Jp) at T, given its residuals (r, rp).
 
-    def _edge_jacobians_numeric(self, T: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        E = self.ii.shape[0]
-        Ji = np.empty((E, 3, 3))
-        Jj = np.empty((E, 3, 3))
-        Jp = np.empty((3, 3))
-        h = self.step
-        Ti, Tj = T[self.ii], T[self.jj]
-        Ta = T[self.anchor]
-        for k in range(3):
-            d = np.zeros(3)
-            d[k] = h
-            Ep = exp_many(d[None])[0]
-            Em = exp_many(-d[None])[0]
-            rp_ = log_many(self.Zinv @ inv_many(Ep @ Ti) @ Tj)
-            rm_ = log_many(self.Zinv @ inv_many(Em @ Ti) @ Tj)
-            diff = rp_ - rm_
-            diff[:, 2] = _wrap(diff[:, 2])
-            Ji[:, :, k] = diff / (2 * h)
-            rp_ = log_many(self.Zinv @ inv_many(Ti) @ (Ep @ Tj))
-            rm_ = log_many(self.Zinv @ inv_many(Ti) @ (Em @ Tj))
-            diff = rp_ - rm_
-            diff[:, 2] = _wrap(diff[:, 2])
-            Jj[:, :, k] = diff / (2 * h)
-            pp = log_many((Ep @ Ta @ self.prior_target_inv)[None])[0]
-            pm = log_many((Em @ Ta @ self.prior_target_inv)[None])[0]
-            dpr = pp - pm
-            dpr[2] = _wrap(dpr[2])
-            Jp[:, k] = dpr / (2 * h)
-        return Ji, Jj, Jp
-
-    def _edge_jacobians_analytic(self, T: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # dr/dxi_j = Jr^-1(r) Ad(T_j^-1) and dr/dxi_i = -dr/dxi_j, where the
-        # right-Jacobian inverse comes from a short series in ad(r).
-        r, rp = self.residuals(T)
-        Jr_inv = _inv_right_jacobian_many(r)
+        dr/dxi_j = Jr^-1(r) Ad(T_j^-1) and dr/dxi_i = -dr/dxi_j; the prior's
+        is the left-Jacobian inverse Jl^-1(rp) = Jr^-1(-rp).
+        """
         Tj_inv = inv_many(T[self.jj])
-        Jj = Jr_inv @ adjoint_blocks(Tj_inv[:, :2, :2], Tj_inv[:, :2, 2])
-        Jp = _inv_right_jacobian_many(-rp[None])[0]  # left-Jacobian inverse
+        Jj = _inv_right_jacobian_many(r) @ adjoint_blocks(Tj_inv[:, :2, :2], Tj_inv[:, :2, 2])
+        Jp = _inv_right_jacobian_many(-rp[None])[0]
         return -Jj, Jj, Jp
 
     def assemble(self, T: np.ndarray) -> tuple[scipy.sparse.csr_matrix, np.ndarray]:
         """Whitened sparse Jacobian A and stacked rhs -r_w at linearization T."""
-        if self.jacobian_mode == "numeric":
-            Ji, Jj, Jp = self._edge_jacobians_numeric(T)
-        else:
-            Ji, Jj, Jp = self._edge_jacobians_analytic(T)
         r, rp = self.residuals(T)
+        Ji, Jj, Jp = self.jacobians(T, r, rp)
         E = r.shape[0]
         Wi = self.W @ Ji
         Wj = self.W @ Jj
@@ -307,24 +268,33 @@ class _System:
         return A, b
 
 
-def _ad_many(xi: np.ndarray) -> np.ndarray:
+def _inv_right_jacobian_many(xi: np.ndarray) -> np.ndarray:
+    """Closed-form SE(2) inverse right Jacobian of an (E, 3) twist stack.
+
+    Jr = [[A, c], [0, 1]], A = [[a, b], [-b, a]], a = sin(t)/t, b = (1 - cos t)/t
+    (Sola et al., arXiv 1812.01537, eq. 163).  [[A^-1, -A^-1 c], [0, 1]] reduces
+    to I + ad/2 + d ad^2 with d = (1 - (t/2) cot(t/2)) / t^2; formed from a and b
+    instead, its translation column lost up to 4e-10 to cancellation just above
+    _COEFF_CUTOFF.  Like the SE(3) V-inverse coefficient of the stack log, d
+    takes the _VINV_CUTOFF Taylor window.
+    """
+    theta = xi[:, 2]
+    t2 = theta * theta
+    small = np.abs(theta) < _VINV_CUTOFF
+    safe = np.where(small, 1.0, theta)
+    d = np.where(
+        small,
+        1.0 / 12.0 + t2 / 720.0 + t2 * t2 / 30240.0,
+        (1.0 - 0.5 * safe / np.tan(0.5 * safe)) / (safe * safe),
+    )
     out = np.zeros((xi.shape[0], 3, 3))
-    out[:, 0, 1] = -xi[:, 2]
-    out[:, 1, 0] = xi[:, 2]
-    out[:, 0, 2] = xi[:, 1]
-    out[:, 1, 2] = -xi[:, 0]
+    out[:, 0, 0] = out[:, 1, 1] = 1.0 - t2 * d
+    out[:, 0, 1] = -0.5 * theta
+    out[:, 1, 0] = 0.5 * theta
+    out[:, 0, 2] = theta * d * xi[:, 0] + 0.5 * xi[:, 1]
+    out[:, 1, 2] = theta * d * xi[:, 1] - 0.5 * xi[:, 0]
+    out[:, 2, 2] = 1.0
     return out
-
-
-def _inv_right_jacobian_many(xi: np.ndarray, terms: int = 14) -> np.ndarray:
-    """Inverse right Jacobian via the series Jr = sum (-ad)^k / (k+1)!."""
-    ad = _ad_many(xi)
-    J = np.broadcast_to(np.eye(3), ad.shape).copy()
-    term = np.broadcast_to(np.eye(3), ad.shape).copy()
-    for k in range(1, terms):
-        term = term @ (-ad) / (k + 1.0)
-        J = J + term
-    return np.linalg.inv(J)
 
 
 def _factor(info: scipy.sparse.csc_matrix):
@@ -360,17 +330,16 @@ def _renormalized(T: np.ndarray) -> np.ndarray:
     return out
 
 
-def solve(graph: PoseGraph, *, max_iterations: int = 100, rel_tol: float = 1e-9,
-          jacobian_mode: str = "numeric") -> tuple[PoseGraph, SolveReport]:
+def solve(graph: PoseGraph) -> tuple[PoseGraph, SolveReport]:
     """Gauss-Newton with on-manifold updates and a gauge prior on the lowest key.
 
     Returns a solved copy of the graph plus a report.  Terminates on relative
-    chi2 decrease below ``rel_tol`` or the iteration cap; three consecutive
-    chi2 increases raise :class:`DivergenceError`.
+    chi2 decrease below ``_REL_TOL`` or after ``_MAX_ITERATIONS``; three
+    consecutive chi2 increases raise :class:`DivergenceError`.
     """
     if not graph.is_connected():
         raise GraphValidationError("graph is not connected")
-    sys_ = _System(graph, jacobian_mode=jacobian_mode)
+    sys_ = _System(graph)
     T = sys_.pose_matrices(graph)
     chi2 = sys_.chi2(T)
     initial = chi2
@@ -378,7 +347,7 @@ def solve(graph: PoseGraph, *, max_iterations: int = 100, rel_tol: float = 1e-9,
     converged = chi2 < 1e-15
     iterations = 0
     increases = 0
-    while not converged and iterations < max_iterations:
+    while not converged and iterations < _MAX_ITERATIONS:
         A, b = sys_.assemble(T)
         delta = _solve_normal_equations(A, b)
         T = _renormalized(exp_many(delta.reshape(sys_.n, 3)) @ T)
@@ -396,7 +365,7 @@ def solve(graph: PoseGraph, *, max_iterations: int = 100, rel_tol: float = 1e-9,
             best_chi2, best_T = new_chi2, T.copy()
         rel_decrease = (chi2 - new_chi2) / max(chi2, 1e-300)
         chi2 = new_chi2
-        if 0.0 <= rel_decrease < rel_tol or new_chi2 < 1e-15:
+        if 0.0 <= rel_decrease < _REL_TOL or new_chi2 < 1e-15:
             converged = True
     vertices = {
         k: Pose(best_T[idx, :2, :2], best_T[idx, :2, 2])
@@ -415,11 +384,11 @@ class Marginals:
     queries only trigger solves for the requested columns.
     """
 
-    def __init__(self, graph: PoseGraph, *, jacobian_mode: str = "numeric"):
+    def __init__(self, graph: PoseGraph):
         if not graph.solved:
             raise GraphStateError("marginals need a solved graph; call solve() first")
         self._graph = graph
-        self._sys = _System(graph, jacobian_mode=jacobian_mode)
+        self._sys = _System(graph)
         A, _ = self._sys.assemble(self._sys.pose_matrices(graph))
         info = (A.T @ A).tocsc()
         self._nvars = info.shape[0]

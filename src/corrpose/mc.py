@@ -178,22 +178,30 @@ def relative_samples(b: PosePairBelief, M: int, seed) -> RelativeSamples:
 
     Draws correlated pairs, forms ``T_m = (exp(xi_1) T_bar_1)^-1 exp(xi_2)
     T_bar_2`` and maps each about the predicted mean with
-    ``xi_m = log(T_m T_bar_12^-1)``.  Samples at the logarithm branch
-    boundary are masked out; more than 0.1% of them raises
-    :class:`SamplingError`.
+    ``xi_m = log(T_m T_bar_12^-1)`` through :func:`twists_about`.
     """
     batch = sample_joint(b, M, seed)
     T1 = batch.pose_matrices(0)
     T2 = batch.pose_matrices(1)
     Tm = inv_many(T1) @ T2
     rel = b.means[0].inverse() @ b.means[1]
-    xis, ok = log_many_masked(Tm @ rel.inverse().matrix())
-    excluded = int(batch.M - ok.sum())
-    if excluded > _MAX_SINGULAR_FRACTION * batch.M:
-        raise SamplingError(
-            f"{excluded} of {batch.M} samples hit the logarithm branch boundary"
-        )
+    xis, ok = twists_about(Tm, rel)
     return RelativeSamples(rel, Tm, xis, ok)
+
+
+def twists_about(mats: np.ndarray, mean: Pose) -> tuple[np.ndarray, np.ndarray]:
+    """Twists ``log(T_m mean^-1)`` of M sampled poses and the mask of those kept.
+
+    Samples at the logarithm branch boundary are masked out (their twists
+    are unspecified); more than 0.1% of them raises :class:`SamplingError`.
+    """
+    xis, ok = log_many_masked(mats @ mean.inverse().matrix())
+    excluded = int(ok.shape[0] - ok.sum())
+    if excluded > _MAX_SINGULAR_FRACTION * ok.shape[0]:
+        raise SamplingError(
+            f"{excluded} of {ok.shape[0]} samples hit the logarithm branch boundary"
+        )
+    return xis, ok
 
 
 def mc_relative_cov(b: PosePairBelief, M: int, seed) -> np.ndarray:

@@ -172,21 +172,6 @@ def _relative_rows(z: np.ndarray) -> np.ndarray:
     return _params_of_blocks(*compose_blocks(*base, *_pose_blocks(z[:, 6:])))
 
 
-def compound_params(x1, x2) -> np.ndarray:
-    """Mean head-to-tail map: parameters of T(x1) @ T(x2)."""
-    return _compound_rows(np.concatenate([_param_row(x1), _param_row(x2)])[None])[0]
-
-
-def inverse_params(x) -> np.ndarray:
-    """Mean inverse map: parameters of T(x)^-1."""
-    return _inverse_rows(_param_row(x)[None])[0]
-
-
-def relative_params(x1, x2) -> np.ndarray:
-    """Mean tail-to-tail map: parameters of T(x1)^-1 @ T(x2)."""
-    return _relative_rows(np.concatenate([_param_row(x1), _param_row(x2)])[None])[0]
-
-
 class SscBelief:
     """Gaussian over one or more stacked 6-parameter pose vectors."""
 

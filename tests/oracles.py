@@ -130,6 +130,63 @@ def six_column_pair_belief(marg, i, j):
     return PosePairBelief((marg._graph.vertices[i], marg._graph.vertices[j]), cov)
 
 
+def _wrap(a):
+    return np.arctan2(np.sin(a), np.cos(a))
+
+
+def numeric_edge_jacobians(sys_, T, h=1e-6):
+    """Central-difference residual Jacobians (Ji, Jj, Jp) of a graph
+    ``_System`` at T, perturbing each twist channel by +-h: the solver's
+    Jacobian before the closed form, the reference for ``_System.jacobians``."""
+    from corrpose.liegroup import exp_many, inv_many, log_many
+
+    E = sys_.ii.shape[0]
+    Ji = np.empty((E, 3, 3))
+    Jj = np.empty((E, 3, 3))
+    Jp = np.empty((3, 3))
+    Ti, Tj = T[sys_.ii], T[sys_.jj]
+    Ta = T[sys_.anchor]
+    for k in range(3):
+        d = np.zeros(3)
+        d[k] = h
+        Ep = exp_many(d[None])[0]
+        Em = exp_many(-d[None])[0]
+        rp_ = log_many(sys_.Zinv @ inv_many(Ep @ Ti) @ Tj)
+        rm_ = log_many(sys_.Zinv @ inv_many(Em @ Ti) @ Tj)
+        diff = rp_ - rm_
+        diff[:, 2] = _wrap(diff[:, 2])
+        Ji[:, :, k] = diff / (2 * h)
+        rp_ = log_many(sys_.Zinv @ inv_many(Ti) @ (Ep @ Tj))
+        rm_ = log_many(sys_.Zinv @ inv_many(Ti) @ (Em @ Tj))
+        diff = rp_ - rm_
+        diff[:, 2] = _wrap(diff[:, 2])
+        Jj[:, :, k] = diff / (2 * h)
+        pp = log_many((Ep @ Ta @ sys_.prior_target_inv)[None])[0]
+        pm = log_many((Em @ Ta @ sys_.prior_target_inv)[None])[0]
+        dpr = pp - pm
+        dpr[2] = _wrap(dpr[2])
+        Jp[:, k] = dpr / (2 * h)
+    return Ji, Jj, Jp
+
+
+def series_inv_right_jacobian(xi, terms=14):
+    """SE(2) inverse right Jacobian of an (E, 3) twist stack through the
+    truncated series Jr = sum (-ad)^k / (k+1)! and a matrix inverse.  Exact
+    to rounding for |theta| below about 1; its truncation error reaches 1e-5
+    near pi."""
+    ad = np.zeros((xi.shape[0], 3, 3))
+    ad[:, 0, 1] = -xi[:, 2]
+    ad[:, 1, 0] = xi[:, 2]
+    ad[:, 0, 2] = xi[:, 1]
+    ad[:, 1, 2] = -xi[:, 0]
+    J = np.broadcast_to(np.eye(3), ad.shape).copy()
+    term = np.broadcast_to(np.eye(3), ad.shape).copy()
+    for k in range(1, terms):
+        term = term @ (-ad) / (k + 1.0)
+        J = J + term
+    return np.linalg.inv(J)
+
+
 # ---------------------------------------------------------------------------
 # per-point SSC baseline: the reference for the stacked Jacobians
 # ---------------------------------------------------------------------------

@@ -260,7 +260,6 @@ def test_criterion_6_desk_scale_relpose_tables(tmp_path):
         "M": 1000,
         "seed": 606,
         "out": str(tmp_path),
-        "jacobian_mode": "analytic",
         "generate": {"n_poses": 500, "seed": 606},
     }
     manhattan = os.environ.get("CORRPOSE_MANHATTAN", "data/manhattan3500.g2o")
@@ -331,7 +330,6 @@ def test_criterion_8_cli_byte_determinism(tmp_path):
             "offsets": [5, 15],
             "pairs_per_offset": 10,
             "M": 300,
-            "jacobian_mode": "analytic",
         },
         "convert-demo": {"M": 2000},
         "solve-graph": {"generate": {"n_poses": 60, "seed": 2}},

@@ -195,6 +195,26 @@ def test_compose_sweep_rotation_noise_hurts_more(tmp_path):
     assert drop(out_r / "compose_sweep.csv") > drop(out_t / "compose_sweep.csv")
 
 
+def test_compose_sweep_branch_cut_budget_exits_1(tmp_path, monkeypatch, capsys):
+    # chain samples past the 0.1% branch-cut budget fail the run rather than
+    # being dropped silently.  A chained rotation within 1e-9 of pi is too
+    # rare to provoke, so 1% of rows are flagged through the seam
+    import corrpose.mc as mcmod
+
+    real = mcmod.log_many_masked
+
+    def flaky(mats):
+        xis, ok = real(mats)
+        ok = ok.copy()
+        ok[::100] = False
+        return xis, ok
+
+    monkeypatch.setattr(mcmod, "log_many_masked", flaky)
+    cfg = _write_cfg(tmp_path, {"values": [2], "M": 1000, "methods": ["lie-correlated"]})
+    assert run_cli("compose-sweep", "--config", str(cfg), "--out", str(tmp_path)) == 1
+    assert "branch boundary" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # relpose-alpha-sweep behavior
 # ---------------------------------------------------------------------------
@@ -226,7 +246,6 @@ def test_slam_relpose_small_graph(tmp_path):
             "offsets": [5, 20],
             "pairs_per_offset": 15,
             "M": 500,
-            "jacobian_mode": "analytic",
         },
     )
     assert run_cli("slam-relpose", "--config", str(cfg), "--out", str(tmp_path),
@@ -262,7 +281,6 @@ def test_slam_relpose_adjacent_pairs_more_correlated(tmp_path):
             "pairs_per_offset": 12,
             "M": 300,
             "methods": ["lie-correlated"],
-            "jacobian_mode": "analytic",
         },
     )
     assert run_cli("slam-relpose", "--config", str(cfg), "--out", str(tmp_path),

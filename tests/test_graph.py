@@ -8,7 +8,12 @@ import pytest
 
 import corrpose as cp
 from corrpose import graph as gr
-from oracles import dense_information, six_column_pair_belief
+from oracles import (
+    dense_information,
+    numeric_edge_jacobians,
+    series_inv_right_jacobian,
+    six_column_pair_belief,
+)
 
 MANHATTAN = os.environ.get("CORRPOSE_MANHATTAN", "data/manhattan3500.g2o")
 needs_manhattan = pytest.mark.skipif(
@@ -143,13 +148,14 @@ def test_rank_deficient_normal_equations_raise():
         gr.Marginals(consistent)
 
 
-def _with_unconstrained_heading(g, info):
-    """g plus one vertex whose only edge leaves its heading unconstrained."""
+def _with_unconstrained_heading(g, info, heading_info=0.0):
+    """g plus one vertex whose only edge leaves its heading unconstrained
+    (or constrained only by ``heading_info``)."""
     k = max(g.vertices) + 1
     step = cp.Pose.planar(1.0, 0.0, 0.0)
     vertices = dict(g.vertices)
     vertices[k] = vertices[k - 1] @ step
-    edges = list(g.edges) + [gr.Edge(k - 1, k, step, np.diag([info, info, 0.0]))]
+    edges = list(g.edges) + [gr.Edge(k - 1, k, step, np.diag([info, info, heading_info]))]
     return vertices, edges
 
 
@@ -171,6 +177,18 @@ def test_sparse_rank_deficient_information_raises():
     assert report.converged and gr.Marginals(solved)._lu is not None
 
 
+def test_nearly_unconstrained_heading_raises():
+    # heading information 1e-8 against 1e2 on the other channels: the pivot
+    # ratio, 1.1e-15, is above machine epsilon but far below the 5.7e-10 or
+    # more of healthy graphs, so the information is refused as singular
+    g = gr.generate_grid_world(250, seed=12)
+    vertices, edges = _with_unconstrained_heading(g, 1e2, heading_info=1e-8)
+    with pytest.raises(gr.RankDeficiencyError, match="pivot"):
+        gr.solve(gr.PoseGraph(vertices, edges))
+    with pytest.raises(gr.RankDeficiencyError, match="pivot"):
+        gr.Marginals(gr.PoseGraph(vertices, edges, solved=True))
+
+
 def test_solve_rejects_disconnected():
     gt, edges = triangle_ground_truth()
     verts = {k: T for k, T in enumerate(gt)}
@@ -190,20 +208,51 @@ def test_solve_grid_world_converges():
 def test_analytic_jacobians_match_numeric():
     g = gr.generate_grid_world(60, seed=5)
     solved, _ = gr.solve(g)
-    sys_n = gr._System(solved, jacobian_mode="numeric")
-    sys_a = gr._System(solved, jacobian_mode="analytic")
-    T = sys_n.pose_matrices(solved)
-    Ji_n, Jj_n, Jp_n = sys_n._edge_jacobians_numeric(T)
-    Ji_a, Jj_a, Jp_a = sys_a._edge_jacobians_analytic(T)
+    sys_ = gr._System(solved)
+    T = sys_.pose_matrices(solved)
+    Ji_n, Jj_n, Jp_n = numeric_edge_jacobians(sys_, T)
+    Ji_a, Jj_a, Jp_a = sys_.jacobians(T, *sys_.residuals(T))
     assert np.abs(Ji_n - Ji_a).max() < 1e-6
     assert np.abs(Jj_n - Jj_a).max() < 1e-6
     assert np.abs(Jp_n - Jp_a).max() < 1e-6
 
 
+def test_analytic_jacobians_match_numeric_at_large_residual_angles():
+    # the unsolved 3500-pose graph has residual headings up to 3.13 rad,
+    # where a 14-term series for Jr^-1 was off by 2.5e-3.  The bound is
+    # relative to each block's largest entry: the central difference itself
+    # rounds to eps |t| / h, 5.9e-8 absolute at translations of 186 m
+    g = gr.generate_grid_world(3500, seed=0)
+    sys_ = gr._System(g)
+    T = sys_.pose_matrices(g)
+    r, rp = sys_.residuals(T)
+    assert np.abs(r[:, 2]).max() > 3.1
+    for got, want in zip(sys_.jacobians(T, r, rp), numeric_edge_jacobians(sys_, T)):
+        got, want = got.reshape(-1, 3, 3), want.reshape(-1, 3, 3)
+        scale = np.maximum(1.0, np.abs(want).max(axis=(1, 2)))
+        assert (np.abs(got - want).max(axis=(1, 2)) / scale).max() < 1e-8
+
+
+def test_inv_right_jacobian_matches_series():
+    # the closed form against the series it replaced, where the series is
+    # exact to rounding: theta = 0, both sides of each Taylor cutoff, |theta| <= 1
+    from corrpose.liegroup import _COEFF_CUTOFF, _VINV_CUTOFF
+
+    rng = np.random.default_rng(17)
+    cuts = [c * f for c in (_COEFF_CUTOFF, _VINV_CUTOFF) for f in (1 - 1e-6, 1 + 1e-6)]
+    theta = np.concatenate([[0.0, 1e-12], cuts, rng.uniform(-1, 1, 200), [-1.0, 1.0]])
+    theta = np.concatenate([theta, -theta])
+    xi = np.column_stack([rng.uniform(-1, 1, (theta.shape[0], 2)), theta])
+    got = gr._inv_right_jacobian_many(xi)
+    assert np.abs(got - series_inv_right_jacobian(xi)).max() < 1e-12
+    npt.assert_array_equal(got[0], np.eye(3) + 0.5 * np.array(
+        [[0.0, 0.0, xi[0, 1]], [0.0, 0.0, -xi[0, 0]], [0.0, 0.0, 0.0]]))
+
+
 @needs_manhattan
 def test_solve_manhattan_converges():
     g = gr.load_graph(MANHATTAN)
-    solved, rep = gr.solve(g, jacobian_mode="analytic")
+    solved, rep = gr.solve(g)
     assert rep.converged
     assert np.isfinite(rep.final_chi2)
     assert rep.final_chi2 < rep.initial_chi2
@@ -323,17 +372,21 @@ def test_gauge_invariance_of_between():
         assert np.abs(moved_mean - solved2.vertices[i].matrix()).max() < 1e-5
 
 
-def test_extraction_step_halving_stable():
+def test_extraction_step_halving_stable(monkeypatch):
+    # marginals of the analytic information against those of the numeric
+    # oracle's Jacobians at two central-difference steps
     g = gr.generate_grid_world(30, seed=4)
     solved, _ = gr.solve(g)
-    m1 = gr._System(solved, step=1e-6)
-    m2 = gr._System(solved, step=5e-7)
-    T = m1.pose_matrices(solved)
-    A1, _ = m1.assemble(T)
-    A2, _ = m2.assemble(T)
-    i1 = np.linalg.inv((A1.T @ A1).toarray())
-    i2 = np.linalg.inv((A2.T @ A2).toarray())
-    assert np.linalg.norm(i1 - i2) / np.linalg.norm(i1) < 1e-4
+    sys_ = gr._System(solved)
+    T = sys_.pose_matrices(solved)
+    A, _ = sys_.assemble(T)
+    i1 = np.linalg.inv((A.T @ A).toarray())
+    for h in (1e-6, 5e-7):
+        monkeypatch.setattr(sys_, "jacobians",
+                            lambda T, r, rp: numeric_edge_jacobians(sys_, T, h))
+        A2, _ = sys_.assemble(T)
+        i2 = np.linalg.inv((A2.T @ A2).toarray())
+        assert np.linalg.norm(i1 - i2) / np.linalg.norm(i1) < 1e-4
 
 
 def test_marginals_match_monte_carlo_resolves():
@@ -359,8 +412,7 @@ def test_marginals_match_monte_carlo_resolves():
             gr.Edge(e.i, e.j, cp.exp_map(trial_rng.normal(0, q)) @ e.measurement, info)
             for e in edges
         ]
-        s, _ = gr.solve(gr.PoseGraph({k: T for k, T in enumerate(gt)}, noisy),
-                        jacobian_mode="analytic")
+        s, _ = gr.solve(gr.PoseGraph({k: T for k, T in enumerate(gt)}, noisy))
         xi4 = cp.log_map(s.vertices[4] @ gt[4].inverse())
         xi11 = cp.log_map(s.vertices[11] @ gt[11].inverse())
         draws.append(np.concatenate([xi4, xi11]))

@@ -7,12 +7,24 @@ import pytest
 import corrpose as cp
 from corrpose import ssc
 from oracles import (
+    point_compound,
     point_head_to_tail,
+    point_inverse,
+    point_relative,
     point_ssc_inverse,
     point_tail_to_tail,
     random_psd,
     ssc_point_jacobian,
 )
+
+
+def _pair_mean(op, x1, x2):
+    """Mean of a pair operation on the deterministic pair (x1, x2)."""
+    return op(ssc.SscBelief(np.concatenate([x1, x2]), np.zeros((12, 12)))).mean
+
+
+def _inverse_mean(x):
+    return ssc.ssc_inverse(ssc.SscBelief(x, np.zeros((6, 6)))).mean
 
 
 def random_params(rng, pitch_margin=0.1):
@@ -100,7 +112,7 @@ def test_head_to_tail_planar_matches_2d_compounding():
     for _ in range(20):
         x1 = np.array([rng.normal(), rng.normal(), 0.0, 0.0, 0.0, rng.uniform(-2, 2)])
         x2 = np.array([rng.normal(), rng.normal(), 0.0, 0.0, 0.0, rng.uniform(-1, 1)])
-        out = ssc.compound_params(x1, x2)
+        out = _pair_mean(ssc.head_to_tail, x1, x2)
         c, s = np.cos(x1[5]), np.sin(x1[5])
         expect = np.array(
             [
@@ -133,7 +145,7 @@ def test_head_to_tail_covariance_vs_euler_monte_carlo():
     out = ssc.head_to_tail(b)
 
     draws = np.random.default_rng(5).multivariate_normal(b.mean, b.cov, 100_000)
-    res = np.stack([ssc.compound_params(z[:6], z[6:]) for z in draws[:20_000]])
+    res = np.stack([point_compound(z[:6], z[6:]) for z in draws[:20_000]])
     r = res - out.mean
     r[:, 3:] = np.arctan2(np.sin(r[:, 3:]), np.cos(r[:, 3:]))
     mc = r.T @ r / r.shape[0]
@@ -158,7 +170,7 @@ def test_inverse_mean_involution():
     rng = np.random.default_rng(7)
     for _ in range(50):
         x = random_params(rng)
-        npt.assert_allclose(ssc.inverse_params(ssc.inverse_params(x)), x, atol=1e-9)
+        npt.assert_allclose(_inverse_mean(_inverse_mean(x)), x, atol=1e-9)
 
 
 def test_inverse_covariance_vs_euler_monte_carlo():
@@ -167,7 +179,7 @@ def test_inverse_covariance_vs_euler_monte_carlo():
     cov = random_psd(rng, 6, 2e-5)
     out = ssc.ssc_inverse(ssc.SscBelief(x, cov))
     draws = np.random.default_rng(9).multivariate_normal(x, cov, 20_000)
-    res = np.stack([ssc.inverse_params(z) for z in draws])
+    res = np.stack([point_inverse(z) for z in draws])
     r = res - out.mean
     r[:, 3:] = np.arctan2(np.sin(r[:, 3:]), np.cos(r[:, 3:]))
     mc = r.T @ r / r.shape[0]
@@ -199,7 +211,7 @@ def test_tail_to_tail_identity_base_adds():
     # with x_ij = 0 the map is (x1, x2) -> inverse(x1) (+) x2; the covariance
     # is J1 s1 J1' + s2 where J1 is the Jacobian through the inverse branch
     J = ssc_point_jacobian(
-        lambda z: ssc.relative_params(z[:6], z[6:]), np.concatenate([np.zeros(6), x2])
+        lambda z: point_relative(z[:6], z[6:]), np.concatenate([np.zeros(6), x2])
     )
     expect = J[:, :6] @ s1 @ J[:, :6].T + s2
     npt.assert_allclose(out.cov, expect, atol=1e-6)
@@ -216,17 +228,17 @@ def test_means_agree_with_group_operations():
         x1, x2 = random_params(rng), random_params(rng)
         T1, T2 = ssc.ssc_to_pose(x1), ssc.ssc_to_pose(x2)
         npt.assert_allclose(
-            ssc.ssc_to_pose(ssc.compound_params(x1, x2)).matrix(),
+            ssc.ssc_to_pose(_pair_mean(ssc.head_to_tail, x1, x2)).matrix(),
             (T1 @ T2).matrix(),
             atol=1e-9,
         )
         npt.assert_allclose(
-            ssc.ssc_to_pose(ssc.inverse_params(x1)).matrix(),
+            ssc.ssc_to_pose(_inverse_mean(x1)).matrix(),
             T1.inverse().matrix(),
             atol=1e-9,
         )
         npt.assert_allclose(
-            ssc.ssc_to_pose(ssc.relative_params(x1, x2)).matrix(),
+            ssc.ssc_to_pose(_pair_mean(ssc.tail_to_tail, x1, x2)).matrix(),
             (T1.inverse() @ T2).matrix(),
             atol=1e-9,
         )
@@ -235,7 +247,7 @@ def test_means_agree_with_group_operations():
 def test_jacobian_step_halving_converges():
     rng = np.random.default_rng(13)
     z = np.concatenate([random_params(rng), random_params(rng)])
-    f = lambda v: ssc.compound_params(v[:6], v[6:])
+    f = lambda v: point_compound(v[:6], v[6:])
     J1 = ssc_point_jacobian(f, z, h=1e-6)
     J2 = ssc_point_jacobian(f, z, h=5e-7)
     assert np.abs(J1 - J2).max() < 1e-5
@@ -286,7 +298,7 @@ def test_stacked_jacobian_raises_like_point_oracle():
     x1 = np.array([0.0, 0, 0, 0, np.pi / 4, 0])
     x2 = np.array([1.0, 0, 0, 0, np.pi / 4 - 1.5e-6, 0])
     b = ssc.SscBelief(np.concatenate([x1, x2]), 1e-6 * np.eye(12))
-    ssc.compound_params(x1, x2)  # the mean itself is clear of the lock
+    point_compound(x1, x2)  # the mean itself is clear of the lock
     with pytest.raises(ssc.GimbalLockError):
         point_head_to_tail(b)
     with pytest.raises(ssc.GimbalLockError):
@@ -295,6 +307,6 @@ def test_stacked_jacobian_raises_like_point_oracle():
 
 def test_non_finite_parameters_rejected():
     with pytest.raises(ValueError, match="finite"):
-        ssc.compound_params([0, 0, np.nan, 0, 0, 0], np.zeros(6))
+        _pair_mean(ssc.head_to_tail, [0, 0, np.nan, 0, 0, 0], np.zeros(6))
     with pytest.raises(ValueError, match="6 entries"):
-        ssc.relative_params(np.zeros(5), np.zeros(6))
+        ssc.normalize_params(np.zeros(5))
