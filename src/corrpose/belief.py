@@ -278,23 +278,30 @@ def inverse(u: UncertainPose) -> UncertainPose:
     return UncertainPose(T_inv, finalize_propagated_cov(Ad @ u.cov @ Ad.T))
 
 
+def relative_mean_blocks(pairs: Sequence[PosePairBelief]):
+    """Adjoints ``Ad(T_ij^-1)`` (k, m, m) and checked (R, t) stacks of the
+    relative means ``T_ij^-1 T_ik`` of k pairs sharing a group."""
+    R_inv, t_inv = invert_blocks(
+        np.stack([p.means[0].R for p in pairs]), np.stack([p.means[0].t for p in pairs])
+    )
+    R, t = compose_blocks(
+        R_inv, t_inv,
+        np.stack([p.means[1].R for p in pairs]), np.stack([p.means[1].t for p in pairs]),
+    )
+    return adjoint_blocks(R_inv, t_inv), R, t
+
+
 def _between_blocks(pairs, *, use_cross: bool):
     """Mean blocks (R, t) of ``T_ij^-1 T_ik`` and unfinalized covariances of k pairs."""
-    R1 = np.stack([p.means[0].R for p in pairs])
-    t1 = np.stack([p.means[0].t for p in pairs])
-    R2 = np.stack([p.means[1].R for p in pairs])
-    t2 = np.stack([p.means[1].t for p in pairs])
+    Ad, R, t = relative_mean_blocks(pairs)
     cov = np.stack([p.cov for p in pairs])
     m = pairs[0].block_dim
-    R_inv, t_inv = invert_blocks(R1, t1)
-    Ad = adjoint_blocks(R_inv, t_inv)
     inner = cov[:, :m, :m] + cov[:, m:, m:]
     if use_cross:
         # Both cross terms carry a minus sign: the first perturbation enters
         # the relative pose as -Ad xi_ij, the second as +Ad xi_ik.
         cross = cov[:, :m, m:]
         inner = inner - cross - np.swapaxes(cross, 1, 2)
-    R, t = compose_blocks(R_inv, t_inv, R2, t2)
     return R, t, Ad @ inner @ np.swapaxes(Ad, 1, 2)
 
 

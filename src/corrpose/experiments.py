@@ -15,14 +15,19 @@ two cores: 4.6-8.0 s with two workers, 3.8-4.4 s with one).
 Experiment-specific keys are documented on the runners and default to the
 desk-scale setups.
 
-``slam-relpose`` evaluates the first-order predictions of its pairs
-(``between``, ``between_ignoring_correlation`` and the SSC baseline) on
-stacks of ``_PAIR_BLOCK`` = 64 pairs, identical bit for bit to one pair at a
-time; only the Monte-Carlo oracle, seeded per pair, runs pair by pair.  A
-block that raises is evaluated again one pair at a time through the same
-code, so a failing pair still flags only its own rows.  The block size is a
-constant, not an option: it trades the per-call overhead of small numpy
-calls against the peak memory of one stack of every pair.
+``slam-relpose`` works on blocks of ``_PAIR_BLOCK`` = 16 pairs.  Each block
+is one stacked evaluation of the first-order predictions (``between``,
+``between_ignoring_correlation`` and the SSC baseline) and one call of the
+Monte-Carlo oracle :func:`~corrpose.mc.relative_samples`, each pair still
+drawing from its own seed.  Both are identical bit for bit to one pair at a
+time.  A block that raises is evaluated again one pair at a time through
+the same code, so a failing pair still flags only its own rows.  The SSC
+baseline's parameter-space truth comes from the oracle's twists in closed
+form (:func:`_ssc_relative_cov`).  The block size is a constant, not an
+option: it trades the per-call overhead of small numpy calls against the
+peak memory of one stack of every pair, and 16 is the largest block that
+keeps peak memory within 2 MB of a pair-at-a-time oracle (measurements at
+``_PAIR_BLOCK``).
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ from .belief import (
     compose_chain,
 )
 from .convert import UtConfig, ut_convert
-from .liegroup import Pose, checked_pose_blocks, exp_many
+from .liegroup import Pose, _se2_coeffs_many, checked_pose_blocks, exp_many
 from .mc import (
     ChainNoiseSpec,
     build_chain_joint,
@@ -69,12 +74,16 @@ from .ssc import (
 
 KNOWN_METHODS = ("lie-correlated", "lie-independent", "ssc")
 
-# Pairs per stacked evaluation of the first-order predictions in
-# slam-relpose (module docstring).  It bounds peak memory: on a 500-pose run
-# (600 pairs) one stack of all pairs was no faster than 64-pair blocks and
-# raised peak RSS by 10 MB (14%); 64-pair blocks stay within 1 MB of the
-# pair-at-a-time loop.
-_PAIR_BLOCK = 64
+# Pairs per block of slam-relpose, for the predictions and the Monte-Carlo
+# oracle alike (module docstring).  It bounds peak memory, which the oracle
+# sets: about 165 bytes per draw, 2.6 MB for 16 pairs at M = 1000.  On a
+# 500-pose run (600 pairs, M = 1000, two x86_64 cores, one BLAS thread) the
+# predictions took 0.21 / 0.16 / 0.12 / 0.10 s with 8 / 16 / 32 / 64-pair
+# blocks and the oracle 0.25 / 0.24 / 0.23 / 0.25 s, while the benchmark's
+# peak RSS rose by 0.4 / 2.0 / 5.3 / 10.9 MB over the pair-at-a-time
+# oracle.  16 is the largest block that stays within 2 MB; it is 0.05 s
+# slower than the fastest.
+_PAIR_BLOCK = 16
 
 
 class ConfigError(ValueError):
@@ -97,8 +106,8 @@ def _cfg_get(cfg, key, default, kind):
             return out
         if kind is str:
             return str(value)
-        if kind is list:
-            return list(value)
+        if kind is list and isinstance(value, (list, tuple)):
+            return list(value)  # a string would split into characters
     except (TypeError, ValueError):
         pass
     raise ConfigError(f"config key {key!r}: expected {kind.__name__}, got {value!r}")
@@ -384,23 +393,32 @@ def run_relpose_alpha_sweep(cfg) -> list[Path]:
 # slam-relpose
 # ---------------------------------------------------------------------------
 
-def _load_or_generate(cfg) -> graphmod.PoseGraph:
+def _graph_source(cfg):
+    """A function that loads or generates the configured graph.
+
+    Every key is checked here, before any graph work: the ``graph`` path
+    must exist, and the ``generate`` keys follow the int/float rules of the
+    other config keys (``n_poses`` a positive int, ``seed`` an int,
+    ``trans_sigma`` and ``rot_sigma`` positive, ``loop_prob`` a float).
+    """
     path = cfg.get("graph")
     if path is not None:
         p = Path(str(path))
         if not p.exists():
             raise FileNotFoundError(f"graph file not found: {p}")
-        return graphmod.load_graph(p)
+        return lambda: graphmod.load_graph(p)
     gen = cfg.get("generate", {})
     if not isinstance(gen, dict):
         raise ConfigError("'generate' must be a mapping")
-    return graphmod.generate_grid_world(
-        int(gen.get("n_poses", 500)),
-        seed=gen.get("seed", 0),
-        trans_sigma=float(gen.get("trans_sigma", 0.14)),
-        rot_sigma=float(gen.get("rot_sigma", 0.1)),
-        loop_prob=float(gen.get("loop_prob", 0.5)),
-    )
+    gen = {f"generate.{key}": value for key, value in gen.items()}
+    n_poses = _positive(gen, "generate.n_poses", 500, int)
+    kwargs = {
+        "seed": _cfg_get(gen, "generate.seed", 0, int),
+        "trans_sigma": _positive(gen, "generate.trans_sigma", 0.14),
+        "rot_sigma": _positive(gen, "generate.rot_sigma", 0.1),
+        "loop_prob": _cfg_get(gen, "generate.loop_prob", 0.5, float),
+    }
+    return lambda: graphmod.generate_grid_world(n_poses, **kwargs)
 
 
 # Errors that fail one pair's rows (error=1) instead of the whole run.
@@ -416,27 +434,74 @@ def _predict(block, method: str) -> np.ndarray:
     return tail_to_tail_many(*_lie_pairs_to_ssc(block))[1]
 
 
-def _block_predictions(block, methods) -> list:
-    """Each pair's {method: predicted covariance}, or the error that stopped it.
+def _by_pair(evaluate, items) -> list:
+    """``evaluate(items)``: one stacked evaluation of a block, one result per pair.
 
-    The block is one stacked evaluation per method.  If it raises, each pair
-    runs again alone through the same code, so only a failing pair is lost.
+    If it raises, each pair runs again alone through the same code, so only
+    a failing pair is lost: its entry is the error that stopped it.
     """
     try:
-        covs = {method: _predict(block, method) for method in dict.fromkeys(methods)}
+        return evaluate(items)
     except _PAIR_ERRORS as e:
-        if len(block) == 1:
+        if len(items) == 1:
             return [e]
-        return [out for pb in block for out in _block_predictions([pb], methods)]
-    return [{method: c[r] for method, c in covs.items()} for r in range(len(block))]
+        return [out for item in items for out in _by_pair(evaluate, [item])]
 
 
-def _pair_rows(pb, pred, offset, i, j, M, methods, seed):
-    """CSV rows of one pair: its predictions (or their error) against its
-    own Monte-Carlo oracle."""
+def _block_predictions(block, methods) -> list:
+    """Each pair's {method: predicted covariance}, or the error that stopped it."""
+
+    def evaluate(pairs):
+        covs = {method: _predict(pairs, method) for method in dict.fromkeys(methods)}
+        return [{method: c[r] for method, c in covs.items()} for r in range(len(pairs))]
+
+    return _by_pair(evaluate, block)
+
+
+def _block_oracles(block, M, seeds) -> list:
+    """Each pair's Monte-Carlo samples ``(t_bar_12, twists, kept)`` from one
+    :func:`relative_samples` call, or the error that stopped the pair."""
+
+    def evaluate(items):
+        s = relative_samples([pb for pb, _ in items], M, [seed for _, seed in items])
+        return list(zip(s.t, s.twists, s.kept))
+
+    return _by_pair(evaluate, list(zip(block, seeds)))
+
+
+# Euler-parameter channels (x, y, yaw) a planar relative sample can move.
+_PLANAR_PARAMS = [0, 1, 5]
+
+
+def _ssc_relative_cov(t_bar: np.ndarray, xis: np.ndarray) -> np.ndarray:
+    """(6, 6) Euler-parameter sample covariance of planar relative samples.
+
+    Sample m is ``exp(hat(xi_m)) T_bar`` about a planar mean with translation
+    ``t_bar``.  Its parameter residual ``params(exp(xi) T_bar) - params(T_bar)``,
+    angles wrapped, is ``((R(theta) - I) t_bar + V(theta) rho, 0, 0, 0, theta)``,
+    so it is taken from the twists with no pose or rotation matrix.
+    """
+    c, s, a, b = _se2_coeffs_many(xis[:, 2])
+    rx, ry = xis[:, 0], xis[:, 1]
+    r = np.empty((xis.shape[0], 3))
+    r[:, 0] = (c - 1.0) * t_bar[0] - s * t_bar[1] + (a * rx - b * ry)
+    r[:, 1] = s * t_bar[0] + (c - 1.0) * t_bar[1] + (b * rx + a * ry)
+    r[:, 2] = xis[:, 2]
+    mc = np.zeros((6, 6))
+    mc[np.ix_(_PLANAR_PARAMS, _PLANAR_PARAMS)] = r.T @ r / r.shape[0]
+    return mc
+
+
+def _pair_rows(pb, pred, samples, offset, i, j, methods):
+    """CSV rows of one pair: its predictions against its own Monte-Carlo
+    samples, or error rows naming the oracle's error, else the first failing
+    method's."""
     try:
-        samples = relative_samples(pb, M, seed)
-        xis = samples.twists[samples.kept]
+        for outcome in (samples, pred):
+            if isinstance(outcome, Exception):
+                raise outcome
+        t_bar, twists, kept = samples
+        xis = twists[kept]
         mc_twist = xis.T @ xis / xis.shape[0]
 
         s1, s2, cross = pb.sigma1, pb.sigma2, pb.cross
@@ -444,21 +509,10 @@ def _pair_rows(pb, pred, offset, i, j, M, methods, seed):
             cross[c, c] / np.sqrt(s1[c, c] * s2[c, c]) if s1[c, c] * s2[c, c] > 0 else 0.0
             for c in range(3)
         ]
-        if isinstance(pred, Exception):
-            raise pred
-
         rows = []
         for method in methods:
-            if method == "ssc":
-                # parameter-space ground truth from the same relative samples
-                T_ok = samples.mats[samples.kept]
-                rel = samples.mean
-                r = params_many(_embed3_many(T_ok[:, :2, :2], T_ok[:, :2, 2]))
-                r -= params_many(_embed3_many(rel.R[None], rel.t[None]))[0]
-                r[:, 3:] = np.arctan2(np.sin(r[:, 3:]), np.cos(r[:, 3:]))
-                mc = r.T @ r / r.shape[0]
-            else:
-                mc = mc_twist
+            # the SSC baseline is graded in parameter space, from the same samples
+            mc = _ssc_relative_cov(t_bar, xis) if method == "ssc" else mc_twist
             err = cov_error(pred[method], mc)
             nerr = normalized_cov_error(pred[method], mc)
             rows.append((offset, i, j, method, err, nerr, *corr, 0))
@@ -472,19 +526,22 @@ def run_slam_relpose(cfg) -> list[Path]:
     """Relative-pose covariance accuracy on marginals of a solved pose graph.
 
     Keys: graph (path) or generate ({n_poses, seed, ...}), offsets (list),
-    pairs_per_offset, M, methods, seed, out.  All pair marginals come from
-    one :meth:`Marginals.pair_beliefs` call; the predictions are made per
-    block of ``_PAIR_BLOCK`` pairs.
+    pairs_per_offset, M, methods, seed, out.  Every key is checked before
+    the graph is loaded or generated.  All pair marginals come from one
+    :meth:`Marginals.pair_beliefs` call; the predictions and the Monte-Carlo
+    oracle run per block of ``_PAIR_BLOCK`` pairs.
     """
     offsets = _cfg_get(cfg, "offsets", [10, 50, 100], list)
+    offsets = [_positive({"offsets": v}, "offsets", None, int) for v in offsets]
     cap = _positive(cfg, "pairs_per_offset", 200, int)
     M = _positive(cfg, "M", 1_000, int)
     methods = _cfg_methods(cfg)
     seed = _cfg_get(cfg, "seed", 0, int)
+    load = _graph_source(cfg)
     out = _out_dir(cfg)
 
     t0 = time.perf_counter()
-    g = _load_or_generate(cfg)
+    g = load()
     solved, report = graphmod.solve(g)
     _log(
         f"slam-relpose: solved {g.n_vertices} poses / {g.n_edges} edges "
@@ -495,26 +552,25 @@ def run_slam_relpose(cfg) -> list[Path]:
     marg = graphmod.Marginals(solved)
     keys = sorted(solved.vertices)
 
-    pairs, pair_args = [], []
+    pairs, keyed, seeds = [], [], []
     for oidx, offset in enumerate(offsets):
-        offset = int(offset)
-        if offset <= 0:
-            raise ConfigError("offsets must be positive")
         starts = [k for k in keys if k + offset in solved.vertices]
         if len(starts) > cap:
             sel = np.linspace(0, len(starts) - 1, cap).round().astype(int)
             starts = [starts[s] for s in dict.fromkeys(sel)]
         for pidx, i in enumerate(starts):
             pairs.append((i, i + offset))
-            pair_args.append((offset, i, i + offset, M, methods, [seed, oidx, pidx]))
+            keyed.append((offset, i, i + offset))
+            seeds.append([seed, oidx, pidx])
 
     beliefs = marg.pair_beliefs(pairs)
     rows = []
     for start in range(0, len(beliefs), _PAIR_BLOCK):
-        block = beliefs[start : start + _PAIR_BLOCK]
-        preds = _block_predictions(block, methods)
-        for pb, pred, args in zip(block, preds, pair_args[start : start + _PAIR_BLOCK]):
-            rows += _pair_rows(pb, pred, *args)
+        block = slice(start, start + _PAIR_BLOCK)
+        preds = _block_predictions(beliefs[block], methods)
+        oracles = _block_oracles(beliefs[block], M, seeds[block])
+        for pb, pred, samples, key in zip(beliefs[block], preds, oracles, keyed[block]):
+            rows += _pair_rows(pb, pred, samples, *key, methods)
     header = [
         "offset", "i", "j", "method", "cov_error", "normalized_cov_error",
         "corr_coeff_x", "corr_coeff_y", "corr_coeff_theta", "error",
@@ -676,8 +732,9 @@ def run_solve_graph(cfg) -> list[Path]:
 
     Keys: graph (path) or generate mapping, out.
     """
+    load = _graph_source(cfg)
     out = _out_dir(cfg)
-    g = _load_or_generate(cfg)
+    g = load()
     t0 = time.perf_counter()
     solved, report = graphmod.solve(g)
     _log(f"solve-graph: {report} ({time.perf_counter() - t0:.1f} s)")

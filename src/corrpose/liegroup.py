@@ -503,6 +503,37 @@ def bch_approx(xi1, xi2, order: int) -> np.ndarray:
 # Vectorized kernels on homogeneous-matrix stacks
 # ---------------------------------------------------------------------------
 
+def _se2_coeffs_many(theta: np.ndarray) -> tuple[np.ndarray, ...]:
+    """cos t, sin t, sin(t)/t and (1-cos t)/t of an angle stack.
+
+    The last two are the entries of the SE(2) V(t) = [[a, -b], [b, a]] and
+    take the small-angle Taylor branch below ``_COEFF_CUTOFF``.
+    """
+    c, s = np.cos(theta), np.sin(theta)
+    small = np.flatnonzero(np.abs(theta) < _COEFF_CUTOFF)
+    safe = theta.copy()
+    safe[small] = 1.0
+    a = s / safe
+    b = (1.0 - c) / safe
+    # the series only where it is used: small angles are rare in a stack
+    t = theta[small]
+    t2 = t * t
+    a[small] = 1.0 - t2 / 6.0 + t2 * t2 / 120.0
+    b[small] = t * (0.5 - t2 / 24.0 + t2 * t2 / 720.0)
+    return c, s, a, b
+
+
+def _se2_log_rows(theta, tx, ty) -> np.ndarray:
+    """(M, 3) SE(2) twists (V(theta)^-1 t, theta) of principal angles and translations."""
+    a, b = _se2_coeffs_many(theta)[2:]
+    det = a * a + b * b
+    out = np.empty((theta.shape[0], 3))
+    out[:, 0] = (a * tx + b * ty) / det
+    out[:, 1] = (-b * tx + a * ty) / det
+    out[:, 2] = theta
+    return out
+
+
 def _skew_many(v: np.ndarray) -> np.ndarray:
     M = np.zeros(v.shape[:-1] + (3, 3))
     M[..., 0, 1] = -v[..., 2]
@@ -521,18 +552,8 @@ def exp_many(xis: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected (M, 3) or (M, 6) twists, got {xis.shape}")
     m = xis.shape[0]
     if xis.shape[1] == 3:
-        theta = xis[:, 2]
-        small = np.abs(theta) < _COEFF_CUTOFF
-        safe = np.where(small, 1.0, theta)
-        t2 = theta * theta
-        a = np.where(small, 1.0 - t2 / 6.0 + t2 * t2 / 120.0, np.sin(theta) / safe)
-        b = np.where(
-            small,
-            theta * (0.5 - t2 / 24.0 + t2 * t2 / 720.0),
-            (1.0 - np.cos(theta)) / safe,
-        )
+        c, s, a, b = _se2_coeffs_many(xis[:, 2])
         out = np.zeros((m, 3, 3))
-        c, s = np.cos(theta), np.sin(theta)
         out[:, 0, 0] = c
         out[:, 0, 1] = -s
         out[:, 1, 0] = s
@@ -579,6 +600,41 @@ def log_many_masked(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return out, ok
 
 
+def log_between_many(xi1: np.ndarray, xi2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Twists ``log(exp(xi1)^-1 exp(xi2))`` of two (M, m) twist stacks, row by row.
+
+    Returns the twists and the mask of :func:`log_many_masked`: rows whose
+    relative rotation angle falls within ``_PI_MARGIN`` of pi are False and
+    their twists unspecified.  SE(2) rows take a closed form on the twist
+    columns, with no 3x3 matrices: theta = wrap(theta2 - theta1),
+    t = R(theta1)^T (V(theta2) rho2 - V(theta1) rho1) and rho = V(theta)^-1 t
+    (Sola et al., arXiv 1812.01537), with the Taylor branches of
+    :func:`exp_many`.  SE(3) rows go through :func:`exp_many`,
+    :func:`inv_many`, one stacked product and :func:`log_many_masked`.
+    """
+    xi1 = np.asarray(xi1, dtype=float)
+    xi2 = np.asarray(xi2, dtype=float)
+    if xi1.shape != xi2.shape or xi1.ndim != 2 or xi1.shape[1] not in (3, 6):
+        raise ValueError(f"expected two (M, 3) or (M, 6) twist stacks, got {xi1.shape} "
+                         f"and {xi2.shape}")
+    if xi1.shape[1] == 6:
+        return log_many_masked(inv_many(exp_many(xi1)) @ exp_many(xi2))
+    theta = xi2[:, 2] - xi1[:, 2]
+    theta -= 2.0 * np.pi * np.round(theta / (2.0 * np.pi))
+    ok = (np.pi - np.abs(theta)) > _PI_MARGIN
+    return _se2_log_rows(theta, *_se2_between_translation(xi1, xi2)), ok
+
+
+def _se2_between_translation(xi1, xi2) -> tuple[np.ndarray, np.ndarray]:
+    """Translation columns R(theta1)^T (V(theta2) rho2 - V(theta1) rho1) of
+    ``exp(xi1)^-1 exp(xi2)``; its temporaries die on return."""
+    c1, s1, a1, b1 = _se2_coeffs_many(xi1[:, 2])
+    _, _, a2, b2 = _se2_coeffs_many(xi2[:, 2])
+    ux = (a2 * xi2[:, 0] - b2 * xi2[:, 1]) - (a1 * xi1[:, 0] - b1 * xi1[:, 1])
+    uy = (b2 * xi2[:, 0] + a2 * xi2[:, 1]) - (b1 * xi1[:, 0] + a1 * xi1[:, 1])
+    return c1 * ux + s1 * uy, c1 * uy - s1 * ux
+
+
 def _log_stack(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Twists, validity mask and rotation angles of a homogeneous stack."""
     mats = np.asarray(mats, dtype=float)
@@ -588,22 +644,7 @@ def _log_stack(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if mats.shape[1] == 3:
         theta = np.arctan2(mats[:, 1, 0], mats[:, 0, 0])
         ok = (np.pi - np.abs(theta)) > _PI_MARGIN
-        small = np.abs(theta) < _COEFF_CUTOFF
-        safe = np.where(small, 1.0, theta)
-        t2 = theta * theta
-        a = np.where(small, 1.0 - t2 / 6.0 + t2 * t2 / 120.0, np.sin(theta) / safe)
-        b = np.where(
-            small,
-            theta * (0.5 - t2 / 24.0 + t2 * t2 / 720.0),
-            (1.0 - np.cos(theta)) / safe,
-        )
-        det = a * a + b * b
-        tx, ty = mats[:, 0, 2], mats[:, 1, 2]
-        out = np.empty((m, 3))
-        out[:, 0] = (a * tx + b * ty) / det
-        out[:, 1] = (-b * tx + a * ty) / det
-        out[:, 2] = theta
-        return out, ok, theta
+        return _se2_log_rows(theta, mats[:, 0, 2], mats[:, 1, 2]), ok, theta
     R = mats[:, :3, :3]
     t = mats[:, :3, 3]
     w = 0.5 * np.stack(

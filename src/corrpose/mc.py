@@ -4,19 +4,24 @@ Provides correlated twist sampling from joint beliefs, the sample-covariance
 estimator used as ground truth for the relative-pose operation, the
 (normalized) Frobenius covariance-error metric, and chi-square ellipsoid
 containment counting.  Everything is deterministic per seed.
+
+The relative-pose oracle, :func:`relative_samples`, takes a list of pairs:
+their draws go through one conjugated relative-twist kernel,
+``Ad(T_bar_1^-1) log(exp(xi_1)^-1 exp(xi_2))``, with no pose matrix per
+draw.  :func:`mc_relative_cov` is its one-pair call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy import linalg as sla
 from scipy import special
 
-from .belief import JointPoseBelief, PosePairBelief, UncertainPose
-from .liegroup import Pose, exp_many, inv_many, log_many_masked
+from .belief import JointPoseBelief, PosePairBelief, UncertainPose, relative_mean_blocks
+from .liegroup import Pose, exp_many, log_between_many, log_many_masked
 
 # Fraction of singular-logarithm samples tolerated before the estimate is
 # considered unusable.
@@ -165,28 +170,58 @@ def sample_joint(b, M: int, seed) -> SampleBatch:
 
 
 class RelativeSamples(NamedTuple):
-    """Monte-Carlo relative poses of a pair belief (see :func:`relative_samples`)."""
+    """Monte-Carlo relative poses of k pair beliefs (see :func:`relative_samples`).
 
-    mean: Pose  # predicted relative pose T_bar_12 = T_bar_1^-1 T_bar_2
-    mats: np.ndarray  # (M, d+1, d+1) sampled relative poses T_m
-    twists: np.ndarray  # (M, m) log(T_m T_bar_12^-1), unspecified where not kept
-    kept: np.ndarray  # (M,) False where the logarithm hit its branch boundary
-
-
-def relative_samples(b: PosePairBelief, M: int, seed) -> RelativeSamples:
-    """Relative poses of M correlated pair draws, the ground-truth oracle's samples.
-
-    Draws correlated pairs, forms ``T_m = (exp(xi_1) T_bar_1)^-1 exp(xi_2)
-    T_bar_2`` and maps each about the predicted mean with
-    ``xi_m = log(T_m T_bar_12^-1)`` through :func:`twists_about`.
+    Row r belongs to pair r.  The sampled relative poses are not formed:
+    sample m of pair r is ``exp(hat(twists[r, m])) @ T_bar_12``.
     """
-    batch = sample_joint(b, M, seed)
-    T1 = batch.pose_matrices(0)
-    T2 = batch.pose_matrices(1)
-    Tm = inv_many(T1) @ T2
-    rel = b.means[0].inverse() @ b.means[1]
-    xis, ok = twists_about(Tm, rel)
-    return RelativeSamples(rel, Tm, xis, ok)
+
+    R: np.ndarray  # (k, d, d) rotations of the predicted means T_bar_12 = T_bar_1^-1 T_bar_2
+    t: np.ndarray  # (k, d) their translations
+    twists: np.ndarray  # (k, M, m) log(T_m T_bar_12^-1), unspecified where not kept
+    kept: np.ndarray  # (k, M) False where the logarithm hit its branch boundary
+
+
+def relative_samples(pairs: Sequence[PosePairBelief], M: int, seeds) -> RelativeSamples:
+    """Relative poses of M correlated draws per pair, the ground-truth oracle's samples.
+
+    Pair r draws its M joint twists (xi_1, xi_2) as :func:`sample_joint`
+    does, from its own ``_sqrt_factor`` and ``default_rng(seeds[r])``.  Its
+    relative poses ``T_m = (exp(xi_1) T_bar_1)^-1 exp(xi_2) T_bar_2`` are
+    mapped about the predicted mean through the identity
+
+        log(T_m T_bar_12^-1) = Ad(T_bar_1^-1) log(exp(xi_1)^-1 exp(xi_2)),
+
+    so one :func:`log_between_many` call serves every draw of every pair,
+    without the realized poses T_1, T_2 and T_m.  Row r depends on pair r alone, so a one-pair
+    call gives the same bits as a block.  A pair that cannot be sampled, or
+    that loses more than 0.1% of its draws to the logarithm's branch
+    boundary, raises :class:`SamplingError` for the whole call.
+    """
+    if M < 2:
+        raise ValueError("M must be at least 2")
+    M = int(M)
+    m = pairs[0].block_dim
+    draws = np.empty((len(pairs) * M, 2 * m))
+    for r, (p, seed) in enumerate(zip(pairs, seeds, strict=True)):
+        z = np.random.default_rng(seed).standard_normal((M, 2 * m))
+        np.matmul(z, _sqrt_factor(p.cov).T, out=draws[r * M : (r + 1) * M])
+    xis, ok = log_between_many(draws[:, :m], draws[:, m:])
+    ok = ok.reshape(len(pairs), M)
+    for row in ok:
+        _check_branch_budget(row)
+    Ad, R, t = relative_mean_blocks(pairs)
+    twists = xis.reshape(len(pairs), M, m) @ np.swapaxes(Ad, 1, 2)
+    return RelativeSamples(R, t, twists, ok)
+
+
+def _check_branch_budget(ok: np.ndarray) -> None:
+    """Raise :class:`SamplingError` if more than 0.1% of the samples were not kept."""
+    excluded = int(ok.shape[0] - ok.sum())
+    if excluded > _MAX_SINGULAR_FRACTION * ok.shape[0]:
+        raise SamplingError(
+            f"{excluded} of {ok.shape[0]} samples hit the logarithm branch boundary"
+        )
 
 
 def twists_about(mats: np.ndarray, mean: Pose) -> tuple[np.ndarray, np.ndarray]:
@@ -196,21 +231,18 @@ def twists_about(mats: np.ndarray, mean: Pose) -> tuple[np.ndarray, np.ndarray]:
     are unspecified); more than 0.1% of them raises :class:`SamplingError`.
     """
     xis, ok = log_many_masked(mats @ mean.inverse().matrix())
-    excluded = int(ok.shape[0] - ok.sum())
-    if excluded > _MAX_SINGULAR_FRACTION * ok.shape[0]:
-        raise SamplingError(
-            f"{excluded} of {ok.shape[0]} samples hit the logarithm branch boundary"
-        )
+    _check_branch_budget(ok)
     return xis, ok
 
 
 def mc_relative_cov(b: PosePairBelief, M: int, seed) -> np.ndarray:
     """Sample covariance of the relative-pose twist, the ground-truth oracle.
 
-    Averages ``xi_m xi_m^T`` over the kept :func:`relative_samples`.
+    Averages ``xi_m xi_m^T`` over the kept samples of a one-pair
+    :func:`relative_samples` call.
     """
-    s = relative_samples(b, M, seed)
-    kept = s.twists[s.kept]
+    s = relative_samples([b], M, [seed])
+    kept = s.twists[0][s.kept[0]]
     return (kept.T @ kept) / kept.shape[0]
 
 

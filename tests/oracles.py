@@ -5,13 +5,21 @@ truncated matrix power series, logs go through composition identities, and
 sample covariances come from raw averaging.
 """
 
+from typing import NamedTuple
+
 import numpy as np
 
 from corrpose import Pose, hat
 from corrpose.belief import between, between_ignoring_correlation
-from corrpose.experiments import _embed3_many, _log, lie_pair_to_ssc
-from corrpose.liegroup import inv_many, log_many_masked
-from corrpose.mc import cov_error, normalized_cov_error, sample_joint
+from corrpose.experiments import _embed3_many, _log, _ssc_relative_cov, lie_pair_to_ssc
+from corrpose.liegroup import exp_many, inv_many, log_many_masked
+from corrpose.mc import (
+    cov_error,
+    normalized_cov_error,
+    relative_samples,
+    sample_joint,
+    twists_about,
+)
 from corrpose.ssc import params_many, tail_to_tail
 
 
@@ -442,17 +450,11 @@ def point_between(p, *, use_cross=True):
     return T_ij_inv @ T_ik, point_validated_cov(point_finalize(Ad @ inner @ Ad.T))
 
 
-def point_pair_rows(pb, offset, i, j, M, methods, seed):
-    """slam-relpose CSV rows of one pair, everything computed for that pair alone."""
+def _pair_rows_against(pb, offset, i, j, methods, oracle):
+    """slam-relpose CSV rows of one pair against ``oracle() -> (twist
+    covariance, function giving the parameter-space covariance)``."""
     try:
-        batch = sample_joint(pb, M, seed)
-        T1 = batch.pose_matrices(0)
-        T2 = batch.pose_matrices(1)
-        Tm = inv_many(T1) @ T2
-        rel = pb.means[0].inverse() @ pb.means[1]
-        xis, ok = log_many_masked(Tm @ rel.inverse().matrix())
-        xis = xis[ok]
-        mc_twist = xis.T @ xis / xis.shape[0]
+        mc_twist, mc_params = oracle()
 
         s1, s2, cross = pb.sigma1, pb.sigma2, pb.cross
         corr = [
@@ -472,12 +474,7 @@ def point_pair_rows(pb, offset, i, j, M, methods, seed):
                 nerr = normalized_cov_error(pred, mc_twist)
             else:
                 pred = tail_to_tail(lie_pair_to_ssc(pb)).cov
-                # parameter-space ground truth from the same relative samples
-                T_ok = Tm[ok]
-                r = params_many(_embed3_many(T_ok[:, :2, :2], T_ok[:, :2, 2]))
-                r -= params_many(_embed3_many(rel.R[None], rel.t[None]))[0]
-                r[:, 3:] = np.arctan2(np.sin(r[:, 3:]), np.cos(r[:, 3:]))
-                mc_par = r.T @ r / r.shape[0]
+                mc_par = mc_params()
                 err = cov_error(pred, mc_par)
                 nerr = normalized_cov_error(pred, mc_par)
             rows.append((offset, i, j, method, err, nerr, *corr, 0))
@@ -487,9 +484,75 @@ def point_pair_rows(pb, offset, i, j, M, methods, seed):
         return [(offset, i, j, m, "", "", "", "", "", 1) for m in methods]
 
 
-def patch_point_pair_rows(monkeypatch):
-    """Make slam-relpose compute every pair alone through point_pair_rows,
-    with the per-point predictions above."""
+def point_pair_rows(pb, offset, i, j, M, methods, seed):
+    """slam-relpose CSV rows of one pair, everything computed for that pair
+    alone; the samples come from a one-pair ``mc.relative_samples`` call."""
+
+    def oracle():
+        s = relative_samples([pb], M, [seed])
+        xis = s.twists[0][s.kept[0]]
+        return xis.T @ xis / xis.shape[0], lambda: _ssc_relative_cov(s.t[0], xis)
+
+    return _pair_rows_against(pb, offset, i, j, methods, oracle)
+
+
+# ---------------------------------------------------------------------------
+# per-pair Monte-Carlo relative poses through matrices: the reference for the
+# conjugated relative-twist oracle
+# ---------------------------------------------------------------------------
+#
+# The oracle as it was first written: realized pose matrices of each draw,
+# their relative poses, and one logarithm about the predicted mean, one
+# pair at a time.  mc.relative_samples and its SSC parameter truth must
+# agree with these to rounding.
+
+class MatrixRelativeSamples(NamedTuple):
+    mean: Pose  # predicted relative pose T_bar_12 = T_bar_1^-1 T_bar_2
+    mats: np.ndarray  # (M, d+1, d+1) sampled relative poses T_m
+    twists: np.ndarray  # (M, m) log(T_m T_bar_12^-1), unspecified where not kept
+    kept: np.ndarray  # (M,) False where the logarithm hit its branch boundary
+
+
+def matrix_relative_samples(b, M, seed):
+    batch = sample_joint(b, M, seed)
+    T1 = batch.pose_matrices(0)
+    T2 = batch.pose_matrices(1)
+    Tm = inv_many(T1) @ T2
+    rel = b.means[0].inverse() @ b.means[1]
+    xis, ok = twists_about(Tm, rel)
+    return MatrixRelativeSamples(rel, Tm, xis, ok)
+
+
+def matrix_log_between(xi1, xi2):
+    """log(exp(xi1)^-1 exp(xi2)) and its mask through homogeneous matrices."""
+    return log_many_masked(inv_many(exp_many(xi1)) @ exp_many(xi2))
+
+
+def matrix_pair_rows(pb, offset, i, j, M, methods, seed):
+    """point_pair_rows with the matrix oracle and its params_many parameter truth."""
+
+    def oracle():
+        samples = matrix_relative_samples(pb, M, seed)
+        xis = samples.twists[samples.kept]
+
+        def mc_params():
+            # parameter-space ground truth from the same relative samples
+            T_ok = samples.mats[samples.kept]
+            rel = samples.mean
+            r = params_many(_embed3_many(T_ok[:, :2, :2], T_ok[:, :2, 2]))
+            r -= params_many(_embed3_many(rel.R[None], rel.t[None]))[0]
+            r[:, 3:] = np.arctan2(np.sin(r[:, 3:]), np.cos(r[:, 3:]))
+            return r.T @ r / r.shape[0]
+
+        return xis.T @ xis / xis.shape[0], mc_params
+
+    return _pair_rows_against(pb, offset, i, j, methods, oracle)
+
+
+def patch_point_pair_rows(monkeypatch, pair_rows=point_pair_rows):
+    """Make slam-relpose compute every pair alone through ``pair_rows``
+    (point_pair_rows or matrix_pair_rows), with the per-point predictions
+    above."""
     import sys
 
     from corrpose import experiments
@@ -498,7 +561,13 @@ def patch_point_pair_rows(monkeypatch):
     oracles = sys.modules[__name__]
     monkeypatch.setattr(experiments, "_block_predictions", lambda block, methods: block)
     monkeypatch.setattr(
-        experiments, "_pair_rows", lambda pb, pred, *args: point_pair_rows(pb, *args)
+        experiments, "_block_oracles", lambda block, M, seeds: [(M, s) for s in seeds]
+    )
+    monkeypatch.setattr(
+        experiments, "_pair_rows",
+        lambda pb, pred, drawn, offset, i, j, methods: pair_rows(
+            pb, offset, i, j, drawn[0], methods, drawn[1]
+        ),
     )
     monkeypatch.setattr(oracles, "between", lambda p: UncertainPose(*point_between(p)))
     monkeypatch.setattr(
@@ -507,3 +576,83 @@ def patch_point_pair_rows(monkeypatch):
     )
     monkeypatch.setattr(oracles, "tail_to_tail", point_tail_to_tail)
     monkeypatch.setattr(oracles, "lie_pair_to_ssc", point_lie_pair_to_ssc)
+
+
+# ---------------------------------------------------------------------------
+# 40-digit relative twists: the accuracy reference for both oracle routes
+# ---------------------------------------------------------------------------
+
+def _mp_skew(v):
+    import mpmath as mp
+
+    return mp.matrix([[0, -v[2], v[1]], [v[2], 0, -v[0]], [-v[1], v[0], 0]])
+
+
+def _mp_pose(R, t):
+    import mpmath as mp
+
+    n = len(t)
+    T = mp.eye(n + 1)
+    for i in range(n):
+        for j in range(n):
+            T[i, j] = R[i, j]
+        T[i, n] = t[i]
+    return T
+
+
+def _mp_exp(xi):
+    import mpmath as mp
+
+    if len(xi) == 3:
+        th = xi[2]
+        a, b = (mp.sin(th) / th, (1 - mp.cos(th)) / th) if th else (mp.mpf(1), mp.mpf(0))
+        R = mp.matrix([[mp.cos(th), -mp.sin(th)], [mp.sin(th), mp.cos(th)]])
+        return _mp_pose(R, [a * xi[0] - b * xi[1], b * xi[0] + a * xi[1]])
+    phi = xi[3:]
+    th = mp.sqrt(sum(p * p for p in phi))
+    K = _mp_skew(phi)
+    A, B, C = mp.sin(th) / th, (1 - mp.cos(th)) / th**2, (th - mp.sin(th)) / th**3
+    V = mp.eye(3) + B * K + C * K * K
+    return _mp_pose(mp.eye(3) + A * K + B * K * K, V * mp.matrix(xi[:3]))
+
+
+def _mp_log(T):
+    import mpmath as mp
+
+    if T.rows == 3:
+        th = mp.atan2(T[1, 0], T[0, 0])
+        a, b = mp.sin(th) / th, (1 - mp.cos(th)) / th
+        det = a * a + b * b
+        return [(a * T[0, 2] + b * T[1, 2]) / det, (-b * T[0, 2] + a * T[1, 2]) / det, th]
+    th = mp.acos((T[0, 0] + T[1, 1] + T[2, 2] - 1) / 2)
+    w = [(T[2, 1] - T[1, 2]) / 2, (T[0, 2] - T[2, 0]) / 2, (T[1, 0] - T[0, 1]) / 2]
+    phi = [x * th / mp.sin(th) for x in w]
+    K = _mp_skew(phi)
+    d = (1 - th * mp.sin(th) / (2 * (1 - mp.cos(th)))) / th**2
+    rho = (mp.eye(3) - K / 2 + d * K * K) * mp.matrix([T[0, 3], T[1, 3], T[2, 3]])
+    return [rho[0], rho[1], rho[2]] + phi
+
+
+def _mp_inv(T):
+    n = T.rows - 1
+    Rt = T[:n, :n].T
+    return _mp_pose(Rt, -(Rt * T[:n, n]))
+
+
+def mp_relative_twists(pair, draws, dps=40):
+    """log(T_m T_bar_12^-1) of each joint draw (xi_1, xi_2) of a pair, the
+    matrix definition evaluated with ``dps`` digits and rounded to floats.
+    The draws and the mean poses' float entries are taken as exact; angles
+    must stay away from 0 and pi."""
+    import mpmath as mp
+
+    m = pair.block_dim
+    with mp.workdps(dps):
+        T1, T2 = (_mp_pose(mp.matrix(T.R.tolist()), T.t.tolist()) for T in pair.means)
+        rel_inv = _mp_inv(_mp_inv(T1) * T2)
+        out = []
+        for z in draws:
+            xi = [mp.mpf(float(v)) for v in z]
+            Tm = _mp_inv(_mp_exp(xi[:m]) * T1) * (_mp_exp(xi[m:]) * T2)
+            out.append([float(v) for v in _mp_log(Tm * rel_inv)])
+    return np.array(out)

@@ -102,6 +102,30 @@ def test_jobs_zero_exits_2(tmp_path, capsys, experiment):
     assert "'jobs' must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("experiment,payload", [
+    ("slam-relpose", {"offsets": [2.5]}),
+    ("slam-relpose", {"offsets": ["x"]}),
+    ("slam-relpose", {"offsets": [10, 0]}),
+    ("slam-relpose", {"offsets": "55"}),
+    ("slam-relpose", {"generate": {"n_poses": 2.5}}),
+    ("slam-relpose", {"generate": {"seed": 2.5}}),
+    ("slam-relpose", {"generate": {"rot_sigma": "x"}}),
+    ("solve-graph", {"generate": {"n_poses": 0}}),
+    ("solve-graph", {"generate": {"trans_sigma": -0.1}}),
+    ("solve-graph", {"generate": {"loop_prob": "x"}}),
+    ("solve-graph", {"generate": [30]}),
+])
+def test_graph_config_checked_before_graph_work(tmp_path, monkeypatch, capsys, experiment,
+                                               payload):
+    calls = []
+    monkeypatch.setattr(experiments.graphmod, "generate_grid_world",
+                        lambda *a, **k: calls.append((a, k)))
+    cfg = _write_cfg(tmp_path, {"generate": {"n_poses": 30}, **payload})
+    assert run_cli(experiment, "--config", str(cfg), "--out", str(tmp_path / "out")) == 2
+    assert calls == []
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_python_m_corrpose_runs_from_source_tree(tmp_path):
     src = Path(__file__).resolve().parent.parent / "src"
     cfg = _write_cfg(
@@ -413,6 +437,34 @@ def test_slam_relpose_rows_match_point_pair_rows(tmp_path, monkeypatch, generate
     assert b",1\n" not in stacked[0]
 
 
+def test_slam_relpose_rows_near_matrix_oracle(tmp_path, monkeypatch):
+    # the conjugated relative-twist oracle against the per-pair matrix route
+    # it replaced, with its params_many parameter truth, on the 500-pose
+    # seed-7 graph (600 pairs).  Largest relative change measured: 1.2e-14
+    # here, 4.3e-14 over seeds 0-9.
+    from oracles import matrix_pair_rows, patch_point_pair_rows
+
+    cfg = _write_cfg(
+        tmp_path,
+        {"generate": {"n_poses": 500, "seed": 7}, "offsets": [10, 50, 100],
+         "pairs_per_offset": 200, "M": 1000},
+    )
+    _slam_csvs(cfg, tmp_path / "new", 7)
+    patch_point_pair_rows(monkeypatch, matrix_pair_rows)
+    _slam_csvs(cfg, tmp_path / "matrix", 7)
+    new = read_csv(tmp_path / "new" / "slam_relpose.csv")
+    old = read_csv(tmp_path / "matrix" / "slam_relpose.csv")
+    assert len(new) == len(old) == 1800
+    values = ["cov_error", "normalized_cov_error", "corr_coeff_x", "corr_coeff_y",
+              "corr_coeff_theta"]
+    for a, b in zip(new, old):
+        assert [a[k] for k in a if k not in values] == [b[k] for k in b if k not in values]
+        assert a["error"] == "0"
+        x = np.array([float(a[k]) for k in values])
+        y = np.array([float(b[k]) for k in values])
+        assert (np.abs(x - y) <= 1e-12 * np.abs(y)).all()
+
+
 @pytest.mark.parametrize("method", ["lie-correlated", "lie-independent", "ssc"])
 def test_slam_relpose_partial_block_single_method(tmp_path, monkeypatch, method):
     from oracles import patch_point_pair_rows
@@ -463,7 +515,7 @@ def test_slam_relpose_failing_pair_flags_only_its_rows(tmp_path, monkeypatch, ca
     calls = []
 
     def between_covs(block, *, use_cross=True):
-        # pair 50 of 80 sits in the first 64-pair block
+        # pair 50 of 80 sits in a full block
         calls.append(len(block))
         if not use_cross and any(pair_of[id(pb)] == bad for pb in block):
             raise NumericalDegeneracyError("injected")
@@ -478,7 +530,8 @@ def test_slam_relpose_failing_pair_flags_only_its_rows(tmp_path, monkeypatch, ca
     err = capsys.readouterr().err
     assert err.count("failed") == 1
     assert f"slam-relpose pair ({bad[0]},{bad[1]}) failed: injected" in err
-    assert calls[:2] == [64, 64] and calls.count(1) == 2 * 64  # then one pair at a time
+    B = experiments._PAIR_BLOCK
+    assert calls[:2] == [B, B] and calls.count(1) == 2 * B  # then one pair at a time
     _assert_only_pair_failed(good, got, ("10", str(bad[0]), str(bad[1])))
 
 
@@ -493,22 +546,28 @@ def test_slam_relpose_branch_cut_budget_fails_one_pair(tmp_path, monkeypatch, ca
          "pairs_per_offset": 12, "M": 1000},
     )
     good = _slam_csvs(cfg, tmp_path / "good", 5)[0].decode().splitlines()
-    real = mcmod.log_many_masked
+    real = mcmod.log_between_many
+    B, M, bad = experiments._PAIR_BLOCK, 1000, 15  # pair 15: the fourth one of offset 10
+    blocks = [min(B, 24 - start) * M for start in range(0, 24, B)]
+    k = bad // B
+    # the block holding the pair raises, then runs again one pair at a time
+    expected = blocks[: k + 1] + [M] * (blocks[k] // M) + blocks[k + 1 :]
+    flagged_rows = {k + 1: (bad % B) * M, k + 2 + bad % B: 0}  # call number -> pair's first row
     calls = []
 
-    def lossy(mats):
-        xis, ok = real(mats)
-        calls.append(mats.shape[0])
-        if len(calls) == 16:  # pair 15: the fourth one of offset 10
+    def lossy(xi1, xi2):
+        xis, ok = real(xi1, xi2)
+        calls.append(xi1.shape[0])
+        if len(calls) in flagged_rows:
             ok = ok.copy()
-            ok[[17, 400]] = False
+            ok[flagged_rows[len(calls)] + np.array([17, 400])] = False
         return xis, ok
 
-    monkeypatch.setattr(mcmod, "log_many_masked", lossy)
+    monkeypatch.setattr(mcmod, "log_between_many", lossy)
     capsys.readouterr()
     got = _slam_csvs(cfg, tmp_path / "lossy", 5)[0].decode().splitlines()
     err = capsys.readouterr().err
-    assert calls == [1000] * 24
+    assert calls == expected
     assert err.count("failed") == 1 and "2 of 1000 samples" in err
     _assert_only_pair_failed(good, got, _pair_key(good[1 + 3 * 15]))
 

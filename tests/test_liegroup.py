@@ -429,3 +429,76 @@ def test_se3_log_blocks_names_first_singular_row():
         log_map(Pose(R[2], t[2]))
     assert info.value.row == 2
     assert info.value.angle == scalar.value.angle
+
+
+# ---------------------------------------------------------------------------
+# log_between_many: log(exp(xi1)^-1 exp(xi2)) on twist stacks
+# ---------------------------------------------------------------------------
+
+def _planar_between_cases(rng):
+    """(theta1, theta2) at the kernel's switch points, with random rho."""
+    from corrpose.liegroup import _COEFF_CUTOFF as c
+
+    pi = np.pi
+    angles = np.array([
+        (0.0, 0.0),  # theta = 0
+        (0.5 * c, 0.0), (2 * c, 0.0), (0.0, 0.5 * c), (0.0, 2 * c),  # input Taylor switch
+        (-0.5 * c, 0.3 * c), (0.3, 0.3 + 0.5 * c), (0.3, 0.3 - 2 * c),  # relative switch
+        (1.0, 1.0 + c),
+        (3.0, -3.0), (-3.1, 3.1), (2.9, -2.9), (3.1, -0.1),  # theta2 - theta1 across +-pi
+        (-0.5, pi - 0.5 - 1e-10), (0.2, 0.2 - pi + 1e-10),  # inside _PI_MARGIN
+        (0.0, pi - 1e-7), (0.0, -pi + 1e-7), (1.0, 1.0 + pi - 5e-9),  # just outside
+    ])
+    n = angles.shape[0]
+    xi1 = np.column_stack([rng.normal(0, 2, (n, 2)), angles[:, 0]])
+    xi2 = np.column_stack([rng.normal(0, 2, (n, 2)), angles[:, 1]])
+    return xi1, xi2
+
+
+# Largest difference from the matrix route (entries of size ~2): 4.7e-13 at
+# theta just above _COEFF_CUTOFF, where the angle the matrix route recovers
+# from a rotation product carries 1e-12 relative error; 3.5e-14 on 1e5
+# random rows.  The SE(3) kernel is the matrix route.
+def test_log_between_many_matches_matrix_route():
+    from oracles import matrix_log_between
+
+    from corrpose.liegroup import log_between_many
+
+    rng = np.random.default_rng(40)
+    xi1, xi2 = _planar_between_cases(rng)
+    cases = [
+        (xi1, xi2),
+        (rng.normal(0, 1, (20_000, 3)), rng.normal(0, 1, (20_000, 3))),
+        (rng.normal(0, 0.5, (20_000, 6)), rng.normal(0, 0.5, (20_000, 6))),
+    ]
+    for a, b in cases:
+        got, ok = log_between_many(a, b)
+        want, ok_want = matrix_log_between(a, b)
+        assert np.array_equal(ok, ok_want)
+        assert np.abs(got - want)[ok].max() <= 1e-12
+    _, ok = log_between_many(xi1, xi2)
+    assert ok.tolist() == [True] * 13 + [False, False] + [True] * 3
+
+
+@pytest.mark.parametrize("m", [3, 6])
+def test_log_between_many_equal_twists_give_exact_zeros(m):
+    from corrpose.liegroup import log_between_many
+
+    xi = np.random.default_rng(41).normal(0, 1, (500, m))
+    for a in (xi, np.zeros_like(xi)):
+        out, ok = log_between_many(a, a)
+        assert ok.all()
+        if m == 3:  # the closed form cancels exactly; matrices round
+            assert not out.any()
+        else:
+            assert np.abs(out).max() < 1e-14
+    assert not log_between_many(np.zeros((4, m)), np.zeros((4, m)))[0].any()
+
+
+def test_log_between_many_rejects_mismatched_stacks():
+    from corrpose.liegroup import log_between_many
+
+    with pytest.raises(ValueError):
+        log_between_many(np.zeros((4, 3)), np.zeros((4, 6)))
+    with pytest.raises(ValueError):
+        log_between_many(np.zeros(3), np.zeros(3))

@@ -114,6 +114,97 @@ def test_mc_relative_cov_perfect_correlation_cancels():
     assert np.trace(mc) < 1e-12
 
 
+def test_mc_relative_cov_planar_perfect_correlation_is_exactly_zero():
+    # both poses take the same draw (the factor's halves are equal), so every
+    # relative twist log(exp(xi)^-1 exp(xi)) is exactly zero
+    from corrpose.mc import _sqrt_factor, relative_samples
+
+    sig = np.diag([0.25, 0.0625, 0.015625])
+    pair = cp.PosePairBelief.from_blocks(
+        cp.Pose.planar(1, 2, 0.3), cp.Pose.planar(4, -1, 2.5), sig, sig, sig
+    )
+    L = _sqrt_factor(pair.cov)
+    assert np.array_equal(L[:3], L[3:])
+    assert not relative_samples([pair], 1000, [3]).twists.any()
+    npt.assert_array_equal(cp.mc_relative_cov(pair, 1000, 3), np.zeros((3, 3)))
+
+
+def test_mc_relative_cov_planar_zero_noise():
+    pair = cp.PosePairBelief.from_blocks(
+        cp.Pose.planar(1, 2, 0.3), cp.Pose.planar(4, -1, 2.5), np.zeros((3, 3)),
+        np.zeros((3, 3)),
+    )
+    npt.assert_array_equal(cp.mc_relative_cov(pair, 100, 0), np.zeros((3, 3)))
+
+
+def _oracle_pairs(dim, n=5, seed=11):
+    rng = np.random.default_rng(seed)
+    m = 3 if dim == 2 else 6
+    return [
+        cp.PosePairBelief((random_pose(rng, dim), random_pose(rng, dim)),
+                          random_psd(rng, 2 * m, 0.02))
+        for _ in range(n)
+    ]
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_relative_samples_one_pair_calls_equal_block(dim):
+    from corrpose.mc import relative_samples
+
+    pairs = _oracle_pairs(dim)
+    seeds = [[7, k] for k in range(len(pairs))]
+    block = relative_samples(pairs, 500, seeds)
+    for r, (pair, seed) in enumerate(zip(pairs, seeds)):
+        one = relative_samples([pair], 500, [seed])
+        for got, want in zip(one, block):
+            assert np.array_equal(got[0], want[r])
+
+
+# Largest twist difference from the matrix oracle, relative to 1 + |xi|,
+# measured on the pairs of seeds 11-13: 7.5e-15 (SE(2)) and 1.1e-12 (SE(3),
+# mostly the matrix route's own rounding, see the 40-digit test below).
+@pytest.mark.parametrize("dim,bound", [(2, 1e-13), (3, 1e-11)])
+def test_relative_samples_match_matrix_oracle(dim, bound):
+    from oracles import matrix_relative_samples
+
+    from corrpose.mc import relative_samples
+
+    pairs = _oracle_pairs(dim)
+    s = relative_samples(pairs, 2000, [[5, k] for k in range(len(pairs))])
+    for r, pair in enumerate(pairs):
+        old = matrix_relative_samples(pair, 2000, [5, r])
+        # the relative means are Pose products, bit for bit
+        assert np.array_equal(s.R[r], old.mean.R) and np.array_equal(s.t[r], old.mean.t)
+        assert np.array_equal(s.kept[r], old.kept) and old.kept.all()
+        err = np.abs(s.twists[r] - old.twists) / (1.0 + np.abs(old.twists))
+        assert err.max() < bound
+
+
+@pytest.mark.parametrize("planar", [True, False])
+def test_relative_samples_at_least_as_accurate_as_matrix_oracle(planar):
+    # against the matrix definition at 40 digits, 40 draws: the conjugated
+    # route skips three 3x3 (4x4) products and, in SE(2), every matrix
+    from oracles import matrix_relative_samples, mp_relative_twists
+
+    from corrpose.experiments import relpose_pair
+    from corrpose.mc import relative_samples
+
+    if planar:
+        sig, cross = np.diag([0.005, 0.005, 0.006]), np.diag([0.0005, 0.0005, 0.005])
+        pair = cp.PosePairBelief.from_blocks(
+            cp.Pose.planar(3, 3, np.pi / 4), cp.Pose.planar(4.5, 4.5, np.pi / 4),
+            sig, sig, cross,
+        )
+    else:
+        pair = relpose_pair(1.0)
+    ref = mp_relative_twists(pair, cp.sample_joint(pair, 40, 0).twists)
+    scale = np.abs(ref).max(axis=1)
+    new = np.abs(relative_samples([pair], 40, [0]).twists[0] - ref).max(axis=1) / scale
+    old = np.abs(matrix_relative_samples(pair, 40, 0).twists - ref).max(axis=1) / scale
+    assert np.median(new) < np.median(old)
+    assert new.max() <= old.max()
+
+
 def test_sqrt_factor_rejects_indefinite():
     with pytest.raises(cp.SamplingError):
         from corrpose.mc import _sqrt_factor
@@ -123,19 +214,20 @@ def test_sqrt_factor_rejects_indefinite():
 
 def test_mc_relative_cov_singular_budget(monkeypatch):
     # deviations from the predicted mean cannot reach the branch cut with
-    # Gaussian noise, so the exclusion budget is exercised through the seam:
-    # flag 1% of rows singular and the estimator must refuse
+    # Gaussian noise, so the exclusion budget is exercised through the seam,
+    # the relative-twist kernel's mask: flag 1% of rows singular and the
+    # estimator must refuse
     import corrpose.mc as mcmod
 
-    real = mcmod.log_many_masked
+    real = mcmod.log_between_many
 
-    def flaky(mats):
-        xis, ok = real(mats)
+    def flaky(xi1, xi2):
+        xis, ok = real(xi1, xi2)
         ok = ok.copy()
         ok[:: 100] = False
         return xis, ok
 
-    monkeypatch.setattr(mcmod, "log_many_masked", flaky)
+    monkeypatch.setattr(mcmod, "log_between_many", flaky)
     pair = cp.PosePairBelief.from_blocks(
         cp.Pose.planar(0, 0, 0),
         cp.Pose.planar(1, 0, 0.5),
