@@ -10,8 +10,8 @@ inputs is carried into the result instead of being silently dropped.
 :func:`between_covs` gives the ``between`` covariances of many pairs in one
 stacked evaluation, and :func:`between` is a one-pair call of the same code,
 so both agree bit for bit.  The stack is as large as the caller makes it;
-``slam-relpose`` passes blocks of 64 pairs, because one stack of all 600
-pairs of a 500-pose run was no faster and raised peak memory by 10 MB.
+``slam-relpose`` passes blocks of 16 pairs (``experiments._PAIR_BLOCK``,
+where that size is measured).
 """
 
 from __future__ import annotations

@@ -13,7 +13,10 @@ has no effect: per-item work is small numpy calls holding the interpreter
 lock, so a thread pool only slowed runs down (500-pose ``slam-relpose`` on
 two cores: 4.6-8.0 s with two workers, 3.8-4.4 s with one).
 Experiment-specific keys are documented on the runners and default to the
-desk-scale setups.
+desk-scale setups.  Where an experiment takes them, ``M`` (Monte-Carlo
+draws) must be an int of at least 2 and ``p`` (containment probability) a
+float in (0, 1); like every key, they are checked before any sampling or
+graph work.
 
 ``slam-relpose`` works on blocks of ``_PAIR_BLOCK`` = 16 pairs.  Each block
 is one stacked evaluation of the first-order predictions (``between``,
@@ -126,6 +129,22 @@ def _positive(cfg, key, default, kind=float):
     if v <= 0:
         raise ConfigError(f"config key {key!r} must be positive, got {v}")
     return v
+
+
+def _sample_count(cfg, default: int) -> int:
+    """The Monte-Carlo draw count ``M``: an int of at least 2, as a sample
+    covariance needs two draws."""
+    M = _cfg_get(cfg, "M", default, int)
+    if M < 2:
+        raise ConfigError(f"config key 'M' must be at least 2, got {M}")
+    return M
+
+
+def _probability(cfg, key, default: float) -> float:
+    p = _cfg_get(cfg, key, default, float)
+    if not 0.0 < p < 1.0:
+        raise ConfigError(f"config key {key!r} must be in (0, 1), got {p}")
+    return p
 
 
 def _out_dir(cfg) -> Path:
@@ -306,8 +325,8 @@ def run_compose_sweep(cfg) -> list[Path]:
     sigma_t = _positive(cfg, "sigma_t", 3.0, float)
     sigma_r = _positive(cfg, "sigma_r", 3.0, float)
     rho = _cfg_get(cfg, "rho", 0.4, float)
-    M = _positive(cfg, "M", 10_000, int)
-    p = _positive(cfg, "p", 0.999, float)
+    M = _sample_count(cfg, 10_000)
+    p = _probability(cfg, "p", 0.999)
     dof_mode = _cfg_get(cfg, "dof_mode", "full", str)
     methods = _cfg_methods(cfg)
     seed = _cfg_get(cfg, "seed", 0, int)
@@ -369,7 +388,7 @@ def run_relpose_alpha_sweep(cfg) -> list[Path]:
     alphas = _cfg_get(cfg, "alphas", [0.5, 1.0, 2.0, 4.0], list)
     if any(float(a) < 0 for a in alphas):
         raise ConfigError("alphas must be nonnegative")
-    M = _positive(cfg, "M", 10_000, int)
+    M = _sample_count(cfg, 10_000)
     seed = _cfg_get(cfg, "seed", 0, int)
     out = _out_dir(cfg)
 
@@ -534,7 +553,7 @@ def run_slam_relpose(cfg) -> list[Path]:
     offsets = _cfg_get(cfg, "offsets", [10, 50, 100], list)
     offsets = [_positive({"offsets": v}, "offsets", None, int) for v in offsets]
     cap = _positive(cfg, "pairs_per_offset", 200, int)
-    M = _positive(cfg, "M", 1_000, int)
+    M = _sample_count(cfg, 1_000)
     methods = _cfg_methods(cfg)
     seed = _cfg_get(cfg, "seed", 0, int)
     load = _graph_source(cfg)
@@ -673,8 +692,8 @@ def run_convert_demo(cfg) -> list[Path]:
     )
     if mean_params.shape != (6,) or diag.shape != (6,) or (diag < 0).any():
         raise ConfigError("mean_params and cov_lie_diag must be 6-vectors (diag >= 0)")
-    M = _positive(cfg, "M", 20_000, int)
-    p = _positive(cfg, "p", 0.95, float)
+    M = _sample_count(cfg, 20_000)
+    p = _probability(cfg, "p", 0.95)
     kappa = _cfg_get(cfg, "kappa", 0.0, float)
     seed = _cfg_get(cfg, "seed", 0, int)
     out = _out_dir(cfg)

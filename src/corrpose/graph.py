@@ -34,6 +34,14 @@ _MAX_ITERATIONS = 100
 # every Gauss-Newton step, one vertex with an unconstrained heading 2e-19 to
 # 8e-18 (edge information 1e2 to 1e8 elsewhere), a two-pose graph 1.3e-16.
 _MIN_PIVOT_RATIO = 1e-13
+# Vertices (three columns each) per solve of Marginals.pair_beliefs.  On the
+# 600 slam-relpose pairs (x86_64, one BLAS thread), 4 / 8 / 16 / 32 vertices
+# took 0.155 / 0.132 / 0.124 / 0.125 s at 500 poses (traced peak 0.7 / 1.1 /
+# 1.9 / 3.7 MB) and 2.07 / 2.04 / 2.00 / 2.17 s at 3500 poses (3.2 / 6.3 /
+# 12.3 / 24.4 MB), medians of 7 and 3 runs.  16 was fastest at both sizes;
+# its peak is three n x 48 arrays: right-hand sides, solution and SuperLU's
+# copy of the right-hand sides.
+_VERTEX_BLOCK = 16
 
 
 class GraphParseError(ValueError):
@@ -381,7 +389,8 @@ class Marginals:
     """Shared factorization of the twist-space information matrix.
 
     Build once per solved graph, then query any number of pair marginals;
-    queries only trigger solves for the requested columns.
+    a query solves only the columns of the vertices its pairs touch, each
+    vertex once per query (:meth:`pair_beliefs`).
     """
 
     def __init__(self, graph: PoseGraph):
@@ -407,24 +416,56 @@ class Marginals:
                 raise KeyError(f"unknown vertex {k}")
 
     def pair_belief(self, i: int, j: int) -> PosePairBelief:
-        """Joint 6x6 twist covariance (and means) of vertices i and j."""
-        self._check_pair(i, j)
-        cols = np.concatenate([3 * self._sys.index[k] + np.arange(3) for k in (i, j)])
-        cov = self._solve_columns(cols)[cols, :]
-        cov = 0.5 * (cov + cov.T)
-        return PosePairBelief((self._graph.vertices[i], self._graph.vertices[j]), cov)
+        """Joint 6x6 twist covariance (and means) of vertices i and j: the
+        one-pair call of :meth:`pair_beliefs`."""
+        return self.pair_beliefs([(i, j)])[0]
 
     def pair_beliefs(self, pairs) -> list[PosePairBelief]:
-        """:meth:`pair_belief` of each (i, j) in order, all checked first.
+        """Joint 6x6 twist covariance (and means) of each pair (i, j), in
+        order; every pair is checked before anything is solved.
 
-        One solve over the columns of several pairs was no faster and not
-        bit-identical: past seven columns, the BLAS under SuperLU rounded 184
-        of 600 pairs of a 500-pose graph differently.
+        Each distinct vertex's three columns of the inverse information are
+        solved once, ``_VERTEX_BLOCK`` vertices per solve in ascending index
+        order, and serve every pair the vertex is in: Sigma_ii and Sigma_ji
+        from vertex i's columns, Sigma_jj and Sigma_ij from vertex j's.  The
+        blocks are copied out of each solve, which is then dropped, and each
+        6x6 matrix is symmetrized as (C + C^T) / 2.
+
+        Per column, a 48-column solve costs about what a pair's own six
+        columns do (50 against 53 us at 500 poses, 0.73 against 0.78 ms at
+        3500); the gain is in solving fewer columns.  The 600 pairs of a
+        500-pose ``slam-relpose`` run touch 456 distinct vertices (1,368
+        columns instead of 3,600), those of a 3500-pose run 1,064 (3,192).
+        SuperLU's rounding of a column depends on how many columns are
+        solved with it and on its slot, so these marginals can differ from
+        one six-column solve per pair at rounding level.  On the 600 pairs
+        of 500-pose graphs they are identical for seeds 0-3 and 5-8; seeds 4
+        and 9 differ in 137 and 25 pairs, by at most 5.0e-12 and 1.1e-10 of
+        the pair's largest entry, and 3500 poses (seed 0) in 503 pairs, by
+        at most 4.4e-10.  Block sizes are measured at ``_VERTEX_BLOCK``.
         """
         pairs = list(pairs)
         for i, j in pairs:
             self._check_pair(i, j)
-        return [self.pair_belief(i, j) for i, j in pairs]
+        index = self._sys.index
+        idx = np.array([[index[i], index[j]] for i, j in pairs], dtype=int).reshape(-1, 2)
+        verts = np.unique(idx)  # sorted: the solves depend only on the vertex set
+        pos = np.searchsorted(verts, idx)  # each vertex's place in that order
+        cov = np.empty((len(pairs), 6, 6))
+        three = np.arange(3)
+        for start in range(0, verts.shape[0], _VERTEX_BLOCK):
+            stop = start + _VERTEX_BLOCK
+            X = self._solve_columns((3 * verts[start:stop, None] + three).ravel())
+            for side in (0, 1):
+                hit = (pos[:, side] >= start) & (pos[:, side] < stop)
+                # columns of this side's vertex in X, rows of both vertices
+                col = 3 * (pos[hit, side] - start)[:, None, None] + three
+                for other in (0, 1):
+                    row = 3 * idx[hit, other][:, None, None] + three[:, None]
+                    cov[hit, 3 * other:3 * other + 3, 3 * side:3 * side + 3] = X[row, col]
+        cov = 0.5 * (cov + np.swapaxes(cov, 1, 2))
+        vertices = self._graph.vertices
+        return [PosePairBelief((vertices[i], vertices[j]), c) for (i, j), c in zip(pairs, cov)]
 
 
 # ---------------------------------------------------------------------------

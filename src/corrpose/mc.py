@@ -39,11 +39,21 @@ class SamplingError(RuntimeError):
 def _sqrt_factor(cov: np.ndarray, *, err=SamplingError) -> np.ndarray:
     """Factor L with L @ L.T == cov for sampling.
 
-    Cholesky when the matrix is positive definite; PSD-singular input
-    (pinned channels, perfectly correlated blocks) falls back to an exact
-    eigendecomposition square root rather than diagonal jitter, so singular
-    directions stay *exactly* noise-free.  Indefinite input beyond float
-    noise raises.
+    Cholesky where it succeeds; otherwise (PSD-singular input: pinned
+    channels, perfectly correlated blocks) the eigendecomposition square
+    root ``V sqrt(max(w, 0))``, without diagonal jitter.  Indefinite input
+    beyond float noise raises.
+
+    Singular directions get rounding-level noise, not none.  Cholesky often
+    succeeds on a singular matrix, with pivots that are rounding residue of
+    order sqrt(eps |cov|), and ``eigh`` leaves eigenvalues of order
+    eps |cov|.  For ``[[S, S], [S, S]]`` with entries of S of order 0.1-1,
+    diagonal or not, draws of xi_1 - xi_2 then had a std of up to 4.5e-8,
+    median 1.5e-8 (200 random S).  They are exactly zero only where the
+    factor's two halves come out equal: when Cholesky meets an exact zero
+    pivot on a diagonal S and the eigendecomposition is taken instead, as
+    for S = diag(0.25, 0.0625, 0.015625), where (s / sqrt(s))^2 == s
+    (9 of 200 random diagonal S).
     """
     cov = np.asarray(cov, dtype=float)
     if not cov.any():

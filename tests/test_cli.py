@@ -126,6 +126,56 @@ def test_graph_config_checked_before_graph_work(tmp_path, monkeypatch, capsys, e
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def _assert_config_exit_2(tmp_path, monkeypatch, capsys, experiment, payload, message,
+                          never_called, owner=experiments):
+    # owner.never_called must not run: the key is refused before any work
+    calls = []
+    monkeypatch.setattr(owner, never_called, lambda *a, **k: calls.append(a))
+    cfg = _write_cfg(tmp_path, payload)
+    assert run_cli(experiment, "--config", str(cfg), "--out", str(tmp_path / "out")) == 2
+    assert calls == []
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("payload,message", [
+    ({"M": 1}, "'M' must be at least 2, got 1"),
+    ({"M": 0}, "'M' must be at least 2, got 0"),
+    ({"p": 1.5}, "'p' must be in (0, 1), got 1.5"),
+    ({"p": 1}, "'p' must be in (0, 1), got 1.0"),
+    ({"p": 0.0}, "'p' must be in (0, 1), got 0.0"),
+])
+def test_compose_sweep_m_and_p_checked_before_sampling(tmp_path, monkeypatch, capsys, payload,
+                                                       message):
+    _assert_config_exit_2(tmp_path, monkeypatch, capsys, "compose-sweep",
+                          {"values": [2], **payload}, message, "sample_joint")
+
+
+@pytest.mark.parametrize("M", [1, -3])
+def test_relpose_alpha_sweep_m_checked_before_sampling(tmp_path, monkeypatch, capsys, M):
+    _assert_config_exit_2(tmp_path, monkeypatch, capsys, "relpose-alpha-sweep",
+                          {"alphas": [1.0], "M": M}, f"'M' must be at least 2, got {M}",
+                          "mc_relative_cov")
+
+
+@pytest.mark.parametrize("payload,message", [
+    ({"M": 1}, "'M' must be at least 2, got 1"),
+    ({"p": 1.0}, "'p' must be in (0, 1), got 1.0"),
+    ({"p": -0.5}, "'p' must be in (0, 1), got -0.5"),
+])
+def test_convert_demo_m_and_p_checked_before_sampling(tmp_path, monkeypatch, capsys, payload,
+                                                      message):
+    _assert_config_exit_2(tmp_path, monkeypatch, capsys, "convert-demo", payload, message,
+                          "sample_joint")
+
+
+def test_slam_relpose_m_checked_before_graph_work(tmp_path, monkeypatch, capsys):
+    # M = 1 used to pass the positivity check and flag every pair's rows
+    _assert_config_exit_2(tmp_path, monkeypatch, capsys, "slam-relpose",
+                          {"generate": {"n_poses": 30}, "M": 1},
+                          "'M' must be at least 2, got 1", "generate_grid_world",
+                          owner=experiments.graphmod)
+
+
 def test_python_m_corrpose_runs_from_source_tree(tmp_path):
     src = Path(__file__).resolve().parent.parent / "src"
     cfg = _write_cfg(
