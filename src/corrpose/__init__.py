@@ -23,10 +23,6 @@ from .liegroup import (
     log_map,
     project_rotation,
     skew,
-    so2_exp,
-    so2_log,
-    so3_exp,
-    so3_log,
     vee,
 )
 from .belief import (
@@ -91,10 +87,6 @@ __all__ = [
     "log_map",
     "project_rotation",
     "skew",
-    "so2_exp",
-    "so2_log",
-    "so3_exp",
-    "so3_log",
     "vee",
     "JointPoseBelief",
     "NumericalDegeneracyError",

@@ -12,8 +12,9 @@ members.
 
 All (sigma point, pose block) pairs are evaluated as one matrix stack: the
 coordinate-to-group map and the product with the mean inverse run with the
-checks of the :class:`Pose` constructor on every row, and one stacked
-logarithm reproduces :func:`log_map` bit for bit.  The result is identical to converting one point and one pose at a
+checks of the :class:`Pose` constructor on every row, and one
+:func:`log_many` call takes every logarithm.  The stack kernels are row by
+row, so the result is identical to converting one point and one pose at a
 time; the weighted sums keep that per-point order.
 """
 
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .belief import JointPoseBelief
-from .liegroup import SingularLogError, _se3_log_blocks, compose_blocks, invert_blocks
+from .liegroup import SingularLogError, compose_blocks, invert_blocks, log_many
 from .ssc import SscBelief, _pose_blocks, ssc_to_pose
 
 
@@ -130,8 +131,12 @@ def _centered_logs(b: SscBelief, points: np.ndarray, rows: np.ndarray) -> np.nda
         np.tile(R_mean, (rows.size, 1, 1)), np.tile(t_mean, (rows.size, 1))
     )
     R, t = compose_blocks(*_pose_blocks(points[rows].reshape(-1, 6)), R_inv, t_inv)
+    mats = np.zeros((R.shape[0], 4, 4))
+    mats[:, :3, :3] = R
+    mats[:, :3, 3] = t
+    mats[:, 3, 3] = 1.0
     try:
-        logs = _se3_log_blocks(R, t)
+        logs = log_many(mats)
     except SingularLogError as e:
         k, i = divmod(e.row, n)
         raise SigmaPointSingularityError(int(rows[k]), i, e.angle) from None

@@ -318,9 +318,13 @@ def run_compose_sweep(cfg) -> list[Path]:
     if sweep not in ("N", "sigma_r", "sigma_t"):
         raise ConfigError(f"sweep must be one of N, sigma_r, sigma_t, got {sweep!r}")
     default_values = [2, 5, 10, 15, 20] if sweep == "N" else [1.0, 2.0, 3.0, 4.0, 5.0]
-    values = _cfg_get(cfg, "values", default_values, list)
-    if not values or any(float(v) <= 0 for v in values):
-        raise ConfigError("sweep values must be positive")
+    # each value obeys the rule of the key it sweeps: N a positive int,
+    # sigma_t and sigma_r positive floats
+    kind = int if sweep == "N" else float
+    values = [_positive({"values": v}, "values", None, kind)
+              for v in _cfg_get(cfg, "values", default_values, list)]
+    if not values:
+        raise ConfigError("sweep values must be a non-empty list")
     n_steps = _positive(cfg, "N", 10, int)
     sigma_t = _positive(cfg, "sigma_t", 3.0, float)
     sigma_r = _positive(cfg, "sigma_r", 3.0, float)
@@ -336,11 +340,11 @@ def run_compose_sweep(cfg) -> list[Path]:
     for idx, v in enumerate(values):
         n, st, sr = n_steps, sigma_t, sigma_r
         if sweep == "N":
-            n = int(v)
+            n = v
         elif sweep == "sigma_r":
-            sr = float(v)
+            sr = v
         else:
-            st = float(v)
+            st = v
         rows += _chain_point(sweep, v, n, st, sr, rho, M, p, dof_mode, methods, [seed, idx])
     path = _write_csv(
         out / "compose_sweep.csv",
@@ -385,8 +389,9 @@ def run_relpose_alpha_sweep(cfg) -> list[Path]:
 
     Keys: alphas (list), M, seed, out.
     """
-    alphas = _cfg_get(cfg, "alphas", [0.5, 1.0, 2.0, 4.0], list)
-    if any(float(a) < 0 for a in alphas):
+    alphas = [_cfg_get({"alphas": a}, "alphas", None, float)
+              for a in _cfg_get(cfg, "alphas", [0.5, 1.0, 2.0, 4.0], list)]
+    if any(a < 0 for a in alphas):
         raise ConfigError("alphas must be nonnegative")
     M = _sample_count(cfg, 10_000)
     seed = _cfg_get(cfg, "seed", 0, int)
@@ -394,7 +399,6 @@ def run_relpose_alpha_sweep(cfg) -> list[Path]:
 
     rows = []
     for idx, alpha in enumerate(alphas):
-        alpha = float(alpha)
         pair = relpose_pair(alpha)
         aware = between(pair)
         naive = between_ignoring_correlation(pair)

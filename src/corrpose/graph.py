@@ -19,8 +19,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .belief import PosePairBelief
-from .liegroup import (_VINV_CUTOFF, Pose, adjoint_blocks, exp_map, exp_many, inv_many,
-                       log_many)
+from .liegroup import _VINV_CUTOFF, Pose, adjoint_blocks, exp_many, inv_many, log_many
 
 # Information placed on each channel of the gauge prior.
 _GAUGE_INFO = 1e8
@@ -439,10 +438,10 @@ class Marginals:
         SuperLU's rounding of a column depends on how many columns are
         solved with it and on its slot, so these marginals can differ from
         one six-column solve per pair at rounding level.  On the 600 pairs
-        of 500-pose graphs they are identical for seeds 0-3 and 5-8; seeds 4
-        and 9 differ in 137 and 25 pairs, by at most 5.0e-12 and 1.1e-10 of
-        the pair's largest entry, and 3500 poses (seed 0) in 503 pairs, by
-        at most 4.4e-10.  Block sizes are measured at ``_VERTEX_BLOCK``.
+        of 500-pose graphs they are identical for seeds 0-3, 5, 6, 8 and 9;
+        seeds 4 and 7 differ in 162 and 119 pairs, by at most 3.2e-12 and
+        5.8e-11 of the pair's largest entry, and 3500 poses (seed 0) in 465
+        pairs, by at most 4.9e-10.  Block sizes are measured at ``_VERTEX_BLOCK``.
         """
         pairs = list(pairs)
         for i, j in pairs:
@@ -504,16 +503,14 @@ def generate_grid_world(n_poses: int = 500, seed=0, *, trans_sigma: float = 0.14
                 break
         cells.setdefault(cell, []).append(k)
 
-    def noisy(rel: Pose) -> Pose:
-        return exp_map(rng.normal(0.0, q)) @ rel
-
-    edges = []
-    for k in range(n_poses - 1):
-        rel = gt[k].inverse() @ gt[k + 1]
-        edges.append(Edge(k, k + 1, noisy(rel), info))
-    for a, b in loops:
-        rel = gt[a].inverse() @ gt[b]
-        edges.append(Edge(a, b, noisy(rel), info))
+    # odometry edges, then loop closures: all edge noise in one draw, in the
+    # order that one draw per edge would take it
+    pairs = [(k, k + 1) for k in range(n_poses - 1)] + loops
+    noise = exp_many(rng.normal(0.0, q, size=(len(pairs), 3)))
+    edges = [
+        Edge(a, b, Pose(N[:2, :2], N[:2, 2]) @ (gt[a].inverse() @ gt[b]), info)
+        for (a, b), N in zip(pairs, noise)
+    ]
 
     vertices = {0: gt[0]}
     odo = {(e.i, e.j): e.measurement for e in edges[: n_poses - 1]}

@@ -1,4 +1,4 @@
-"""Matrix Lie-group primitives for SO(2), SO(3), SE(2) and SE(3).
+"""Matrix Lie-group primitives for SE(2) and SE(3).
 
 Conventions used throughout the package:
 
@@ -11,9 +11,10 @@ Conventions used throughout the package:
   left, ``T = exp(hat(xi)) @ T_bar``; every covariance is expressed in
   the twist ordering above.
 
-The scalar entry points (:func:`exp_map`, :func:`log_map`, ...) operate on
-:class:`Pose` objects; the ``*_many`` helpers operate on stacks of
-homogeneous matrices and exist so Monte-Carlo code can stay vectorized.
+Each group has one exponential, :func:`exp_many`, and one logarithm,
+``_log_stack`` behind :func:`log_many` and :func:`log_many_masked`, all on
+stacks of twists and homogeneous matrices.  The :class:`Pose` entry points
+:func:`exp_map` and :func:`log_map` are one-row calls of them.
 """
 
 from __future__ import annotations
@@ -285,162 +286,15 @@ def curly_hat(xi) -> np.ndarray:
     return M
 
 
-# ---------------------------------------------------------------------------
-# Rotation-only groups
-# ---------------------------------------------------------------------------
-
-def so2_exp(theta: float) -> np.ndarray:
-    c, s = np.cos(theta), np.sin(theta)
-    return np.array([[c, -s], [s, c]])
-
-
-def so2_log(R) -> float:
-    R = np.asarray(R, dtype=float)
-    theta = float(np.arctan2(R[1, 0], R[0, 0]))
-    if np.pi - abs(theta) <= _PI_MARGIN:
-        raise SingularLogError(theta)
-    return theta
-
-
 # Rotation angles closer than this to pi recover the log's axis from the
 # symmetric part of R (the antisymmetric part is nearly annihilated there).
 _AXIS_BRANCH = 1e-4
-# Taylor switch points: below _COEFF_CUTOFF the 1-cos/t^2-style ratios are
-# evaluated by series (the direct forms lose ~eps/theta^2 to cancellation);
-# the V-inverse curvature coefficient amplifies that loss by another 1/t^2
-# and gets the wider _VINV_CUTOFF window.
+# Taylor switch points: below _COEFF_CUTOFF the sin(t)/t-style ratios are
+# evaluated by series (their closed forms are 0/0 at t = 0, and
+# (t - sin t)/t^3 loses ~eps/t^2 to cancellation); the log's V-inverse
+# curvature coefficient loses ~eps/t^4 and gets the wider _VINV_CUTOFF window.
 _COEFF_CUTOFF = 1e-4
 _VINV_CUTOFF = 1e-2
-
-
-def _sinc_coeffs(theta: float) -> tuple[float, float, float]:
-    """(sin t / t, (1-cos t)/t^2, (t - sin t)/t^3) with small-angle Taylor."""
-    if theta < _COEFF_CUTOFF:
-        t2 = theta * theta
-        a = 1.0 - t2 / 6.0 + t2 * t2 / 120.0
-        b = 0.5 - t2 / 24.0 + t2 * t2 / 720.0
-        c = 1.0 / 6.0 - t2 / 120.0 + t2 * t2 / 5040.0
-    else:
-        s, co = np.sin(theta), np.cos(theta)
-        a = s / theta
-        b = (1.0 - co) / (theta * theta)
-        c = (theta - s) / (theta ** 3)
-    return a, b, c
-
-
-def so3_exp(phi) -> np.ndarray:
-    """Rodrigues formula; Taylor fallback below ``_SMALL_ANGLE``."""
-    phi = np.asarray(phi, dtype=float).reshape(3)
-    theta = float(np.linalg.norm(phi))
-    a, b, _ = _sinc_coeffs(theta)
-    K = skew(phi)
-    return np.eye(3) + a * K + b * (K @ K)
-
-
-def so3_log(R) -> np.ndarray:
-    """Principal rotation vector of R; raises :class:`SingularLogError` at pi."""
-    R = np.asarray(R, dtype=float)
-    w = 0.5 * np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
-    s = float(np.linalg.norm(w))
-    c = float(np.clip((np.trace(R) - 1.0) / 2.0, -1.0, 1.0))
-    theta = float(np.arctan2(s, c))
-    if np.pi - theta <= _PI_MARGIN:
-        raise SingularLogError(theta)
-    if theta < _SMALL_ANGLE:
-        t2 = theta * theta
-        return w * (1.0 + t2 / 6.0 + 7.0 * t2 * t2 / 360.0)
-    if np.pi - theta < _AXIS_BRANCH:
-        # The antisymmetric part is nearly annihilated; recover the axis from
-        # the symmetric part and use w only to resolve the overall sign.
-        nn = np.clip((np.diag(R) - c) / (1.0 - c), 0.0, 1.0)
-        n = np.sqrt(nn)
-        k = int(np.argmax(n))
-        A = 0.5 * (R + R.T)
-        for idx in range(3):
-            if idx != k:
-                n[idx] = np.copysign(n[idx], A[k, idx])
-        if np.dot(n, w) < 0:
-            n = -n
-        return theta * n
-    return (theta / s) * w
-
-
-def _se3_V(phi) -> np.ndarray:
-    theta = float(np.linalg.norm(phi))
-    _, b, c = _sinc_coeffs(theta)
-    K = skew(phi)
-    return np.eye(3) + b * K + c * (K @ K)
-
-
-def _se3_V_inv(phi) -> np.ndarray:
-    theta = float(np.linalg.norm(phi))
-    if theta < _VINV_CUTOFF:
-        t2 = theta * theta
-        d = 1.0 / 12.0 + t2 / 720.0 + t2 * t2 / 30240.0
-    else:
-        d = (1.0 - theta * np.sin(theta) / (2.0 * (1.0 - np.cos(theta)))) / (theta * theta)
-    K = skew(phi)
-    return np.eye(3) - 0.5 * K + d * (K @ K)
-
-
-def _dot_rows(v: np.ndarray) -> np.ndarray:
-    """Squared norms of (M, 3) rows, rounded as ``np.linalg.norm`` rounds one row."""
-    return (v[:, None, :] @ v[:, :, None])[:, 0, 0]
-
-
-def _se3_log_blocks(R: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Stack version of :func:`log_map` on SE(3) blocks, exact to the last bit.
-
-    ``R`` is an (M, 3, 3) rotation stack and ``t`` the matching (M, 3)
-    translations; row k equals ``log_map(Pose(R[k], t[k]))`` bit for bit,
-    which :func:`log_many` does not.  Each row repeats the scalar operations
-    in their order: vector norms are matmul dot products, as
-    ``np.linalg.norm`` takes them, and V^-1 is built as a matrix before it
-    is applied.  Rows within ``_AXIS_BRANCH`` of pi go through
-    :func:`log_map` and its axis branch; the first singular one raises
-    :class:`SingularLogError` carrying its ``row``.
-    """
-    w = 0.5 * np.stack(
-        [R[:, 2, 1] - R[:, 1, 2], R[:, 0, 2] - R[:, 2, 0], R[:, 1, 0] - R[:, 0, 1]], axis=1
-    )
-    s = np.sqrt(_dot_rows(w))
-    c = np.clip((np.trace(R, axis1=1, axis2=2) - 1.0) / 2.0, -1.0, 1.0)
-    angle = np.arctan2(s, c)
-    small = angle < _SMALL_ANGLE
-    t2 = angle * angle
-    phi = w * np.where(
-        small,
-        1.0 + t2 / 6.0 + 7.0 * t2 * t2 / 360.0,
-        angle / np.where(small | (s == 0.0), 1.0, s),
-    )[:, None]
-    theta = np.sqrt(_dot_rows(phi))
-    small = theta < _VINV_CUTOFF
-    t2 = theta * theta
-    safe = np.where(small, 1.0, theta)
-    d = np.where(
-        small,
-        1.0 / 12.0 + t2 / 720.0 + t2 * t2 / 30240.0,
-        (1.0 - safe * np.sin(safe) / (2.0 * (1.0 - np.cos(safe)))) / (safe * safe),
-    )
-    K = _skew_many(phi)
-    V_inv = np.eye(3) - 0.5 * K + d[:, None, None] * (K @ K)
-    out = np.empty((R.shape[0], 6))
-    out[:, :3] = (V_inv @ t[:, :, None])[:, :, 0]
-    out[:, 3:] = phi
-    for r in np.flatnonzero(np.pi - angle < _AXIS_BRANCH):
-        try:
-            out[r] = log_map(Pose(R[r], t[r]))
-        except SingularLogError as e:
-            raise SingularLogError(e.angle, row=int(r)) from None
-    return out
-
-
-def _se2_ab(theta: float) -> tuple[float, float]:
-    """sin(t)/t and (1-cos(t))/t with small-angle Taylor."""
-    if abs(theta) < _COEFF_CUTOFF:
-        t2 = theta * theta
-        return 1.0 - t2 / 6.0 + t2 * t2 / 120.0, theta * (0.5 - t2 / 24.0 + t2 * t2 / 720.0)
-    return np.sin(theta) / theta, (1.0 - np.cos(theta)) / theta
 
 
 # ---------------------------------------------------------------------------
@@ -448,28 +302,14 @@ def _se2_ab(theta: float) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 def exp_map(xi) -> Pose:
-    """Group element of a twist (closed form, Taylor fallback near zero)."""
-    xi = _check_twist(xi)
-    if xi.shape[0] == 3:
-        theta = xi[2]
-        a, b = _se2_ab(theta)
-        V = np.array([[a, -b], [b, a]])
-        return Pose(so2_exp(theta), V @ xi[:2])
-    phi = xi[3:]
-    return Pose(so3_exp(phi), _se3_V(phi) @ xi[:3])
+    """Group element of a twist: one row of :func:`exp_many`."""
+    return Pose.from_matrix(exp_many(_check_twist(xi)[None])[0])
 
 
 def log_map(T: Pose) -> np.ndarray:
-    """Principal twist of a pose; raises :class:`SingularLogError` at angle pi."""
-    if T.dim == 2:
-        theta = so2_log(T.R)
-        a, b = _se2_ab(theta)
-        Vinv = np.array([[a, b], [-b, a]]) / (a * a + b * b)
-        rho = Vinv @ T.t
-        return np.array([rho[0], rho[1], theta])
-    phi = so3_log(T.R)
-    rho = _se3_V_inv(phi) @ T.t
-    return np.concatenate([rho, phi])
+    """Principal twist of a pose: one row of :func:`log_many`, which raises
+    :class:`SingularLogError` at angle pi."""
+    return log_many(T.matrix()[None])[0]
 
 
 def adjoint(T: Pose) -> np.ndarray:
@@ -507,14 +347,16 @@ def _se2_coeffs_many(theta: np.ndarray) -> tuple[np.ndarray, ...]:
     """cos t, sin t, sin(t)/t and (1-cos t)/t of an angle stack.
 
     The last two are the entries of the SE(2) V(t) = [[a, -b], [b, a]] and
-    take the small-angle Taylor branch below ``_COEFF_CUTOFF``.
+    take the small-angle Taylor branch below ``_COEFF_CUTOFF``; above it
+    (1-cos t)/t is taken as 2 sin^2(t/2)/t, free of cancellation.
     """
     c, s = np.cos(theta), np.sin(theta)
     small = np.flatnonzero(np.abs(theta) < _COEFF_CUTOFF)
     safe = theta.copy()
     safe[small] = 1.0
     a = s / safe
-    b = (1.0 - c) / safe
+    h = np.sin(0.5 * theta)
+    b = 2.0 * h * h / safe
     # the series only where it is used: small angles are rare in a stack
     t = theta[small]
     t2 = t * t
@@ -546,7 +388,13 @@ def _skew_many(v: np.ndarray) -> np.ndarray:
 
 
 def exp_many(xis: np.ndarray) -> np.ndarray:
-    """Stack version of :func:`exp_map`: (M, 3) -> (M, 3, 3) or (M, 6) -> (M, 4, 4)."""
+    """Exponentials of a twist stack: (M, 3) -> (M, 3, 3) or (M, 6) -> (M, 4, 4).
+
+    The one exponential of the package (:func:`exp_map` is a one-row call),
+    in the closed forms of Sola et al. (arXiv 1812.01537) with the Taylor
+    branches below ``_COEFF_CUTOFF``; 1 - cos is taken as 2 sin^2 of the
+    half angle.
+    """
     xis = np.asarray(xis, dtype=float)
     if xis.ndim != 2 or xis.shape[1] not in (3, 6):
         raise ValueError(f"expected (M, 3) or (M, 6) twists, got {xis.shape}")
@@ -568,9 +416,8 @@ def exp_many(xis: np.ndarray) -> np.ndarray:
     safe = np.where(small, 1.0, theta)
     t2 = theta * theta
     a = np.where(small, 1.0 - t2 / 6.0 + t2 * t2 / 120.0, np.sin(theta) / safe)
-    b = np.where(
-        small, 0.5 - t2 / 24.0 + t2 * t2 / 720.0, (1.0 - np.cos(theta)) / (safe * safe)
-    )
+    h = np.sin(0.5 * theta)
+    b = np.where(small, 0.5 - t2 / 24.0 + t2 * t2 / 720.0, 2.0 * h * h / (safe * safe))
     cc = np.where(
         small,
         1.0 / 6.0 - t2 / 120.0 + t2 * t2 / 5040.0,
@@ -592,9 +439,9 @@ def log_many_masked(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Stack logarithm with a validity mask instead of raising.
 
     Rows whose rotation angle falls within ``_PI_MARGIN`` of pi are flagged
-    False and their twist content is unspecified.  Entries in the band just
-    below the cutoff lose precision; scalar :func:`log_map` has the robust
-    branch and should be preferred for isolated evaluations.
+    False and their twist content is unspecified.  The arithmetic is that of
+    :func:`log_many`, axis branch near pi included, so rows just outside the
+    margin keep full precision.
     """
     out, ok, _ = _log_stack(mats)
     return out, ok
@@ -636,11 +483,15 @@ def _se2_between_translation(xi1, xi2) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _log_stack(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Twists, validity mask and rotation angles of a homogeneous stack."""
+    """Twists, validity mask and rotation angles of a homogeneous stack.
+
+    The one logarithm of the package, in the closed forms of Sola et al.
+    (arXiv 1812.01537).  Rows within ``_PI_MARGIN`` of pi are masked False
+    and their twists unspecified; no row raises.
+    """
     mats = np.asarray(mats, dtype=float)
     if mats.ndim != 3 or mats.shape[1] != mats.shape[2] or mats.shape[1] not in (3, 4):
         raise ValueError(f"expected (M, 3, 3) or (M, 4, 4) stacks, got {mats.shape}")
-    m = mats.shape[0]
     if mats.shape[1] == 3:
         theta = np.arctan2(mats[:, 1, 0], mats[:, 0, 0])
         ok = (np.pi - np.abs(theta)) > _PI_MARGIN
@@ -662,6 +513,9 @@ def _log_stack(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         theta / np.where(s == 0.0, 1.0, s),
     )
     phi = w * factor[:, None]
+    near = np.flatnonzero(np.pi - theta < _AXIS_BRANCH)
+    if near.size:
+        phi[near] = theta[near, None] * _near_pi_axes(R[near], c[near], w[near])
     small_d = theta < _VINV_CUTOFF
     safe = np.where(small_d, 1.0, theta)
     denom = 2.0 * (1.0 - c)
@@ -676,16 +530,34 @@ def _log_stack(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.concatenate([rho, phi], axis=1), ok, theta
 
 
-def log_many(mats: np.ndarray) -> np.ndarray:
-    """Stack version of :func:`log_map`; raises if any row is at the pi boundary.
+def _near_pi_axes(R: np.ndarray, c: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Unit rotation axes of (M, 3, 3) rotations with angles near pi.
 
-    The raised :class:`SingularLogError` carries the angle of the first
-    offending row.
+    The antisymmetric part ``w`` is nearly annihilated there, so the axis
+    comes from the symmetric part: n_i^2 = (R_ii - c) / (1 - c), the signs
+    relative to the largest component from row k of R + R^T, and ``w``
+    resolves only the overall sign.
+    """
+    n = np.sqrt(np.clip((np.diagonal(R, axis1=1, axis2=2) - c[:, None])
+                        / (1.0 - c[:, None]), 0.0, 1.0))
+    rows = np.arange(n.shape[0])
+    k = np.argmax(n, axis=1)
+    ref = R[rows, k, :] + R[rows, :, k]
+    ref[rows, k] = 1.0  # the largest component keeps its sign
+    n = np.copysign(n, ref)
+    return np.where(((n * w).sum(axis=1) < 0.0)[:, None], -n, n)
+
+
+def log_many(mats: np.ndarray) -> np.ndarray:
+    """Principal twists of a homogeneous stack; raises if any row is at pi.
+
+    The raised :class:`SingularLogError` carries the angle and the ``row``
+    of the first offending row.
     """
     out, ok, theta = _log_stack(mats)
     if not ok.all():
         bad = int(np.argmin(ok))
-        raise SingularLogError(theta[bad])
+        raise SingularLogError(theta[bad], row=bad)
     return out
 
 

@@ -94,45 +94,22 @@ def _params_of_blocks(R: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def ssc_to_pose(x) -> Pose:
-    """Pose of a parameter vector: R = Rz(psi) Ry(theta) Rx(phi), t = (x, y, z)."""
-    x = normalize_params(x)
-    cph, sph = np.cos(x[3]), np.sin(x[3])
-    cth, sth = np.cos(x[4]), np.sin(x[4])
-    cps, sps = np.cos(x[5]), np.sin(x[5])
-    R = np.array(
-        [
-            [cps * cth, cps * sth * sph - sps * cph, cps * sth * cph + sps * sph],
-            [sps * cth, sps * sth * sph + cps * cph, sps * sth * cph - cps * sph],
-            [-sth, cth * sph, cth * cph],
-        ]
-    )
-    return Pose(R, x[:3])
+    """Pose of a parameter vector: R = Rz(psi) Ry(theta) Rx(phi), t = (x, y, z).
+
+    A one-row call of the stack map behind every operation of this module.
+    """
+    R, t = _pose_blocks(_param_row(x)[None])
+    return Pose(R[0], t[0])
 
 
 def pose_to_ssc(T: Pose) -> np.ndarray:
-    """Parameter vector of a pose; raises :class:`GimbalLockError` near |theta| = pi/2."""
+    """Parameter vector of a pose; raises :class:`GimbalLockError` near |theta| = pi/2.
+
+    A one-row call of :func:`params_many`'s stack map.
+    """
     if T.dim != 3:
         raise ValueError("parameter extraction needs an SE(3) pose")
-    R = T.R
-    sth = -float(R[2, 0])
-    theta = float(np.arcsin(np.clip(sth, -1.0, 1.0)))
-    if np.pi / 2 - abs(theta) < _GIMBAL_TOL:
-        raise GimbalLockError(f"pitch {theta!r} is numerically at gimbal lock")
-    psi = float(np.arctan2(R[1, 0], R[0, 0]))
-    phi = float(np.arctan2(R[2, 1], R[2, 2]))
-    return np.array([T.t[0], T.t[1], T.t[2], phi, theta, psi])
-
-
-def poses_many(params: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`ssc_to_pose` returning homogeneous matrices (M, 4, 4)."""
-    x = np.asarray(params, dtype=float)
-    if x.ndim != 2 or x.shape[1] != 6:
-        raise ValueError(f"expected (M, 6) parameters, got {x.shape}")
-    out = np.zeros((x.shape[0], 4, 4))
-    out[:, :3, :3] = _euler_rotations(x[:, 3:])
-    out[:, :3, 3] = x[:, :3]
-    out[:, 3, 3] = 1.0
-    return out
+    return _params_of_blocks(T.R[None], T.t[None])[0]
 
 
 def params_many(mats: np.ndarray) -> np.ndarray:

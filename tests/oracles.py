@@ -65,11 +65,11 @@ def random_pose(rng, dim, *, angle_scale=1.0, trans_scale=1.0):
             rng.normal(0, trans_scale), rng.normal(0, trans_scale),
             rng.uniform(-angle_scale, angle_scale),
         )
-    from corrpose import so3_exp
+    from corrpose import exp_map
 
     axis = rng.normal(size=3)
     axis /= np.linalg.norm(axis)
-    R = so3_exp(axis * rng.uniform(-angle_scale, angle_scale))
+    R = exp_map(np.r_[np.zeros(3), axis * rng.uniform(-angle_scale, angle_scale)]).R
     return Pose(R, rng.normal(0, trans_scale, 3))
 
 
@@ -136,6 +136,52 @@ def six_column_pair_belief(marg, i, j):
     cov = marg._lu.solve(E)[cols, :]
     cov = 0.5 * (cov + cov.T)
     return PosePairBelief((marg._graph.vertices[i], marg._graph.vertices[j]), cov)
+
+
+def point_generate_grid_world(n_poses=500, seed=0, *, trans_sigma=0.14, rot_sigma=0.1,
+                              loop_prob=0.5, min_loop_gap=20, step_length=1.0):
+    """``graph.generate_grid_world`` with one noise draw and one exp_map per
+    edge, as it was first written: the reference for the one-call edge noise."""
+    from corrpose import exp_map
+    from corrpose.graph import Edge, PoseGraph
+
+    rng = np.random.default_rng(seed)
+    q = np.array([trans_sigma, trans_sigma, rot_sigma])
+    info = np.diag(1.0 / q ** 2)
+
+    gt = [Pose.identity(2)]
+    cells = {(0, 0): [0]}
+    loops = []
+    for k in range(1, n_poses):
+        turn = rng.choice([0.0, np.pi / 2, -np.pi / 2], p=[0.6, 0.2, 0.2])
+        motion = Pose.planar(
+            step_length * np.cos(turn), step_length * np.sin(turn), turn
+        )
+        pose = gt[-1] @ motion
+        gt.append(pose)
+        cell = (int(round(pose.t[0])), int(round(pose.t[1])))
+        for prev in cells.get(cell, []):
+            if k - prev >= min_loop_gap and rng.uniform() < loop_prob:
+                loops.append((prev, k))
+                break
+        cells.setdefault(cell, []).append(k)
+
+    def noisy(rel):
+        return exp_map(rng.normal(0.0, q)) @ rel
+
+    edges = []
+    for k in range(n_poses - 1):
+        rel = gt[k].inverse() @ gt[k + 1]
+        edges.append(Edge(k, k + 1, noisy(rel), info))
+    for a, b in loops:
+        rel = gt[a].inverse() @ gt[b]
+        edges.append(Edge(a, b, noisy(rel), info))
+
+    vertices = {0: gt[0]}
+    odo = {(e.i, e.j): e.measurement for e in edges[: n_poses - 1]}
+    for k in range(1, n_poses):
+        vertices[k] = vertices[k - 1] @ odo[(k - 1, k)]
+    return PoseGraph(vertices, edges)
 
 
 def _wrap(a):
@@ -232,6 +278,13 @@ def point_pose_to_ssc(T):
     psi = float(np.arctan2(R[1, 0], R[0, 0]))
     phi = float(np.arctan2(R[2, 1], R[2, 2]))
     return np.array([T.t[0], T.t[1], T.t[2], phi, theta, psi])
+
+
+def ssc_matrices(params):
+    """(M, 4, 4) homogeneous matrices of an (M, 6) parameter stack."""
+    from corrpose.ssc import _pose_blocks
+
+    return _embed3_many(*_pose_blocks(np.asarray(params, dtype=float)))
 
 
 def point_compound(x1, x2):
@@ -611,7 +664,10 @@ def _mp_exp(xi):
     phi = xi[3:]
     th = mp.sqrt(sum(p * p for p in phi))
     K = _mp_skew(phi)
-    A, B, C = mp.sin(th) / th, (1 - mp.cos(th)) / th**2, (th - mp.sin(th)) / th**3
+    if th:
+        A, B, C = mp.sin(th) / th, (1 - mp.cos(th)) / th**2, (th - mp.sin(th)) / th**3
+    else:
+        A, B, C = mp.mpf(1), mp.mpf(1) / 2, mp.mpf(1) / 6
     V = mp.eye(3) + B * K + C * K * K
     return _mp_pose(mp.eye(3) + A * K + B * K * K, V * mp.matrix(xi[:3]))
 
@@ -631,6 +687,16 @@ def _mp_log(T):
     d = (1 - th * mp.sin(th) / (2 * (1 - mp.cos(th)))) / th**2
     rho = (mp.eye(3) - K / 2 + d * K * K) * mp.matrix([T[0, 3], T[1, 3], T[2, 3]])
     return [rho[0], rho[1], rho[2]] + phi
+
+
+def mp_exp_many(xis, dps=40):
+    """exp(hat(xi)) of each float twist row, evaluated with ``dps`` digits
+    and rounded to floats."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        return np.array([mp.matrix(_mp_exp([mp.mpf(float(v)) for v in xi])).tolist()
+                         for xi in xis], dtype=float)
 
 
 def _mp_inv(T):

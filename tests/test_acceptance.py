@@ -12,7 +12,7 @@ import corrpose as cp
 from corrpose import experiments, graph as gr, ssc
 from corrpose.convert import UtConfig, sigma_points, ut_convert
 from corrpose.liegroup import log_many_masked
-from oracles import dense_information, random_pose, random_psd
+from oracles import dense_information, random_pose, random_psd, ssc_matrices
 
 
 def _verdict(number: int, description: str, ok: bool, detail: str = "") -> None:
@@ -299,7 +299,7 @@ def test_criterion_7_ut_conversion():
     out = ut_convert(b)
     rng = np.random.default_rng(707)
     draws = rng.multivariate_normal(mean, cov, 1_000_000)
-    mats = ssc.poses_many(draws)
+    mats = ssc_matrices(draws)
     ells, ok = log_many_masked(mats @ ssc.ssc_to_pose(mean).inverse().matrix())
     mc = ells[ok].T @ ells[ok] / ok.sum()
     rel = np.linalg.norm(out.cov - mc) / np.linalg.norm(mc)

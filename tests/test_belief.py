@@ -222,7 +222,7 @@ def test_inverse_is_involution():
 
 def test_inverse_matches_monte_carlo():
     # pure-rotation mean, diagonal covariance at the alpha = 0.1 noise level
-    R = cp.so3_exp([0.3, -0.4, 0.2])
+    R = cp.exp_map([0.0, 0.0, 0.0, 0.3, -0.4, 0.2]).R
     sig = 0.1 * np.diag([0.01, 0.01, 0.01, 0.002, 0.002, 0.002])
     u = cp.UncertainPose(cp.Pose(R, np.zeros(3)), sig)
     mc = _mc_inverse_cov(u, 200_000, 2024)

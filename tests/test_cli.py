@@ -157,6 +157,33 @@ def test_relpose_alpha_sweep_m_checked_before_sampling(tmp_path, monkeypatch, ca
                           "mc_relative_cov")
 
 
+# each sweep value obeys the rule of the key it sweeps; 2.5 steps used to run
+# as 2 and write 2.5, a string used to exit 1 with a bare ValueError
+@pytest.mark.parametrize("payload,message", [
+    ({"sweep": "N", "values": [2, 2.5]}, "config key 'values': expected int, got 2.5"),
+    ({"sweep": "N", "values": [5, "x"]}, "config key 'values': expected int, got 'x'"),
+    ({"sweep": "N", "values": [0]}, "config key 'values' must be positive, got 0"),
+    ({"sweep": "sigma_r", "values": ["x"]}, "config key 'values': expected float, got 'x'"),
+    ({"sweep": "sigma_t", "values": [1.0, None]},
+     "config key 'values': expected float, got None"),
+    ({"sweep": "sigma_t", "values": [-1.0]}, "config key 'values' must be positive, got -1.0"),
+])
+def test_compose_sweep_values_checked_before_sampling(tmp_path, monkeypatch, capsys, payload,
+                                                      message):
+    _assert_config_exit_2(tmp_path, monkeypatch, capsys, "compose-sweep", payload, message,
+                          "sample_joint")
+
+
+@pytest.mark.parametrize("alphas,message", [
+    ([1.0, "x"], "config key 'alphas': expected float, got 'x'"),
+    ([[0.5]], "config key 'alphas': expected float, got [0.5]"),
+])
+def test_relpose_alpha_sweep_alphas_checked_before_sampling(tmp_path, monkeypatch, capsys,
+                                                            alphas, message):
+    _assert_config_exit_2(tmp_path, monkeypatch, capsys, "relpose-alpha-sweep",
+                          {"alphas": alphas}, message, "mc_relative_cov")
+
+
 @pytest.mark.parametrize("payload,message", [
     ({"M": 1}, "'M' must be at least 2, got 1"),
     ({"p": 1.0}, "'p' must be in (0, 1), got 1.0"),
@@ -411,15 +438,15 @@ def test_stacked_ssc_predictions_bit_identical(dim):
 
 
 def test_stacked_ssc_predictions_raise_like_one_pair():
-    from corrpose import Pose, PosePairBelief, so3_exp
+    from corrpose import Pose, PosePairBelief, exp_map
     from corrpose.ssc import GimbalLockError, tail_to_tail, tail_to_tail_many
 
     ok = PosePairBelief.from_blocks(Pose.identity(3), Pose.identity(3),
                                     1e-4 * np.eye(6), 1e-4 * np.eye(6))
     # both means pitch by pi/4, their relative pose by pi/2: gimbal lock
     locked = PosePairBelief.from_blocks(
-        Pose(so3_exp([0.0, -np.pi / 4, 0.0]), np.zeros(3)),
-        Pose(so3_exp([0.0, np.pi / 4, 0.0]), np.zeros(3)),
+        Pose(exp_map([0.0, 0.0, 0.0, 0.0, -np.pi / 4, 0.0]).R, np.zeros(3)),
+        Pose(exp_map([0.0, 0.0, 0.0, 0.0, np.pi / 4, 0.0]).R, np.zeros(3)),
         1e-4 * np.eye(6), 1e-4 * np.eye(6),
     )
     pair_belief = experiments.lie_pair_to_ssc(locked)
@@ -723,3 +750,15 @@ def test_solve_graph_consistent_triangle(tmp_path):
     assert report["converged"] == "1"
     sol = read_csv(tmp_path / "solution.csv")
     assert len(sol) == 3
+
+
+def test_benchmark_trace_targets_exist(monkeypatch):
+    # the benchmark's traced runs wrap these attributes; a rename or deletion
+    # in the package must fail here, not only in the benchmark's own self-test
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    import tracing
+
+    targets = tracing._targets()
+    assert targets
+    for owner, attr, _, _ in targets:
+        assert callable(owner.__dict__.get(attr)), (owner, attr)

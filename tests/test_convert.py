@@ -7,7 +7,7 @@ import pytest
 import corrpose as cp
 from corrpose import convert, ssc
 from corrpose.liegroup import log_many_masked
-from oracles import point_ut_convert, point_ut_residual_mean, random_psd
+from oracles import point_ut_convert, point_ut_residual_mean, random_psd, ssc_matrices
 
 DEMO_MEAN = np.array([3.0, 3.0, 0.0, 0.0, 0.0, np.pi / 4])
 DEMO_COV = np.diag([0.005, 0.005, 1e-5, 1e-5, 1e-5, 0.006])
@@ -32,7 +32,7 @@ def sampled_conversion(b: ssc.SscBelief, M, seed) -> np.ndarray:
     """Brute-force oracle: sample coordinates, push each through ell, average."""
     rng = np.random.default_rng(seed)
     draws = rng.multivariate_normal(b.mean, b.cov, M)
-    mats = ssc.poses_many(draws)
+    mats = ssc_matrices(draws)
     Tbar_inv = ssc.ssc_to_pose(b.mean).inverse().matrix()
     ells, ok = log_many_masked(mats @ Tbar_inv)
     kept = ells[ok]

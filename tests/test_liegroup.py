@@ -16,10 +16,14 @@ from corrpose import (
     inv_many,
     log_many,
     log_map,
-    so3_exp,
     vee,
 )
 from oracles import random_pose, series_exp
+
+
+def rotation(phi):
+    """SO(3) matrix of a rotation vector."""
+    return exp_map(np.r_[np.zeros(3), phi]).R
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +184,7 @@ def test_adjoint_identity():
 
 
 def test_adjoint_pure_rotation_block_diagonal():
-    R = so3_exp([0.2, -0.5, 0.8])
+    R = rotation([0.2, -0.5, 0.8])
     Ad = adjoint(Pose(R, np.zeros(3)))
     npt.assert_allclose(Ad[:3, :3], R)
     npt.assert_allclose(Ad[3:, 3:], R)
@@ -295,7 +299,7 @@ def test_pose_homogeneous_bottom_row_exact():
 
 
 def test_pose_renormalizes_drifted_rotation():
-    R = so3_exp([0.1, 0.2, 0.3])
+    R = rotation([0.1, 0.2, 0.3])
     T = Pose(R + 1e-6 * np.ones((3, 3)), np.zeros(3))
     npt.assert_allclose(T.R.T @ T.R, np.eye(3), atol=1e-12)
     assert abs(np.linalg.det(T.R) - 1.0) < 1e-9
@@ -352,7 +356,7 @@ def test_log_many_reports_offending_angle(dim, sign):
     if dim == 2:
         mats[3] = Pose.planar(0.5, -0.2, angle).matrix()
     else:
-        mats[3] = Pose(so3_exp(angle * np.array([0.0, 0.6, 0.8])), [0.5, -0.2, 1.0]).matrix()
+        mats[3] = Pose(rotation(angle * np.array([0.0, 0.6, 0.8])), [0.5, -0.2, 1.0]).matrix()
     with pytest.raises(SingularLogError) as info:
         log_many(mats)
     expected = angle if dim == 2 else abs(angle)  # SO(3) angles are nonnegative
@@ -368,7 +372,7 @@ def test_checked_pose_blocks_follow_pose_constructor():
     from corrpose.liegroup import checked_pose_blocks
 
     rng = np.random.default_rng(16)
-    R = np.stack([so3_exp(rng.normal(size=3)) for _ in range(4)])
+    R = np.stack([rotation(rng.normal(size=3)) for _ in range(4)])
     t = rng.normal(size=(4, 3))
     assert checked_pose_blocks(R, t) is R  # nothing to repair: no copy
     drifted = R.copy()
@@ -392,43 +396,91 @@ def test_checked_pose_blocks_follow_pose_constructor():
 
 
 # ---------------------------------------------------------------------------
-# row-exact stacked SE(3) log
+# the one SE(3) log against 40-digit exponentials
 # ---------------------------------------------------------------------------
 
-def test_se3_log_blocks_row_exact_against_log_map():
-    from corrpose.liegroup import _AXIS_BRANCH, _SMALL_ANGLE, _VINV_CUTOFF, _se3_log_blocks
+# Largest error against the twist of a 40-digit exponential rounded to floats
+# (rho of size up to ~10): 9.4e-12 in the random band and 1.5e-11 around
+# _VINV_CUTOFF (both at angles just above it, where V^-1's curvature
+# coefficient takes 1 - cos from the matrix trace); 1.8e-15 around
+# _SMALL_ANGLE; 6.7e-12 near pi, from the rows just outside _AXIS_BRANCH,
+# where w carries eps / (pi - angle) relative error.
+def test_log_many_against_mpmath_exponentials():
+    from oracles import mp_exp_many
+
+    from corrpose.liegroup import _AXIS_BRANCH, _SMALL_ANGLE, _VINV_CUTOFF
 
     rng = np.random.default_rng(17)
-    angles = np.concatenate([
-        [0.0, 0.0],
-        np.exp(rng.uniform(np.log(1e-9), np.log(3.0), 2000)),
+    bands = [
+        np.concatenate([[0.0, 0.0], np.exp(rng.uniform(np.log(1e-9), np.log(3.0), 2000))]),
         _SMALL_ANGLE * np.exp(rng.uniform(-0.1, 0.1, 200)),
         _VINV_CUTOFF * np.exp(rng.uniform(-0.1, 0.1, 200)),
         np.pi - _AXIS_BRANCH * np.exp(rng.uniform(-2.0, 0.5, 200)),
-    ])
-    axes = rng.normal(size=(angles.size, 3))
-    axes /= np.linalg.norm(axes, axis=1)[:, None]
-    R = np.stack([so3_exp(a * u) for a, u in zip(angles, axes)])
-    t = rng.normal(0, 3.0, size=(angles.size, 3))
-    got = _se3_log_blocks(R, t)
-    want = np.stack([log_map(Pose(Rk, tk)) for Rk, tk in zip(R, t)])
-    assert np.array_equal(got, want)
+    ]
+    for angles, bound in zip(bands, (3e-11, 1e-14, 5e-11, 2e-11)):
+        axes = rng.normal(size=(angles.size, 3))
+        axes /= np.linalg.norm(axes, axis=1)[:, None]
+        xis = np.column_stack([rng.normal(0, 3.0, size=(angles.size, 3)), angles[:, None] * axes])
+        got = log_many(mp_exp_many(xis))
+        assert np.abs(got - xis).max() <= bound
 
 
-def test_se3_log_blocks_names_first_singular_row():
-    from corrpose.liegroup import _se3_log_blocks
-
+def test_log_many_names_first_singular_row():
     rng = np.random.default_rng(18)
-    R = np.stack([so3_exp(rng.normal(0, 0.3, 3)) for _ in range(6)])
+    R = np.stack([rotation(rng.normal(0, 0.3, 3)) for _ in range(6)])
     t = rng.normal(size=(6, 3))
     for row, angle in ((2, np.pi - 1e-12), (4, np.pi)):
-        R[row] = so3_exp(angle * np.array([0.0, 0.6, 0.8]))
+        R[row] = rotation(angle * np.array([0.0, 0.6, 0.8]))
+    mats = np.stack([Pose(Rk, tk).matrix() for Rk, tk in zip(R, t)])
     with pytest.raises(SingularLogError) as info:
-        _se3_log_blocks(R, t)
-    with pytest.raises(SingularLogError) as scalar:
+        log_many(mats)
+    with pytest.raises(SingularLogError) as one:
         log_map(Pose(R[2], t[2]))
     assert info.value.row == 2
-    assert info.value.angle == scalar.value.angle
+    assert info.value.angle == one.value.angle
+
+
+def test_log_many_masked_near_pi_axis_branch():
+    # the masked log has the axis branch too: same bound as log_map near pi
+    from corrpose.liegroup import log_many_masked
+
+    rng = np.random.default_rng(44)
+    for gap in (9e-5, 1e-6, 2e-9):
+        axes = rng.normal(size=(20, 3))
+        axes /= np.linalg.norm(axes, axis=1)[:, None]
+        xis = np.column_stack([rng.normal(0, 1, (20, 3)), (np.pi - gap) * axes])
+        got, ok = log_many_masked(exp_many(xis))
+        assert ok.all()
+        npt.assert_allclose(got, xis, atol=1e-12)
+
+
+def test_log_many_masked_pi_rows_do_not_raise():
+    from corrpose.liegroup import log_many_masked
+
+    mats = exp_many(np.array([[0.1, 0.2, 0.3, 0.0, 0.0, 0.5], [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]]))
+    mats[1, :3, :3] = np.diag([-1.0, -1.0, 1.0])
+    with np.errstate(all="raise"):
+        out, ok = log_many_masked(mats)
+    assert ok.tolist() == [True, False]
+    npt.assert_allclose(out[0], [0.1, 0.2, 0.3, 0.0, 0.0, 0.5], atol=1e-15)
+
+
+# (1 - cos t)/t against 40 digits: 2 sin^2(t/2)/t has no cancellation just
+# above _COEFF_CUTOFF, where 1 - cos t lost up to 2.7e-9 relative
+@pytest.mark.parametrize("t", [1.0001e-4, 2e-4, 1e-3, 0.1, 3.0])
+def test_one_minus_cos_coefficient_against_mpmath(t):
+    import mpmath as mp
+
+    from corrpose.liegroup import _se2_coeffs_many
+
+    with mp.workdps(40):
+        want = float((1 - mp.cos(mp.mpf(t))) / mp.mpf(t))
+    got = [
+        _se2_coeffs_many(np.array([t]))[3][0],
+        exp_many(np.array([[1.0, 0.0, t]]))[0, 1, 2],  # b rho_x in V rho
+        exp_many(np.array([[1.0, 0.0, 0.0, 0.0, 0.0, t]]))[0, 1, 3],
+    ]
+    assert np.abs(np.array(got) / want - 1.0).max() <= 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -455,10 +507,11 @@ def _planar_between_cases(rng):
     return xi1, xi2
 
 
-# Largest difference from the matrix route (entries of size ~2): 4.7e-13 at
-# theta just above _COEFF_CUTOFF, where the angle the matrix route recovers
-# from a rotation product carries 1e-12 relative error; 3.5e-14 on 1e5
-# random rows.  The SE(3) kernel is the matrix route.
+# Largest difference from the matrix route (entries of size ~2): 8.9e-16 on
+# the switch-point cases and 2.7e-15 on the random rows (3.1e-15 on 1e5).
+# With (1 - cos t)/t taken as 2 sin^2(t/2)/t neither route loses digits
+# just above _COEFF_CUTOFF, where the difference was 7.2e-13 with 1 - cos t.
+# The SE(3) kernel is the matrix route.
 def test_log_between_many_matches_matrix_route():
     from oracles import matrix_log_between
 

@@ -86,6 +86,27 @@ def test_params_many_matches_scalar():
         npt.assert_allclose(batch[k], ssc.pose_to_ssc(cp.Pose.from_matrix(mats[k])), atol=1e-12)
 
 
+def test_conversions_are_one_row_calls_bit_identical_to_point_oracle():
+    # ssc_to_pose / pose_to_ssc are one-row calls of the stack maps; they
+    # reproduce the per-point formulas exactly, wrapping included
+    from oracles import point_pose_to_ssc, point_ssc_to_pose
+
+    rng = np.random.default_rng(5)
+    for _ in range(2000):
+        x = rng.normal(0, 2.0, 6)
+        x[3:] = rng.uniform(-3 * np.pi, 3 * np.pi, 3)
+        T = ssc.ssc_to_pose(x)
+        want = point_ssc_to_pose(x)
+        assert np.array_equal(T.R, want.R) and np.array_equal(T.t, want.t)
+        assert np.array_equal(ssc.pose_to_ssc(T), point_pose_to_ssc(T))
+    for x in ([0, 0, 0, 0.2, np.pi / 2 - 1e-9, 0.1], [1, 2, 3, -0.4, -np.pi / 2 + 1e-8, 2.0]):
+        with pytest.raises(ssc.GimbalLockError) as got:
+            ssc.pose_to_ssc(point_ssc_to_pose(x))
+        with pytest.raises(ssc.GimbalLockError) as want:
+            point_pose_to_ssc(point_ssc_to_pose(x))
+        assert str(got.value) == str(want.value)
+
+
 def test_angles_normalized_on_construction():
     b = ssc.SscBelief([0, 0, 0, 0, 0, 2 * np.pi + 0.3], np.eye(6) * 1e-4)
     npt.assert_allclose(b.mean[5], 0.3, atol=1e-12)
