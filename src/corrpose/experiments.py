@@ -1,22 +1,18 @@
 """Batch experiments behind the command-line interface.
 
-Each runner takes a merged configuration mapping (JSON file contents with
-command-line overrides applied), writes CSV tables (plus a plot script where
-it helps) into the output directory and returns the written paths.  All
-randomness derives from the configured seed, per-work-item, so re-running a
-configuration reproduces every output byte for byte.  Timings go to stderr,
-never into the deterministic CSVs.
+Each runner takes its resolved configuration, writes CSV tables (plus a
+plot script where it helps) into the output directory and returns the
+written paths.  All randomness derives from the configured seed,
+per-work-item, so re-running a configuration reproduces every output byte
+for byte.  Timings go to stderr, never into the deterministic CSVs.
 
-Config keys shared by all experiments: ``seed`` (int), ``out`` (directory).
-``jobs`` must be a positive integer (checked by :func:`run_experiment`) but
+Each experiment's keys, with their defaults (the desk-scale setups) and
+rules, are one table in :data:`TABLES`; the README lists the same tables.
+:func:`run_experiment` resolves the whole configuration against it before
+any work (:func:`resolve_config`).  ``jobs`` must be a positive integer but
 has no effect: per-item work is small numpy calls holding the interpreter
 lock, so a thread pool only slowed runs down (500-pose ``slam-relpose`` on
 two cores: 4.6-8.0 s with two workers, 3.8-4.4 s with one).
-Experiment-specific keys are documented on the runners and default to the
-desk-scale setups.  Where an experiment takes them, ``M`` (Monte-Carlo
-draws) must be an int of at least 2 and ``p`` (containment probability) a
-float in (0, 1); like every key, they are checked before any sampling or
-graph work.
 
 ``slam-relpose`` works on blocks of ``_PAIR_BLOCK`` = 16 pairs.  Each block
 is one stacked evaluation of the first-order predictions (``between``,
@@ -26,19 +22,18 @@ drawing from its own seed.  Both are identical bit for bit to one pair at a
 time.  A block that raises is evaluated again one pair at a time through
 the same code, so a failing pair still flags only its own rows.  The SSC
 baseline's parameter-space truth comes from the oracle's twists in closed
-form (:func:`_ssc_relative_cov`).  The block size is a constant, not an
-option: it trades the per-call overhead of small numpy calls against the
-peak memory of one stack of every pair, and 16 is the largest block that
-keeps peak memory within 2 MB of a pair-at-a-time oracle (measurements at
-``_PAIR_BLOCK``).
+form (:func:`_ssc_relative_cov`).  The block size is a constant, not a
+config key: it trades per-call overhead against peak memory (``_PAIR_BLOCK``).
 """
 
 from __future__ import annotations
 
 import json
+import math
 import sys
 import time
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -94,63 +89,91 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# config plumbing
+# config rules: each takes a key's dotted name and its given value and returns
+# the value the runner reads, or raises ConfigError (tables: :data:`TABLES`)
 # ---------------------------------------------------------------------------
 
-def _cfg_get(cfg, key, default, kind):
-    value = cfg.get(key, default)
+def _as(kind, key, value):
+    """``value`` converted by ``kind``.  Only a str converts to str, only an
+    integral value to int, and a JSON boolean to nothing."""
     try:
-        if kind is float:
-            return float(value)
-        if kind is int:
-            out = int(value)
-            if out != float(value):
-                raise ValueError
-            return out
-        if kind is str:
-            return str(value)
-        if kind is list and isinstance(value, (list, tuple)):
-            return list(value)  # a string would split into characters
-    except (TypeError, ValueError):
+        if not isinstance(value, bool) and (kind is not str or isinstance(value, str)):
+            out = kind(value)
+            if kind is not int or out == float(value):
+                return out
+    except (TypeError, ValueError, OverflowError):
         pass
     raise ConfigError(f"config key {key!r}: expected {kind.__name__}, got {value!r}")
 
 
-def _cfg_methods(cfg):
-    methods = _cfg_get(cfg, "methods", list(KNOWN_METHODS), list)
-    bad = [m for m in methods if m not in KNOWN_METHODS]
-    if bad:
-        raise ConfigError(f"unknown methods {bad}; choose from {list(KNOWN_METHODS)}")
-    return methods
+def _rule(kind, test=None, claim=""):
+    """A rule: the value as ``kind``, of which ``test`` must hold."""
+
+    def check(key, value):
+        v = _as(kind, key, value)
+        if test is not None and not test(v):
+            raise ConfigError(f"config key {key!r} must be {claim}, got {v!r}")
+        return v
+
+    return check
 
 
-def _positive(cfg, key, default, kind=float):
-    v = _cfg_get(cfg, key, default, kind)
-    if v <= 0:
-        raise ConfigError(f"config key {key!r} must be positive, got {v}")
-    return v
+def _one_of(*options):
+    return _rule(str, lambda v: v in options, f"one of {list(options)}")
 
 
-def _sample_count(cfg, default: int) -> int:
-    """The Monte-Carlo draw count ``M``: an int of at least 2, as a sample
-    covariance needs two draws."""
-    M = _cfg_get(cfg, "M", default, int)
-    if M < 2:
-        raise ConfigError(f"config key 'M' must be at least 2, got {M}")
-    return M
+def _list_of(rule, length=None):
+    """A rule: a non-empty list (of ``length`` items if given), each obeying ``rule``."""
+
+    def check(key, value):
+        if not isinstance(value, (list, tuple)):  # a string would split into characters
+            raise ConfigError(f"config key {key!r}: expected list, got {value!r}")
+        if not value or length not in (None, len(value)):
+            want = length or "one or more"
+            raise ConfigError(f"config key {key!r} must hold {want} items, got {len(value)}")
+        return tuple(rule(key, v) for v in value)
+
+    return check
 
 
-def _probability(cfg, key, default: float) -> float:
-    p = _cfg_get(cfg, key, default, float)
-    if not 0.0 < p < 1.0:
-        raise ConfigError(f"config key {key!r} must be in (0, 1), got {p}")
-    return p
+_SEED = _rule(int, lambda v: v >= 0, ">= 0")  # numpy takes no negative seed
+_POSITIVE_INT = _rule(int, lambda v: v > 0, "positive")
+_POSITIVE = _rule(float, lambda v: v > 0, "positive")
+_NONNEGATIVE = _rule(float, lambda v: 0 <= v < math.inf, "finite and >= 0")
+_FINITE = _rule(float, math.isfinite, "finite")
+_DRAWS = _rule(int, lambda v: v >= 2, "at least 2")  # a sample covariance needs two
+_PROBABILITY = _rule(float, lambda v: 0 < v < 1, "in (0, 1)")
+_METHODS = _list_of(_one_of(*KNOWN_METHODS))
 
 
-def _out_dir(cfg) -> Path:
-    out = Path(_cfg_get(cfg, "out", "results", str))
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _resolve(table, raw, prefix=""):
+    unknown = sorted(raw.keys() - table.keys())
+    if unknown:
+        known = ", ".join(prefix + key for key in sorted(table))
+        raise ConfigError(f"unknown config key {prefix + unknown[0]!r}; known keys: {known}")
+    resolved = {}
+    for key, entry in table.items():
+        name = prefix + key
+        if isinstance(entry, dict):
+            value = raw.get(key, {})
+            if not isinstance(value, dict):
+                raise ConfigError(f"config key {name!r} must be a mapping, got {value!r}")
+            resolved[key] = _resolve(entry, value, name + ".")
+        else:
+            default, rule = entry(resolved) if callable(entry) else entry
+            resolved[key] = rule(name, raw[key]) if key in raw else default
+    return MappingProxyType(resolved)
+
+
+def resolve_config(name: str, cfg) -> MappingProxyType:
+    """``cfg`` checked against experiment ``name``'s table: a read-only mapping of
+    exactly the table's keys, defaults filled in.  Raises before any work."""
+    if name not in TABLES:
+        raise ConfigError(f"unknown experiment {name!r}; choose from {sorted(TABLES)}")
+    resolved = _resolve(TABLES[name], cfg)
+    if "graph" in cfg and "generate" in cfg:
+        raise ConfigError("config keys 'graph' and 'generate' exclude each other; give one")
+    return resolved
 
 
 def _fmt(value) -> str:
@@ -265,10 +288,14 @@ def _ssc_chain_cov(step_belief: SscBelief, n_steps: int) -> SscBelief:
     return acc
 
 
-def _chain_point(sweep, value, n_steps, sigma_t, sigma_r, rho, M, p, dof_mode, methods, seed):
+def _chain_point(cfg, value, seed):
+    """Rows of one sweep point: ``cfg`` with the key that ``sweep`` names set to ``value``."""
     t0 = time.perf_counter()
-    cov = _step_cov(sigma_t, sigma_r)
-    joint = build_chain_joint(ChainNoiseSpec(_STEP_MEAN, cov, n_steps, rho))
+    sweep, methods, p, dof_mode = cfg["sweep"], cfg["methods"], cfg["p"], cfg["dof_mode"]
+    point = {**cfg, sweep: value}
+    n_steps = point["N"]
+    cov = _step_cov(point["sigma_t"], point["sigma_r"])
+    joint = build_chain_joint(ChainNoiseSpec(_STEP_MEAN, cov, n_steps, cfg["rho"]))
     chain = compose_chain(joint)
     predicted = {}
     if "lie-correlated" in methods:
@@ -278,7 +305,7 @@ def _chain_point(sweep, value, n_steps, sigma_t, sigma_r, rho, M, p, dof_mode, m
         predicted["lie-independent"] = compose_chain(ind).cov
     mean_final = chain.mean
 
-    batch = sample_joint(joint, M, seed)
+    batch = sample_joint(joint, cfg["M"], seed)
     acc = batch.pose_matrices(0)
     for k in range(1, n_steps):
         acc = acc @ batch.pose_matrices(k)
@@ -311,47 +338,12 @@ def _chain_point(sweep, value, n_steps, sigma_t, sigma_r, rho, M, p, dof_mode, m
 def run_compose_sweep(cfg) -> list[Path]:
     """Chained-odometry containment sweep over N / sigma_r / sigma_t.
 
-    Keys: sweep ("N" | "sigma_r" | "sigma_t"), values (list), N, sigma_t,
-    sigma_r, rho, M, p, dof_mode, methods, seed, out.
+    Keys: ``TABLES["compose-sweep"]``.
     """
-    sweep = _cfg_get(cfg, "sweep", "N", str)
-    if sweep not in ("N", "sigma_r", "sigma_t"):
-        raise ConfigError(f"sweep must be one of N, sigma_r, sigma_t, got {sweep!r}")
-    default_values = [2, 5, 10, 15, 20] if sweep == "N" else [1.0, 2.0, 3.0, 4.0, 5.0]
-    # each value obeys the rule of the key it sweeps: N a positive int,
-    # sigma_t and sigma_r positive floats
-    kind = int if sweep == "N" else float
-    values = [_positive({"values": v}, "values", None, kind)
-              for v in _cfg_get(cfg, "values", default_values, list)]
-    if not values:
-        raise ConfigError("sweep values must be a non-empty list")
-    n_steps = _positive(cfg, "N", 10, int)
-    sigma_t = _positive(cfg, "sigma_t", 3.0, float)
-    sigma_r = _positive(cfg, "sigma_r", 3.0, float)
-    rho = _cfg_get(cfg, "rho", 0.4, float)
-    M = _sample_count(cfg, 10_000)
-    p = _probability(cfg, "p", 0.999)
-    dof_mode = _cfg_get(cfg, "dof_mode", "full", str)
-    methods = _cfg_methods(cfg)
-    seed = _cfg_get(cfg, "seed", 0, int)
-    out = _out_dir(cfg)
-
-    rows = []
-    for idx, v in enumerate(values):
-        n, st, sr = n_steps, sigma_t, sigma_r
-        if sweep == "N":
-            n = v
-        elif sweep == "sigma_r":
-            sr = v
-        else:
-            st = v
-        rows += _chain_point(sweep, v, n, st, sr, rho, M, p, dof_mode, methods, [seed, idx])
-    path = _write_csv(
-        out / "compose_sweep.csv",
-        ["sweep_var", "value", "method", "containment", "cov_error"],
-        rows,
-    )
-    return [path]
+    rows = [row for idx, value in enumerate(cfg["values"])
+            for row in _chain_point(cfg, value, [cfg["seed"], idx])]
+    header = ["sweep_var", "value", "method", "containment", "cov_error"]
+    return [_write_csv(cfg["out"] / "compose_sweep.csv", header, rows)]
 
 
 # ---------------------------------------------------------------------------
@@ -387,61 +379,31 @@ def relpose_pair(alpha: float) -> PosePairBelief:
 def run_relpose_alpha_sweep(cfg) -> list[Path]:
     """Relative-pose covariance error vs Monte-Carlo across noise scales.
 
-    Keys: alphas (list), M, seed, out.
+    Keys: ``TABLES["relpose-alpha-sweep"]``.
     """
-    alphas = [_cfg_get({"alphas": a}, "alphas", None, float)
-              for a in _cfg_get(cfg, "alphas", [0.5, 1.0, 2.0, 4.0], list)]
-    if any(a < 0 for a in alphas):
-        raise ConfigError("alphas must be nonnegative")
-    M = _sample_count(cfg, 10_000)
-    seed = _cfg_get(cfg, "seed", 0, int)
-    out = _out_dir(cfg)
-
     rows = []
-    for idx, alpha in enumerate(alphas):
+    for idx, alpha in enumerate(cfg["alphas"]):
         pair = relpose_pair(alpha)
         aware = between(pair)
         naive = between_ignoring_correlation(pair)
         if alpha == 0.0:
             mc = np.zeros((6, 6))
         else:
-            mc = mc_relative_cov(pair, M, [seed, idx])
+            mc = mc_relative_cov(pair, cfg["M"], [cfg["seed"], idx])
         rows.append((alpha, "lie-correlated", cov_error(aware.cov, mc)))
         rows.append((alpha, "lie-independent", cov_error(naive.cov, mc)))
-    path = _write_csv(out / "relpose_alpha_sweep.csv", ["alpha", "method", "cov_error"], rows)
-    return [path]
+    header = ["alpha", "method", "cov_error"]
+    return [_write_csv(cfg["out"] / "relpose_alpha_sweep.csv", header, rows)]
 
 
 # ---------------------------------------------------------------------------
 # slam-relpose
 # ---------------------------------------------------------------------------
 
-def _graph_source(cfg):
-    """A function that loads or generates the configured graph.
-
-    Every key is checked here, before any graph work: the ``graph`` path
-    must exist, and the ``generate`` keys follow the int/float rules of the
-    other config keys (``n_poses`` a positive int, ``seed`` an int,
-    ``trans_sigma`` and ``rot_sigma`` positive, ``loop_prob`` a float).
-    """
-    path = cfg.get("graph")
-    if path is not None:
-        p = Path(str(path))
-        if not p.exists():
-            raise FileNotFoundError(f"graph file not found: {p}")
-        return lambda: graphmod.load_graph(p)
-    gen = cfg.get("generate", {})
-    if not isinstance(gen, dict):
-        raise ConfigError("'generate' must be a mapping")
-    gen = {f"generate.{key}": value for key, value in gen.items()}
-    n_poses = _positive(gen, "generate.n_poses", 500, int)
-    kwargs = {
-        "seed": _cfg_get(gen, "generate.seed", 0, int),
-        "trans_sigma": _positive(gen, "generate.trans_sigma", 0.14),
-        "rot_sigma": _positive(gen, "generate.rot_sigma", 0.1),
-        "loop_prob": _cfg_get(gen, "generate.loop_prob", 0.5, float),
-    }
-    return lambda: graphmod.generate_grid_world(n_poses, **kwargs)
+def _load_graph(cfg) -> graphmod.PoseGraph:
+    if cfg["graph"] is not None:
+        return graphmod.load_graph(cfg["graph"])
+    return graphmod.generate_grid_world(**cfg["generate"])
 
 
 # Errors that fail one pair's rows (error=1) instead of the whole run.
@@ -548,23 +510,13 @@ def _pair_rows(pb, pred, samples, offset, i, j, methods):
 def run_slam_relpose(cfg) -> list[Path]:
     """Relative-pose covariance accuracy on marginals of a solved pose graph.
 
-    Keys: graph (path) or generate ({n_poses, seed, ...}), offsets (list),
-    pairs_per_offset, M, methods, seed, out.  Every key is checked before
-    the graph is loaded or generated.  All pair marginals come from one
+    Keys: ``TABLES["slam-relpose"]``.  All pair marginals come from one
     :meth:`Marginals.pair_beliefs` call; the predictions and the Monte-Carlo
     oracle run per block of ``_PAIR_BLOCK`` pairs.
     """
-    offsets = _cfg_get(cfg, "offsets", [10, 50, 100], list)
-    offsets = [_positive({"offsets": v}, "offsets", None, int) for v in offsets]
-    cap = _positive(cfg, "pairs_per_offset", 200, int)
-    M = _sample_count(cfg, 1_000)
-    methods = _cfg_methods(cfg)
-    seed = _cfg_get(cfg, "seed", 0, int)
-    load = _graph_source(cfg)
-    out = _out_dir(cfg)
-
+    methods, cap = cfg["methods"], cfg["pairs_per_offset"]
     t0 = time.perf_counter()
-    g = load()
+    g = _load_graph(cfg)
     solved, report = graphmod.solve(g)
     _log(
         f"slam-relpose: solved {g.n_vertices} poses / {g.n_edges} edges "
@@ -576,7 +528,7 @@ def run_slam_relpose(cfg) -> list[Path]:
     keys = sorted(solved.vertices)
 
     pairs, keyed, seeds = [], [], []
-    for oidx, offset in enumerate(offsets):
+    for oidx, offset in enumerate(cfg["offsets"]):
         starts = [k for k in keys if k + offset in solved.vertices]
         if len(starts) > cap:
             sel = np.linspace(0, len(starts) - 1, cap).round().astype(int)
@@ -584,21 +536,21 @@ def run_slam_relpose(cfg) -> list[Path]:
         for pidx, i in enumerate(starts):
             pairs.append((i, i + offset))
             keyed.append((offset, i, i + offset))
-            seeds.append([seed, oidx, pidx])
+            seeds.append([cfg["seed"], oidx, pidx])
 
     beliefs = marg.pair_beliefs(pairs)
     rows = []
     for start in range(0, len(beliefs), _PAIR_BLOCK):
         block = slice(start, start + _PAIR_BLOCK)
         preds = _block_predictions(beliefs[block], methods)
-        oracles = _block_oracles(beliefs[block], M, seeds[block])
+        oracles = _block_oracles(beliefs[block], cfg["M"], seeds[block])
         for pb, pred, samples, key in zip(beliefs[block], preds, oracles, keyed[block]):
             rows += _pair_rows(pb, pred, samples, *key, methods)
     header = [
         "offset", "i", "j", "method", "cov_error", "normalized_cov_error",
         "corr_coeff_x", "corr_coeff_y", "corr_coeff_theta", "error",
     ]
-    paths = [_write_csv(out / "slam_relpose.csv", header, rows)]
+    paths = [_write_csv(cfg["out"] / "slam_relpose.csv", header, rows)]
 
     summary = []
     for method in methods:
@@ -611,7 +563,7 @@ def run_slam_relpose(cfg) -> list[Path]:
             summary.append((method, name, mean, se, std, n))
     paths.append(
         _write_csv(
-            out / "slam_relpose_summary.csv",
+            cfg["out"] / "slam_relpose_summary.csv",
             ["method", "metric", "mean", "standard_error", "std_dev", "n_pairs"],
             summary,
         )
@@ -681,28 +633,13 @@ def _fraction_inside(points, mean, cov, thr):
 def run_convert_demo(cfg) -> list[Path]:
     """Round-trip demonstration: twist Gaussian -> coordinate fit -> unscented back.
 
-    Keys: mean_params (6 floats), cov_lie_diag (6 floats), M, p, kappa, seed,
-    out.  Emits 95% position-ellipse loci for the true / coordinate /
-    converted representations, a capped sample cloud, containment counts and
-    a plot script.
+    Keys: ``TABLES["convert-demo"]``.  Emits 95% position-ellipse loci for
+    the true / coordinate / converted representations, a capped sample
+    cloud, containment counts and a plot script.
     """
-    mean_params = np.asarray(
-        _cfg_get(cfg, "mean_params", [3.0, 3.0, 0.0, 0.0, 0.0, np.pi / 4], list),
-        dtype=float,
-    )
-    diag = np.asarray(
-        _cfg_get(cfg, "cov_lie_diag", [0.005, 0.005, 1e-5, 1e-5, 1e-5, 0.09], list),
-        dtype=float,
-    )
-    if mean_params.shape != (6,) or diag.shape != (6,) or (diag < 0).any():
-        raise ConfigError("mean_params and cov_lie_diag must be 6-vectors (diag >= 0)")
-    M = _sample_count(cfg, 20_000)
-    p = _probability(cfg, "p", 0.95)
-    kappa = _cfg_get(cfg, "kappa", 0.0, float)
-    seed = _cfg_get(cfg, "seed", 0, int)
-    out = _out_dir(cfg)
-
-    T_bar = ssc_to_pose(mean_params)
+    M, p, seed, out = cfg["M"], cfg["p"], cfg["seed"], cfg["out"]
+    diag = np.asarray(cfg["cov_lie_diag"], dtype=float)
+    T_bar = ssc_to_pose(np.asarray(cfg["mean_params"], dtype=float))
     true_belief = UncertainPose(T_bar, np.diag(diag))
     mats = sample_joint(true_belief, M, [seed, 0]).pose_matrices(0)
     pos = mats[:, :2, 3]
@@ -712,7 +649,7 @@ def run_convert_demo(cfg) -> list[Path]:
     coord_cov = r.T @ r / M
     coord_belief = SscBelief(x_hat, coord_cov)
 
-    converted = ut_convert(coord_belief, UtConfig(kappa=kappa))
+    converted = ut_convert(coord_belief, UtConfig(kappa=cfg["kappa"]))
     conv_belief = UncertainPose(converted.means[0], converted.cov)
     conv_pos = sample_joint(conv_belief, M, [seed, 1]).pose_matrices(0)[:, :2, 3]
 
@@ -753,11 +690,9 @@ def run_convert_demo(cfg) -> list[Path]:
 def run_solve_graph(cfg) -> list[Path]:
     """Load (or generate), solve, and dump the per-vertex solution.
 
-    Keys: graph (path) or generate mapping, out.
+    Keys: ``TABLES["solve-graph"]``.
     """
-    load = _graph_source(cfg)
-    out = _out_dir(cfg)
-    g = load()
+    g = _load_graph(cfg)
     t0 = time.perf_counter()
     solved, report = graphmod.solve(g)
     _log(f"solve-graph: {report} ({time.perf_counter() - t0:.1f} s)")
@@ -765,15 +700,14 @@ def run_solve_graph(cfg) -> list[Path]:
     for k in sorted(solved.vertices):
         T = solved.vertices[k]
         rows.append((k, T.t[0], T.t[1], float(np.arctan2(T.R[1, 0], T.R[0, 0]))))
-    paths = [
-        _write_csv(out / "solution.csv", ["key", "x", "y", "theta"], rows),
+    return [
+        _write_csv(cfg["out"] / "solution.csv", ["key", "x", "y", "theta"], rows),
         _write_csv(
-            out / "solve_report.csv",
+            cfg["out"] / "solve_report.csv",
             ["iterations", "initial_chi2", "final_chi2", "converged"],
             [(report.iterations, report.initial_chi2, report.final_chi2, report.converged)],
         ),
     ]
-    return paths
 
 
 EXPERIMENTS = {
@@ -784,12 +718,72 @@ EXPERIMENTS = {
     "solve-graph": run_solve_graph,
 }
 
+# Keys of every experiment; ``jobs`` has no effect (module docstring).
+_SHARED = {"seed": (0, _SEED), "out": (Path("results"), _rule(Path)), "jobs": (1, _POSITIVE_INT)}
+# Where both graph experiments get their graph: ``graph`` or ``generate``, not both.
+_GRAPH_SOURCE = {
+    "graph": (None, _rule(str, lambda v: Path(v).is_file(), "an existing file")),
+    "generate": {  # keyword arguments of graph.generate_grid_world
+        "n_poses": (500, _POSITIVE_INT),
+        "seed": (0, _SEED),
+        "trans_sigma": (0.14, _POSITIVE),
+        "rot_sigma": (0.1, _POSITIVE),
+        "loop_prob": (0.5, _rule(float, lambda v: 0 <= v <= 1, "in [0, 1]")),
+    },
+}
+
+# Each experiment's table: key -> (default, rule), or a nested table.  An
+# entry may instead be a function of the keys resolved before it that
+# returns (default, rule).  Defaults are in the form the runners read.
+TABLES = {
+    "compose-sweep": {
+        "sweep": ("N", _one_of("N", "sigma_r", "sigma_t")),
+        # each value obeys the rule of the key that ``sweep`` names
+        "values": lambda r: (
+            (2, 5, 10, 15, 20) if r["sweep"] == "N" else (1.0, 2.0, 3.0, 4.0, 5.0),
+            _list_of(TABLES["compose-sweep"][r["sweep"]][1]),
+        ),
+        "N": (10, _POSITIVE_INT),
+        "sigma_t": (3.0, _POSITIVE),
+        "sigma_r": (3.0, _POSITIVE),
+        "rho": (0.4, _rule(float)),
+        "M": (10_000, _DRAWS),
+        "p": (0.999, _PROBABILITY),
+        "dof_mode": ("full", _one_of("full", "position_only")),
+        "methods": (KNOWN_METHODS, _METHODS),
+        **_SHARED,
+    },
+    "relpose-alpha-sweep": {
+        "alphas": ((0.5, 1.0, 2.0, 4.0), _list_of(_NONNEGATIVE)),
+        "M": (10_000, _DRAWS),
+        **_SHARED,
+    },
+    "slam-relpose": {
+        "offsets": ((10, 50, 100), _list_of(_POSITIVE_INT)),
+        "pairs_per_offset": (200, _POSITIVE_INT),
+        "M": (1_000, _DRAWS),
+        "methods": (KNOWN_METHODS, _METHODS),
+        **_GRAPH_SOURCE,
+        **_SHARED,
+    },
+    "convert-demo": {
+        "mean_params": ((3.0, 3.0, 0.0, 0.0, 0.0, np.pi / 4), _list_of(_FINITE, 6)),
+        "cov_lie_diag": ((0.005, 0.005, 1e-5, 1e-5, 1e-5, 0.09), _list_of(_NONNEGATIVE, 6)),
+        "M": (20_000, _DRAWS),
+        "p": (0.95, _PROBABILITY),
+        # the unscented transform needs dim + kappa > 0, and the belief has dim 6
+        "kappa": (0.0, _rule(float, lambda v: v > -6, "> -6")),
+        **_SHARED,
+    },
+    "solve-graph": {**_GRAPH_SOURCE, **_SHARED},
+}
+
 
 def run_experiment(name: str, cfg) -> list[Path]:
-    if name not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {name!r}; choose from {sorted(EXPERIMENTS)}")
-    _positive(cfg, "jobs", 1, int)  # validated, no effect (module docstring)
-    return EXPERIMENTS[name](dict(cfg))
+    """Run experiment ``name`` on ``cfg`` once :func:`resolve_config` accepts it."""
+    resolved = resolve_config(name, cfg)
+    resolved["out"].mkdir(parents=True, exist_ok=True)
+    return EXPERIMENTS[name](resolved)
 
 
 def load_config(path) -> dict:

@@ -179,7 +179,7 @@ def test_criterion_4_compounding_sweep_orderings(tmp_path):
             "seed": 404,
             "out": str(tmp_path / sweep),
         }
-        experiments.run_compose_sweep(cfg)
+        experiments.run_experiment("compose-sweep", cfg)
         import csv
 
         with open(tmp_path / sweep / "compose_sweep.csv") as fh:
@@ -266,7 +266,7 @@ def test_criterion_6_desk_scale_relpose_tables(tmp_path):
     if os.path.exists(manhattan):
         cfg["graph"] = manhattan
         cfg.pop("generate")
-    experiments.run_slam_relpose(cfg)
+    experiments.run_experiment("slam-relpose", cfg)
     with open(tmp_path / "slam_relpose_summary.csv") as fh:
         summary = {(r["method"], r["metric"]): float(r["mean"])
                    for r in csv.DictReader(fh)}

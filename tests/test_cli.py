@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -114,6 +115,11 @@ def test_jobs_zero_exits_2(tmp_path, capsys, experiment):
     ("solve-graph", {"generate": {"trans_sigma": -0.1}}),
     ("solve-graph", {"generate": {"loop_prob": "x"}}),
     ("solve-graph", {"generate": [30]}),
+    ("slam-relpose", {"offsets": []}),
+    ("slam-relpose", {"pairs_per_offset": True}),
+    ("slam-relpose", {"seed": -1}),
+    ("slam-relpose", {"generate": {"seed": -1}}),
+    ("solve-graph", {"generate": {"loop_prob": 7}}),
 ])
 def test_graph_config_checked_before_graph_work(tmp_path, monkeypatch, capsys, experiment,
                                                payload):
@@ -127,14 +133,17 @@ def test_graph_config_checked_before_graph_work(tmp_path, monkeypatch, capsys, e
 
 
 def _assert_config_exit_2(tmp_path, monkeypatch, capsys, experiment, payload, message,
-                          never_called, owner=experiments):
+                          never_called, owner=experiments, flags=()):
     # owner.never_called must not run: the key is refused before any work
     calls = []
     monkeypatch.setattr(owner, never_called, lambda *a, **k: calls.append(a))
     cfg = _write_cfg(tmp_path, payload)
-    assert run_cli(experiment, "--config", str(cfg), "--out", str(tmp_path / "out")) == 2
+    assert run_cli(experiment, "--config", str(cfg), "--out", str(tmp_path / "out"),
+                   *flags) == 2
     assert calls == []
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err
+    return err
 
 
 @pytest.mark.parametrize("payload,message", [
@@ -143,6 +152,12 @@ def _assert_config_exit_2(tmp_path, monkeypatch, capsys, experiment, payload, me
     ({"p": 1.5}, "'p' must be in (0, 1), got 1.5"),
     ({"p": 1}, "'p' must be in (0, 1), got 1.0"),
     ({"p": 0.0}, "'p' must be in (0, 1), got 0.0"),
+    ({"M": True}, "config key 'M': expected int, got True"),
+    ({"p": True}, "config key 'p': expected float, got True"),
+    # the other value rules: these used to run, or to fail after sampling
+    ({"dof_mode": "bogus"},
+     "config key 'dof_mode' must be one of ['full', 'position_only'], got 'bogus'"),
+    ({"methods": []}, "config key 'methods' must hold one or more items, got 0"),
 ])
 def test_compose_sweep_m_and_p_checked_before_sampling(tmp_path, monkeypatch, capsys, payload,
                                                        message):
@@ -177,6 +192,7 @@ def test_compose_sweep_values_checked_before_sampling(tmp_path, monkeypatch, cap
 @pytest.mark.parametrize("alphas,message", [
     ([1.0, "x"], "config key 'alphas': expected float, got 'x'"),
     ([[0.5]], "config key 'alphas': expected float, got [0.5]"),
+    ([], "config key 'alphas' must hold one or more items, got 0"),
 ])
 def test_relpose_alpha_sweep_alphas_checked_before_sampling(tmp_path, monkeypatch, capsys,
                                                             alphas, message):
@@ -188,6 +204,12 @@ def test_relpose_alpha_sweep_alphas_checked_before_sampling(tmp_path, monkeypatc
     ({"M": 1}, "'M' must be at least 2, got 1"),
     ({"p": 1.0}, "'p' must be in (0, 1), got 1.0"),
     ({"p": -0.5}, "'p' must be in (0, 1), got -0.5"),
+    # the other value rules: each of these used to fail only after sampling,
+    # or with a bare ValueError
+    ({"kappa": -7}, "config key 'kappa' must be > -6, got -7.0"),
+    ({"mean_params": ["a", 0, 0, 0, 0, 0]}, "config key 'mean_params': expected float, got 'a'"),
+    ({"cov_lie_diag": [0.005, "x", 0, 0, 0, 0.09]},
+     "config key 'cov_lie_diag': expected float, got 'x'"),
 ])
 def test_convert_demo_m_and_p_checked_before_sampling(tmp_path, monkeypatch, capsys, payload,
                                                       message):
@@ -201,6 +223,126 @@ def test_slam_relpose_m_checked_before_graph_work(tmp_path, monkeypatch, capsys)
                           {"generate": {"n_poses": 30}, "M": 1},
                           "'M' must be at least 2, got 1", "generate_grid_world",
                           owner=experiments.graphmod)
+
+
+@pytest.mark.parametrize("payload,flags", [({"seed": -1}, ()), ({}, ("--seed", "-1"))])
+def test_negative_seed_checked_before_sampling(tmp_path, monkeypatch, capsys, payload, flags):
+    # a negative seed used to reach numpy and exit 1 after the work had begun
+    _assert_config_exit_2(tmp_path, monkeypatch, capsys, "relpose-alpha-sweep",
+                          {"alphas": [1.0], **payload}, "config key 'seed' must be >= 0, got -1",
+                          "mc_relative_cov", flags=flags)
+
+
+_GRAPH = experiments.graphmod
+
+
+# a typo, a removed key or another experiment's key used to be ignored silently
+@pytest.mark.parametrize("experiment,payload,key,known,never_called,owner", [
+    ("slam-relpose", {"generate": {"n_poses": 30}, "pairs_per_ofset": 2}, "pairs_per_ofset",
+     "pairs_per_offset", "generate_grid_world", _GRAPH),
+    ("slam-relpose", {"generate": {"n_pose": 30}}, "generate.n_pose", "generate.n_poses",
+     "generate_grid_world", _GRAPH),
+    ("solve-graph", {"generate": {"n_pose": 30}}, "generate.n_pose", "generate.n_poses",
+     "generate_grid_world", _GRAPH),
+    ("solve-graph", {"generate": {"n_poses": 30}, "jacobian_mode": "numeric"}, "jacobian_mode",
+     "graph", "generate_grid_world", _GRAPH),
+    ("solve-graph", {"generate": {"n_poses": 30}, "M": 100}, "M", "generate",
+     "generate_grid_world", _GRAPH),
+    ("relpose-alpha-sweep", {"alphas": [1.0], "methods": ["ssc"]}, "methods", "alphas",
+     "mc_relative_cov", experiments),
+    ("compose-sweep", {"values": [2], "sigma": 1.0}, "sigma", "sigma_t", "sample_joint",
+     experiments),
+    ("convert-demo", {"kapa": 1.0}, "kapa", "kappa", "sample_joint", experiments),
+])
+def test_unknown_key_exits_2(tmp_path, monkeypatch, capsys, experiment, payload, key, known,
+                             never_called, owner):
+    err = _assert_config_exit_2(tmp_path, monkeypatch, capsys, experiment, payload,
+                                f"unknown config key {key!r}; known keys: ", never_called,
+                                owner=owner)
+    assert known in err.split("known keys: ")[1].split(", ")
+
+
+def test_graph_and_generate_together_exit_2(tmp_path, monkeypatch, capsys):
+    # the graph file used to win and the generate block to be ignored
+    (tmp_path / "g.g2o").write_text("")
+    _assert_config_exit_2(tmp_path, monkeypatch, capsys, "solve-graph",
+                          {"graph": str(tmp_path / "g.g2o"), "generate": {"n_poses": 30}},
+                          "config keys 'graph' and 'generate' exclude each other",
+                          "load_graph", owner=_GRAPH)
+
+
+def test_resolved_config_is_complete_and_read_only():
+    cfg = experiments.resolve_config("slam-relpose", {"generate": {"n_poses": 30}, "M": 2.0})
+    assert list(cfg) == list(experiments.TABLES["slam-relpose"])
+    assert cfg["M"] == 2 and type(cfg["M"]) is int
+    assert cfg["pairs_per_offset"] == 200 and cfg["graph"] is None
+    assert dict(cfg["generate"]) == {"n_poses": 30, "seed": 0, "trans_sigma": 0.14,
+                                     "rot_sigma": 0.1, "loop_prob": 0.5}
+    with pytest.raises(KeyError):
+        cfg["pairs_per_ofset"]
+    with pytest.raises(TypeError):
+        cfg["M"] = 3
+    with pytest.raises(TypeError):
+        cfg["generate"]["seed"] = 1
+    # the sweep values default and rule follow the key that ``sweep`` names
+    sweep = experiments.resolve_config("compose-sweep", {"sweep": "sigma_r"})
+    assert sweep["values"] == (1.0, 2.0, 3.0, 4.0, 5.0)
+    assert experiments.resolve_config("compose-sweep", {"values": [2.0]})["values"] == (2,)
+
+
+def test_benchmark_configs_resolve(tmp_path, monkeypatch):
+    # every config the benchmark runs, with its flags, must pass the tables:
+    # a table change that would make the benchmark exit 2 fails here
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, os.environ.get(var, "1"))  # run.py sets them on import
+    import run
+
+    # the CLI merges config file and flags, then resolves without running
+    resolved = []
+
+    def resolve_only(name, cfg):
+        resolved.append(experiments.resolve_config(name, cfg))
+        return []
+
+    monkeypatch.setattr(cli, "run_experiment", resolve_only)
+    monkeypatch.chdir(tmp_path)
+    for name in run.WORKLOADS:
+        for tiny in (False, True):
+            wl = run.make_workload(name, seed=3, tiny=tiny)
+            for fname, cfg in wl.configs.items():
+                (tmp_path / fname).write_text(json.dumps(cfg))
+            for step in wl.steps:
+                assert cli.main(step.argv) == 0, (name, tiny, step.argv)
+    assert len(resolved) == 2 * (1 + 1 + 3)
+    assert {cfg["seed"] for cfg in resolved} == {3}
+
+
+def test_readme_key_tables_match_code():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n### Config keys\n")[1].split("\n## ")[0]
+    tables, label = {}, None
+    for line in section.splitlines():
+        if line.startswith("#### "):
+            named = re.search(r"`([^`]+)`", line)
+            label = named.group(1) if named else "every experiment"
+            tables[label] = []
+        elif line.startswith("| `"):
+            tables[label].append(re.match(r"\| `([^`]+)`", line).group(1))
+    assert set(tables) == {*experiments.TABLES, "every experiment", "generate"}
+
+    def flat(table, prefix=""):
+        for key, entry in table.items():
+            if isinstance(entry, dict):
+                yield from flat(entry, prefix + key + ".")
+            else:
+                yield prefix + key
+
+    for name, table in experiments.TABLES.items():
+        keys = tables[name] + tables["every experiment"]
+        if "generate" in keys:
+            keys = [k for k in keys if k != "generate"] + tables["generate"]
+        assert sorted(keys) == sorted(flat(table)), name
 
 
 def test_python_m_corrpose_runs_from_source_tree(tmp_path):
