@@ -14,7 +14,7 @@ import numpy as np
 import corrpose as cp
 from corrpose.experiments import lie_to_ssc
 from corrpose.liegroup import log_many_masked
-from corrpose.ssc import SscBelief, head_to_tail, params_many, pose_to_ssc
+from corrpose.ssc import SscBelief, head_to_tail, param_residuals, pose_to_ssc
 
 step_mean = cp.Pose(np.eye(3), [1.0, 0.0, 0.0])
 step_cov = np.diag([3e-3, 3e-5, 1e-5, 1e-5, 1e-5, 9e-3])  # sigma_t = sigma_r = 3
@@ -38,8 +38,7 @@ final = batch.pose_matrices(0)
 for k in range(1, N):
     final = final @ batch.pose_matrices(k)
 xis, ok = log_many_masked(final @ aware.mean.inverse().matrix())
-params = params_many(final[ok]) - pose_to_ssc(aware.mean)
-params[:, 3:] = np.arctan2(np.sin(params[:, 3:]), np.cos(params[:, 3:]))
+params = param_residuals(final[ok], pose_to_ssc(aware.mean))
 
 print(f"claimed 99.9% ellipsoid, fraction of {M} samples contained:")
 print("  twist space, correlation-aware :",

@@ -14,7 +14,7 @@ import numpy as np
 
 import corrpose as cp
 from corrpose.liegroup import log_many_masked
-from corrpose.ssc import SscBelief, params_many, ssc_to_pose
+from corrpose.ssc import SscBelief, param_residuals, ssc_to_pose
 
 mean_params = np.array([3.0, 3.0, 0.0, 0.0, 0.0, np.pi / 4])
 yaw_heavy = np.diag([0.005, 0.005, 1e-5, 1e-5, 1e-5, 0.09])
@@ -25,8 +25,7 @@ true = cp.UncertainPose(T_bar, yaw_heavy)
 mats = cp.sample_joint(true, 20_000, seed=3).pose_matrices(0)
 
 # fit the coordinate representation (what an Euler-based estimator reports)
-res = params_many(mats) - mean_params
-res[:, 3:] = np.arctan2(np.sin(res[:, 3:]), np.cos(res[:, 3:]))
+res = param_residuals(mats, mean_params)
 coord = SscBelief(mean_params, res.T @ res / res.shape[0])
 
 # unscented conversion back to twist space: 12n+1 sigma points, each run

@@ -47,7 +47,7 @@ from .belief import (
     compose_chain,
 )
 from .convert import UtConfig, ut_convert
-from .liegroup import Pose, _se2_coeffs_many, checked_pose_blocks, exp_many
+from .liegroup import Pose, _se2_coeffs_many
 from .mc import (
     ChainNoiseSpec,
     build_chain_joint,
@@ -62,12 +62,13 @@ from .mc import (
 )
 from .ssc import (
     SscBelief,
+    _euler_rates,
     head_to_tail,
+    param_residuals,
     params_many,
     pose_to_ssc,
     ssc_to_pose,
     tail_to_tail_many,
-    wrap_angle,
 )
 
 KNOWN_METHODS = ("lie-correlated", "lie-independent", "ssc")
@@ -217,34 +218,25 @@ def _embed3_many(R: np.ndarray, t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _ssc_linearization(means, h: float = 1e-6) -> tuple[np.ndarray, np.ndarray]:
-    """Euler parameters of each mean and d params(exp(hat(xi)) T_bar) / d xi at 0.
+# Euler-parameter channels (x, y, yaw) a planar pose can move.
+_PLANAR_PARAMS = [0, 1, 5]
 
-    One stack serves all means: each contributes T_bar, exp(h e_k) T_bar and
-    exp(-h e_k) T_bar, composed as rotation and translation blocks, checked
-    like Pose products and converted by a single :func:`params_many` call.
-    Returns the (n, 6) parameter rows and the (n, 6, m) central-difference
-    Jacobians.
-    """
-    m = means[0].twist_dim
-    step = h * np.eye(m)
-    E = exp_many(np.concatenate([step, -step]))
-    d = E.shape[1] - 1
-    ER, Et = E[:, :d, :d], E[:, :d, d]
-    checked_pose_blocks(ER, Et)
-    R = np.concatenate([np.concatenate([T.R[None], ER @ T.R]) for T in means])
-    t = np.concatenate([np.concatenate([T.t[None], ER @ T.t + Et]) for T in means])
-    R = checked_pose_blocks(R, t)
-    P = params_many(_embed3_many(R, t)).reshape(len(means), 2 * m + 1, 6)
-    diff = P[:, 1 : m + 1] - P[:, m + 1 :]
-    diff[:, :, 3:] = wrap_angle(diff[:, :, 3:])
-    return P[:, 0], np.ascontiguousarray(np.swapaxes(diff / (2 * h), 1, 2))
+
+def _ssc_linearization(means) -> tuple[np.ndarray, np.ndarray]:
+    """(n, 6) Euler parameters of n means and (n, 6, m) Jacobians
+    d params(exp(hat(xi)) T_bar) / d xi at 0: D(x_bar)^-1, whose x, y and yaw
+    columns a planar twist (rho_x, rho_y, phi) moves."""
+    R = np.stack([T.R for T in means])
+    t = np.stack([T.t for T in means])
+    P = params_many(_embed3_many(R, t))
+    J = _euler_rates(P, inverse=True)
+    return P, J[:, :, _PLANAR_PARAMS] if means[0].dim == 2 else J
 
 
 def lie_to_ssc(u: UncertainPose) -> SscBelief:
     """First-order Euler-coordinate rendering of a twist-space belief.
 
-    Means convert exactly; the covariance is pushed through the numerical
+    Means convert exactly; the covariance is pushed through the closed-form
     Jacobian of the parameter map at the mean.  Planar beliefs embed with
     z = roll = pitch pinned to zero.
     """
@@ -318,9 +310,7 @@ def _chain_point(cfg, value, seed):
         if method == "ssc":
             step_ssc = lie_to_ssc(UncertainPose(_STEP_MEAN, cov))
             pred = _ssc_chain_cov(step_ssc, n_steps)
-            x_hat = pose_to_ssc(mean_final)
-            r = params_many(acc[ok]) - x_hat
-            r[:, 3:] = np.arctan2(np.sin(r[:, 3:]), np.cos(r[:, 3:]))
+            r = param_residuals(acc[ok], pose_to_ssc(mean_final))
             mc = r.T @ r / r.shape[0]
             containment = containment_fraction(r, pred.cov, p, dof_mode)
             err = cov_error(pred.cov, mc)
@@ -452,10 +442,6 @@ def _block_oracles(block, M, seeds) -> list:
         return list(zip(s.t, s.twists, s.kept))
 
     return _by_pair(evaluate, list(zip(block, seeds)))
-
-
-# Euler-parameter channels (x, y, yaw) a planar relative sample can move.
-_PLANAR_PARAMS = [0, 1, 5]
 
 
 def _ssc_relative_cov(t_bar: np.ndarray, xis: np.ndarray) -> np.ndarray:
@@ -644,8 +630,7 @@ def run_convert_demo(cfg) -> list[Path]:
     mats = sample_joint(true_belief, M, [seed, 0]).pose_matrices(0)
     pos = mats[:, :2, 3]
     x_hat = pose_to_ssc(T_bar)
-    r = params_many(mats) - x_hat
-    r[:, 3:] = np.arctan2(np.sin(r[:, 3:]), np.cos(r[:, 3:]))
+    r = param_residuals(mats, x_hat)
     coord_cov = r.T @ r / M
     coord_belief = SscBelief(x_hat, coord_cov)
 

@@ -3,11 +3,10 @@
 This is the coordinate-based baseline: a pose is a 6-vector
 ``(x, y, z, phi, theta, psi)`` of translation and Euler angles, beliefs are
 Gaussians over stacked parameter vectors, and uncertainty is propagated to
-first order through numerical Jacobians of the head-to-tail, inverse and
-tail-to-tail maps.  Each Jacobian is a central difference evaluated as one
-stack: the mean and its ``2n`` perturbed copies go through a row-wise stack
-version of the map in a single call, with the checks of the :class:`Pose`
-constructor applied to every row.
+first order through the closed-form Jacobians of the head-to-tail, inverse
+and tail-to-tail maps, by the chain rule through the group.  Each map works
+on a stack of rows, with the checks of the :class:`Pose` constructor
+applied to every pose it builds.
 
 Euler convention is fixed to Z-Y-X: ``R = Rz(psi) @ Ry(theta) @ Rx(phi)``.
 Only internal consistency matters here (all comparisons against the
@@ -20,10 +19,9 @@ from __future__ import annotations
 import numpy as np
 
 from .belief import checked_covs
-from .liegroup import Pose, checked_pose_blocks, compose_blocks, invert_blocks
+from .liegroup import Pose, adjoint_blocks, checked_pose_blocks, compose_blocks, invert_blocks
+from .liegroup import _skew_many
 
-# Central-difference step for all parameter-space Jacobians.
-_JAC_STEP = 1e-6
 # |theta| closer than this to pi/2 is treated as gimbal lock.
 _GIMBAL_TOL = 1e-6
 
@@ -118,8 +116,37 @@ def params_many(mats: np.ndarray) -> np.ndarray:
     return _params_of_blocks(mats[:, :3, :3], mats[:, :3, 3])
 
 
+def param_residuals(mats: np.ndarray, x_hat: np.ndarray) -> np.ndarray:
+    """``params_many(mats) - x_hat`` with angle differences wrapped by arctan2."""
+    r = params_many(mats) - x_hat
+    r[:, 3:] = np.arctan2(np.sin(r[:, 3:]), np.cos(r[:, 3:]))
+    return r
+
+
+def _euler_rates(x: np.ndarray, inverse: bool = False) -> np.ndarray:
+    """D(x) = [[I, [t]x E], [0, E]] of (M, 6) parameter rows, as (M, 6, 6), or D(x)^-1 =
+    [[I, -[t]x], [0, E^-1]].  D maps parameter perturbations to left twists, E the Z-Y-X
+    angle rates to world-frame angular velocity; E^-1 is singular only at gimbal lock."""
+    cth, sth = np.cos(x[:, 4]), np.sin(x[:, 4])
+    cps, sps = np.cos(x[:, 5]), np.sin(x[:, 5])
+    D = np.zeros((x.shape[0], 6, 6))
+    D[:, [0, 1, 2, 5], [0, 1, 2, 5]] = 1.0
+    E = D[:, 3:, 3:]
+    if inverse:
+        E[:, 0, 0], E[:, 0, 1] = cps / cth, sps / cth
+        E[:, 1, 0], E[:, 1, 1] = -sps, cps
+        E[:, 2, 0], E[:, 2, 1] = cps * sth / cth, sps * sth / cth
+        D[:, :3, 3:] = -_skew_many(x[:, :3])
+    else:
+        E[:, 0, 0], E[:, 0, 1] = cps * cth, -sps
+        E[:, 1, 0], E[:, 1, 1] = sps * cth, cps
+        E[:, 2, 0] = -sth
+        D[:, :3, 3:] = _skew_many(x[:, :3]) @ E
+    return D
+
+
 # ---------------------------------------------------------------------------
-# Row-wise stack maps
+# Row-wise stack maps and their Jacobians
 # ---------------------------------------------------------------------------
 #
 # Each row reproduces the Pose arithmetic of the scalar map bit for bit: the
@@ -133,20 +160,34 @@ def _pose_blocks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return checked_pose_blocks(_euler_rotations(x[:, 3:]), t), t
 
 
-def _compound_rows(z: np.ndarray) -> np.ndarray:
-    """Head-to-tail on (M, 12) rows (x1, x2): parameters of T(x1) @ T(x2)."""
-    return _params_of_blocks(*compose_blocks(*_pose_blocks(z[:, :6]), *_pose_blocks(z[:, 6:])))
+def _pushforward(out, z: np.ndarray, cov: np.ndarray, *G) -> tuple[np.ndarray, np.ndarray]:
+    """Parameters x of the output blocks ``out`` of a map of the p-pose rows
+    ``z``, and the first-order pushforward of ``cov`` by its Jacobians
+    D(x)^-1 [G_1 D(z_1), ..., G_p D(z_p)], G_i its twist Jacobian for pose i."""
+    x = _params_of_blocks(*out)
+    D = _euler_rates(z.reshape(-1, 6)).reshape(z.shape[0], len(G), 6, 6)
+    J = _euler_rates(x, inverse=True) @ np.concatenate([g @ D[:, i] for i, g in enumerate(G)], 2)
+    return x, J @ cov @ np.swapaxes(J, 1, 2)
 
 
-def _inverse_rows(z: np.ndarray) -> np.ndarray:
-    """Inverse on (M, 6) rows: parameters of T(x)^-1."""
-    return _params_of_blocks(*invert_blocks(*_pose_blocks(z)))
+def _compound_rows(z: np.ndarray, cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Head-to-tail on (M, 12) rows (x1, x2): T(x1) @ T(x2), twist Jacobians I, Ad(T1)."""
+    R1, t1 = _pose_blocks(z[:, :6])
+    out = compose_blocks(R1, t1, *_pose_blocks(z[:, 6:]))
+    return _pushforward(out, z, cov, np.eye(6), adjoint_blocks(R1, t1))
 
 
-def _relative_rows(z: np.ndarray) -> np.ndarray:
-    """Tail-to-tail on (M, 12) rows (x1, x2): parameters of T(x1)^-1 @ T(x2)."""
+def _inverse_rows(z: np.ndarray, cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse on (M, 6) rows: T(x)^-1, twist Jacobian -Ad(T^-1)."""
+    inv = invert_blocks(*_pose_blocks(z))
+    return _pushforward(inv, z, cov, -adjoint_blocks(*inv))
+
+
+def _relative_rows(z: np.ndarray, cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tail-to-tail on (M, 12) rows (x1, x2): T(x1)^-1 @ T(x2), twist Jacobians -+Ad(T1^-1)."""
     base = invert_blocks(*_pose_blocks(z[:, :6]))
-    return _params_of_blocks(*compose_blocks(*base, *_pose_blocks(z[:, 6:])))
+    Ad = adjoint_blocks(*base)
+    return _pushforward(compose_blocks(*base, *_pose_blocks(z[:, 6:])), z, cov, -Ad, Ad)
 
 
 class SscBelief:
@@ -198,34 +239,6 @@ def _checked_beliefs(mean: np.ndarray, cov: np.ndarray) -> tuple[np.ndarray, np.
     return mean, checked_covs(cov, what="covariance")
 
 
-def _stack_jacobian(f, x: np.ndarray, h: float = _JAC_STEP) -> tuple[np.ndarray, np.ndarray]:
-    """Values and central-difference Jacobians of a row-wise map at k points, in one call.
-
-    ``f`` maps an (M, n) input stack to (M, 6) parameter rows.  For each of
-    the (k, n) points ``x`` the stack holds x, then x + h e_i and x - h e_i
-    for every unit vector e_i; angle differences are wrapped before the
-    division by 2h.  Returns (k, 6) values and (k, 6, n) Jacobians.
-    """
-    k, n = x.shape
-    step = h * np.eye(n)
-    X = np.concatenate([x[:, None], x[:, None] + step, x[:, None] - step], axis=1)
-    F = f(X.reshape(-1, n)).reshape(k, 2 * n + 1, 6)
-    d = F[:, 1 : n + 1] - F[:, n + 1 :]
-    d[:, :, 3:] = wrap_angle(d[:, :, 3:])
-    return F[:, 0], np.ascontiguousarray(np.swapaxes(d / (2 * h), 1, 2))
-
-
-def _propagated(f, mean: np.ndarray, cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unchecked first-order pushforward of k stacked beliefs through a row-wise map."""
-    F, J = _stack_jacobian(f, mean)
-    return F, J @ cov @ np.swapaxes(J, 1, 2)
-
-
-def _propagate(f, b: SscBelief) -> SscBelief:
-    mean, cov = _propagated(f, b.mean[None], b.cov[None])
-    return SscBelief(mean[0], cov[0])
-
-
 def tail_to_tail_many(mean: np.ndarray, cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """:func:`tail_to_tail` of k pair beliefs in one stacked evaluation.
 
@@ -234,7 +247,7 @@ def tail_to_tail_many(mean: np.ndarray, cov: np.ndarray) -> tuple[np.ndarray, np
     Returns the (k, 6) means and (k, 6, 6) covariances, identical bit for
     bit to the one-pair calls.
     """
-    return _checked_beliefs(*_propagated(_relative_rows, *_checked_beliefs(mean, cov)))
+    return _checked_beliefs(*_relative_rows(*_checked_beliefs(mean, cov)))
 
 
 def _require_pair(b: SscBelief, op: str) -> None:
@@ -246,21 +259,21 @@ def head_to_tail(b: SscBelief) -> SscBelief:
     """Compose a correlated parameter-vector pair (x_ij, x_jk) -> x_ik.
 
     Mean goes through the pose blocks; covariance is the first-order
-    congruence by the 6x12 numerical Jacobian of the compounding map,
+    congruence by the closed-form 6x12 Jacobian of the compounding map,
     including the cross-covariance blocks of the stacked input.
     """
     _require_pair(b, "head_to_tail")
-    return _propagate(_compound_rows, b)
+    return SscBelief(*(a[0] for a in _compound_rows(b.mean[None], b.cov[None])))
 
 
 def ssc_inverse(b: SscBelief) -> SscBelief:
     """Invert a single-pose parameter belief (frame swap)."""
     if b.n != 1:
         raise ValueError("ssc_inverse expects a single-pose belief")
-    return _propagate(_inverse_rows, b)
+    return SscBelief(*(a[0] for a in _inverse_rows(b.mean[None], b.cov[None])))
 
 
 def tail_to_tail(b: SscBelief) -> SscBelief:
     """Relative pose of a correlated parameter-vector pair (x_ij, x_ik) -> x_jk."""
     _require_pair(b, "tail_to_tail")
-    return _propagate(_relative_rows, b)
+    return SscBelief(*(a[0] for a in _relative_rows(b.mean[None], b.cov[None])))

@@ -246,8 +246,10 @@ def series_inv_right_jacobian(xi, terms=14):
 # ---------------------------------------------------------------------------
 #
 # One perturbed point at a time through validated Pose objects, exactly as
-# the coordinate baseline was first written.  The stack maps in
-# corrpose.ssc and corrpose.experiments must match these bit for bit.
+# the coordinate baseline was first written.  The means of the stack maps in
+# corrpose.ssc and corrpose.experiments must match these bit for bit; their
+# closed-form Jacobians must agree with these central differences to the
+# differences' truncation error.
 
 def point_ssc_to_pose(x):
     """Pose of a parameter vector: R = Rz(psi) Ry(theta) Rx(phi), t = (x, y, z)."""
@@ -297,6 +299,11 @@ def point_inverse(x):
 
 def point_relative(x1, x2):
     return point_pose_to_ssc(point_ssc_to_pose(x1).inverse() @ point_ssc_to_pose(x2))
+
+
+def gap(got, want):
+    """Largest entry of |got - want| relative to the largest entry of |want|."""
+    return np.abs(got - want).max() / np.abs(want).max()
 
 
 def ssc_point_jacobian(f, x, h=1e-6):
@@ -604,8 +611,8 @@ def matrix_pair_rows(pb, offset, i, j, M, methods, seed):
 
 def patch_point_pair_rows(monkeypatch, pair_rows=point_pair_rows):
     """Make slam-relpose compute every pair alone through ``pair_rows``
-    (point_pair_rows or matrix_pair_rows), with the per-point predictions
-    above."""
+    (point_pair_rows or matrix_pair_rows), with the per-point twist-space
+    predictions above and the package's one-pair SSC prediction."""
     import sys
 
     from corrpose import experiments
@@ -627,8 +634,6 @@ def patch_point_pair_rows(monkeypatch, pair_rows=point_pair_rows):
         oracles, "between_ignoring_correlation",
         lambda p: UncertainPose(*point_between(p, use_cross=False)),
     )
-    monkeypatch.setattr(oracles, "tail_to_tail", point_tail_to_tail)
-    monkeypatch.setattr(oracles, "lie_pair_to_ssc", point_lie_pair_to_ssc)
 
 
 # ---------------------------------------------------------------------------
@@ -687,6 +692,74 @@ def _mp_log(T):
     d = (1 - th * mp.sin(th) / (2 * (1 - mp.cos(th)))) / th**2
     rho = (mp.eye(3) - K / 2 + d * K * K) * mp.matrix([T[0, 3], T[1, 3], T[2, 3]])
     return [rho[0], rho[1], rho[2]] + phi
+
+
+def _mp_euler_pose(x):
+    """Pose of a parameter vector: R = Rz(psi) Ry(theta) Rx(phi), t = (x, y, z)."""
+    import mpmath as mp
+
+    cph, sph = mp.cos(x[3]), mp.sin(x[3])
+    cth, sth = mp.cos(x[4]), mp.sin(x[4])
+    cps, sps = mp.cos(x[5]), mp.sin(x[5])
+    R = mp.matrix(
+        [
+            [cps * cth, cps * sth * sph - sps * cph, cps * sth * cph + sps * sph],
+            [sps * cth, sps * sth * sph + cps * cph, sps * sth * cph - cps * sph],
+            [-sth, cth * sph, cth * cph],
+        ]
+    )
+    return _mp_pose(R, x[:3])
+
+
+def _mp_params(T):
+    """Parameter vector of an SE(3) pose, or of an SE(2) pose embedded with
+    z = roll = pitch = 0."""
+    import mpmath as mp
+
+    if T.rows == 3:
+        return [T[0, 2], T[1, 2], mp.mpf(0), mp.mpf(0), mp.mpf(0), mp.atan2(T[1, 0], T[0, 0])]
+    return [T[0, 3], T[1, 3], T[2, 3], mp.atan2(T[2, 1], T[2, 2]), mp.asin(-T[2, 0]),
+            mp.atan2(T[1, 0], T[0, 0])]
+
+
+# The coordinate baseline's maps on 40-digit parameter vectors.
+MP_SSC_MAPS = {
+    "compound": lambda z: _mp_params(_mp_euler_pose(z[:6]) * _mp_euler_pose(z[6:])),
+    "inverse": lambda x: _mp_params(_mp_inv(_mp_euler_pose(x))),
+    "relative": lambda z: _mp_params(_mp_inv(_mp_euler_pose(z[:6])) * _mp_euler_pose(z[6:])),
+}
+
+
+def mp_jacobian(f, x, dps=40):
+    """Jacobian at the float vector ``x`` of ``f``, which maps lists of mpf
+    to parameter vectors, rounded to floats.  A central difference with
+    step 1e-15 evaluated with ``dps`` digits: its truncation error is near
+    1e-30 and its rounding error near 1e-25, so every float digit is
+    exact.  Angle differences are wrapped into (-pi, pi]."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        h = mp.mpf("1e-15")
+        x = [mp.mpf(float(v)) for v in x]
+        cols = []
+        for k in range(len(x)):
+            up, down = list(x), list(x)
+            up[k] += h
+            down[k] -= h
+            d = [a - b for a, b in zip(f(up), f(down))]
+            d[3:] = [a - 2 * mp.pi * mp.nint(a / (2 * mp.pi)) for a in d[3:]]
+            cols.append([float(v / (2 * h)) for v in d])
+    return np.array(cols).T
+
+
+def mp_params_jacobian(T_bar, dps=40):
+    """d params(exp(hat(xi)) T_bar) / d xi at xi = 0, with 40-digit reference
+    arithmetic; T_bar's float entries are taken as exact."""
+    import mpmath as mp
+
+    R, t = T_bar.R.tolist(), T_bar.t.tolist()
+    return mp_jacobian(lambda xi: _mp_params(_mp_exp(xi) * _mp_pose(mp.matrix(R), t)),
+                       np.zeros(T_bar.twist_dim), dps)
 
 
 def mp_exp_many(xis, dps=40):

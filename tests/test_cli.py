@@ -536,28 +536,65 @@ def test_slam_relpose_adjacent_pairs_more_correlated(tmp_path):
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_lie_to_ssc_bit_identical_to_point_oracle(dim):
+    # Means are bit-identical to the per-point oracle, and one stacked
+    # linearization is bit-identical to one-mean calls.  The closed-form
+    # Jacobian D(x)^-1 and the oracle's central difference (h = 1e-6) agree
+    # to the difference's truncation error: largest measured covariance gap
+    # 2.8e-10 (SE(2)) and 1.4e-10 (SE(3)) of the largest entry.
     from corrpose import PosePairBelief, UncertainPose
-    from oracles import point_lie_pair_to_ssc, point_lie_to_ssc, random_pose, random_psd
+    from oracles import gap, point_lie_pair_to_ssc, point_lie_to_ssc, random_pose, random_psd
 
     rng = np.random.default_rng(dim)
     m = 3 if dim == 2 else 6
+    worst = 0.0
+    means = []
     for _ in range(40):
-        means = (random_pose(rng, dim, angle_scale=3.0, trans_scale=5.0),
-                 random_pose(rng, dim, angle_scale=3.0, trans_scale=5.0))
+        pair = (random_pose(rng, dim, angle_scale=3.0, trans_scale=5.0),
+                random_pose(rng, dim, angle_scale=3.0, trans_scale=5.0))
+        means.extend(pair)
         cov = random_psd(rng, 2 * m, 1e-3)
         for got, want in (
-            (experiments.lie_to_ssc(UncertainPose(means[0], cov[:m, :m])),
-             point_lie_to_ssc(UncertainPose(means[0], cov[:m, :m]))),
-            (experiments.lie_pair_to_ssc(PosePairBelief(means, cov)),
-             point_lie_pair_to_ssc(PosePairBelief(means, cov))),
+            (experiments.lie_to_ssc(UncertainPose(pair[0], cov[:m, :m])),
+             point_lie_to_ssc(UncertainPose(pair[0], cov[:m, :m]))),
+            (experiments.lie_pair_to_ssc(PosePairBelief(pair, cov)),
+             point_lie_pair_to_ssc(PosePairBelief(pair, cov))),
         ):
             assert np.array_equal(got.mean, want.mean)
-            assert np.array_equal(got.cov, want.cov)
+            worst = max(worst, gap(got.cov, want.cov))
+    assert worst < 2e-9
+    P, J = experiments._ssc_linearization(means)
+    for r, T in enumerate(means):
+        one = experiments._ssc_linearization([T])
+        assert np.array_equal(one[0][0], P[r]) and np.array_equal(one[1][0], J[r])
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_lie_to_ssc_matches_40_digit_reference(dim):
+    # The covariance against its congruence by the 40-digit reference
+    # Jacobian of params(exp(hat(xi)) T_bar).  Largest measured gap 1.4e-16
+    # (SE(2)) and 1.5e-16 (SE(3)) of the largest entry; the h = 1e-6 central
+    # difference that the closed form replaced reads 1.4e-10 for both.
+    from corrpose import UncertainPose
+    from oracles import gap, mp_params_jacobian, random_pose, random_psd
+
+    rng = np.random.default_rng(30 + dim)
+    m = 3 if dim == 2 else 6
+    worst = 0.0
+    for _ in range(30):
+        u = UncertainPose(random_pose(rng, dim, angle_scale=1.2, trans_scale=5.0),
+                          random_psd(rng, m, 1e-3))
+        J = mp_params_jacobian(u.mean)
+        worst = max(worst, gap(experiments.lie_to_ssc(u).cov, J @ u.cov @ J.T))
+    assert worst < 1e-12
 
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_stacked_ssc_predictions_bit_identical(dim):
-    from oracles import point_lie_pair_to_ssc, point_tail_to_tail, random_pose, random_psd
+    # stacked and one-pair predictions are bit-identical, and so are the
+    # means of the per-point oracle; its central-difference covariances
+    # agree to a largest measured gap of 7.3e-9 (SE(2)) and 1.8e-9 (SE(3))
+    # of the largest entry
+    from oracles import gap, point_lie_pair_to_ssc, point_tail_to_tail, random_pose, random_psd
 
     from corrpose import PosePairBelief
     from corrpose.ssc import tail_to_tail, tail_to_tail_many
@@ -572,11 +609,43 @@ def test_stacked_ssc_predictions_bit_identical(dim):
     ]
     mean, cov = tail_to_tail_many(*experiments._lie_pairs_to_ssc(pairs))
     assert mean.shape == (30, 6) and cov.shape == (30, 6, 6)
+    worst = 0.0
     for r, pb in enumerate(pairs):
         one = tail_to_tail(experiments.lie_pair_to_ssc(pb))
         point = point_tail_to_tail(point_lie_pair_to_ssc(pb))
         assert np.array_equal(mean[r], one.mean) and np.array_equal(cov[r], one.cov)
-        assert np.array_equal(mean[r], point.mean) and np.array_equal(cov[r], point.cov)
+        assert np.array_equal(mean[r], point.mean)
+        worst = max(worst, gap(cov[r], point.cov))
+    assert worst < 3e-8
+
+
+def test_lie_to_ssc_raises_only_at_gimbal_lock():
+    # a mean pitched within _GIMBAL_TOL of pi/2 raises; one just outside
+    # gives a finite, symmetric covariance (the stacked call's is unchecked,
+    # so symmetric only to rounding)
+    from corrpose import PosePairBelief, UncertainPose
+    from corrpose.ssc import _GIMBAL_TOL, GimbalLockError, ssc_to_pose
+    from oracles import gap
+
+    def pitched(margin):
+        return ssc_to_pose([1.0, -2.0, 0.5, 0.3, np.pi / 2 - margin, -0.7])
+
+    cov = 1e-4 * np.eye(12)
+    level = PosePairBelief.from_blocks(pitched(1.0), pitched(1.0), cov[:6, :6], cov[:6, :6])
+    for margin in (_GIMBAL_TOL / 2, 2 * _GIMBAL_TOL):
+        pair = PosePairBelief((pitched(1.0), pitched(margin)), cov)
+        calls = (
+            lambda: experiments.lie_to_ssc(UncertainPose(pitched(margin), cov[:6, :6])).cov,
+            lambda: experiments.lie_pair_to_ssc(pair).cov,
+            lambda: experiments._lie_pairs_to_ssc([level, pair])[1][1],
+        )
+        for call in calls:
+            if margin < _GIMBAL_TOL:
+                with pytest.raises(GimbalLockError):
+                    call()
+            else:
+                out = call()
+                assert np.isfinite(out).all() and gap(out.T, out) < 1e-15
 
 
 def test_stacked_ssc_predictions_raise_like_one_pair():
