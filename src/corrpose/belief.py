@@ -180,6 +180,15 @@ class PosePairBelief:
         raise AttributeError("PosePairBelief is immutable")
 
     @classmethod
+    def _of_checked(cls, means: tuple[Pose, Pose], cov: np.ndarray) -> "PosePairBelief":
+        """The belief of two planar or spatial means and a covariance that
+        :func:`checked_covs` has already returned, without checking it again."""
+        pair = object.__new__(cls)
+        object.__setattr__(pair, "means", means)
+        object.__setattr__(pair, "cov", cov)
+        return pair
+
+    @classmethod
     def from_blocks(cls, mean1: Pose, mean2: Pose, sigma1, sigma2, cross=None) -> "PosePairBelief":
         m = mean1.twist_dim
         cov = np.zeros((2 * m, 2 * m))

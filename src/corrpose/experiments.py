@@ -21,9 +21,11 @@ Monte-Carlo oracle :func:`~corrpose.mc.relative_samples`, each pair still
 drawing from its own seed.  Both are identical bit for bit to one pair at a
 time.  A block that raises is evaluated again one pair at a time through
 the same code, so a failing pair still flags only its own rows.  The SSC
-baseline's parameter-space truth comes from the oracle's twists in closed
-form (:func:`_ssc_relative_cov`).  The block size is a constant, not a
-config key: it trades per-call overhead against peak memory (``_PAIR_BLOCK``).
+baseline's parameter-space truth comes in closed form from the oracle's
+twists and the coefficients the oracle's kernel took of their angles, one
+stacked expression per block (:func:`_ssc_relative_covs`).  The block size
+is a constant, not a config key: it trades per-call overhead against peak
+memory (``_PAIR_BLOCK``).
 """
 
 from __future__ import annotations
@@ -47,9 +49,10 @@ from .belief import (
     compose_chain,
 )
 from .convert import UtConfig, ut_convert
-from .liegroup import Pose, _se2_coeffs_many
+from .liegroup import Pose
 from .mc import (
     ChainNoiseSpec,
+    InvalidSpecError,
     build_chain_joint,
     chi2_quantile,
     containment_fraction,
@@ -174,10 +177,14 @@ def resolve_config(name: str, cfg) -> MappingProxyType:
     resolved = _resolve(TABLES[name], cfg)
     if "graph" in cfg and "generate" in cfg:
         raise ConfigError("config keys 'graph' and 'generate' exclude each other; give one")
+    if name == "compose-sweep":
+        _check_chain_joints(resolved)
     return resolved
 
 
 def _fmt(value) -> str:
+    if type(value) is float:  # most cells; the same text as the branch below
+        return format(value, ".17g")
     if isinstance(value, (bool, np.bool_)):
         return "1" if value else "0"
     if isinstance(value, (int, np.integer)):
@@ -218,8 +225,10 @@ def _embed3_many(R: np.ndarray, t: np.ndarray) -> np.ndarray:
     return out
 
 
-# Euler-parameter channels (x, y, yaw) a planar pose can move.
+# Euler-parameter channels (x, y, yaw) a planar pose can move, and their
+# block of a 6x6 parameter covariance.
 _PLANAR_PARAMS = [0, 1, 5]
+_PLANAR_BLOCK = np.ix_(_PLANAR_PARAMS, _PLANAR_PARAMS)
 
 
 def _ssc_linearization(means) -> tuple[np.ndarray, np.ndarray]:
@@ -280,20 +289,38 @@ def _ssc_chain_cov(step_belief: SscBelief, n_steps: int) -> SscBelief:
     return acc
 
 
+def _chain_spec(cfg, value, rho) -> ChainNoiseSpec:
+    """The chain of one sweep point, ``cfg`` with the key that ``sweep`` names
+    set to ``value``, its steps correlated by ``rho``; building it factors the
+    joint, and one that is not PSD raises :class:`InvalidSpecError`."""
+    point = {**cfg, cfg["sweep"]: value}
+    cov = _step_cov(point["sigma_t"], point["sigma_r"])
+    return ChainNoiseSpec(_STEP_MEAN, cov, point["N"], rho)
+
+
+def _check_chain_joints(cfg) -> None:
+    """Factor every sweep point's chain joint at resolution, so a ``rho`` that
+    makes one of them not PSD exits 2 before any sampling."""
+    for value in cfg["values"]:
+        try:
+            _chain_spec(cfg, value, cfg["rho"])
+        except InvalidSpecError as e:
+            raise ConfigError(f"config key 'rho': {e}") from None
+
+
 def _chain_point(cfg, value, seed):
     """Rows of one sweep point: ``cfg`` with the key that ``sweep`` names set to ``value``."""
     t0 = time.perf_counter()
     sweep, methods, p, dof_mode = cfg["sweep"], cfg["methods"], cfg["p"], cfg["dof_mode"]
-    point = {**cfg, sweep: value}
-    n_steps = point["N"]
-    cov = _step_cov(point["sigma_t"], point["sigma_r"])
-    joint = build_chain_joint(ChainNoiseSpec(_STEP_MEAN, cov, n_steps, cfg["rho"]))
+    spec = _chain_spec(cfg, value, cfg["rho"])
+    n_steps, cov = spec.n_steps, spec.step_cov
+    joint = build_chain_joint(spec)
     chain = compose_chain(joint)
     predicted = {}
     if "lie-correlated" in methods:
         predicted["lie-correlated"] = chain.cov
     if "lie-independent" in methods:
-        ind = build_chain_joint(ChainNoiseSpec(_STEP_MEAN, cov, n_steps, 0.0))
+        ind = build_chain_joint(_chain_spec(cfg, value, 0.0))
         predicted["lie-independent"] = compose_chain(ind).cov
     mean_final = chain.mean
 
@@ -433,47 +460,60 @@ def _block_predictions(block, methods) -> list:
     return _by_pair(evaluate, block)
 
 
-def _block_oracles(block, M, seeds) -> list:
-    """Each pair's Monte-Carlo samples ``(t_bar_12, twists, kept)`` from one
-    :func:`relative_samples` call, or the error that stopped the pair."""
+def _block_oracles(block, M, seeds, ssc: bool) -> list:
+    """Each pair's Monte-Carlo covariances ``(twist, parameter)`` from one
+    :func:`relative_samples` call, or the error that stopped the pair.  The
+    parameter-space one, the SSC baseline's truth, is None unless ``ssc``."""
 
     def evaluate(items):
         s = relative_samples([pb for pb, _ in items], M, [seed for _, seed in items])
-        return list(zip(s.t, s.twists, s.kept))
+        params = _ssc_relative_covs(s) if ssc else [None] * len(items)
+        twists = [_kept_rows(xis, kept) for xis, kept in zip(s.twists, s.kept)]
+        return [(xis.T @ xis / xis.shape[0], p) for xis, p in zip(twists, params)]
 
     return _by_pair(evaluate, list(zip(block, seeds)))
 
 
-def _ssc_relative_cov(t_bar: np.ndarray, xis: np.ndarray) -> np.ndarray:
-    """(6, 6) Euler-parameter sample covariance of planar relative samples.
+def _ssc_relative_covs(s) -> np.ndarray:
+    """(k, 6, 6) Euler-parameter sample covariances of k pairs' planar
+    relative samples ``s``, over the kept samples of each.
 
-    Sample m is ``exp(hat(xi_m)) T_bar`` about a planar mean with translation
-    ``t_bar``.  Its parameter residual ``params(exp(xi) T_bar) - params(T_bar)``,
-    angles wrapped, is ``((R(theta) - I) t_bar + V(theta) rho, 0, 0, 0, theta)``,
-    so it is taken from the twists with no pose or rotation matrix.
+    Sample m of a pair is ``exp(hat(xi_m)) T_bar`` about a planar mean with
+    translation ``t_bar``.  Its parameter residual ``params(exp(xi) T_bar) -
+    params(T_bar)``, angles wrapped, is ``((R(theta) - I) t_bar + V(theta)
+    rho, 0, 0, 0, theta)``, so it is taken from the twists and the kernel's
+    coefficients of their angles, one stacked expression for all k pairs,
+    with no pose or rotation matrix.
     """
-    c, s, a, b = _se2_coeffs_many(xis[:, 2])
-    rx, ry = xis[:, 0], xis[:, 1]
-    r = np.empty((xis.shape[0], 3))
-    r[:, 0] = (c - 1.0) * t_bar[0] - s * t_bar[1] + (a * rx - b * ry)
-    r[:, 1] = s * t_bar[0] + (c - 1.0) * t_bar[1] + (b * rx + a * ry)
-    r[:, 2] = xis[:, 2]
-    mc = np.zeros((6, 6))
-    mc[np.ix_(_PLANAR_PARAMS, _PLANAR_PARAMS)] = r.T @ r / r.shape[0]
+    c, sn, a, b = np.swapaxes(s.coeffs, 0, 1)
+    c = c - 1.0
+    t0, t1 = s.t[:, :1], s.t[:, 1:]
+    rx, ry = s.twists[..., 0], s.twists[..., 1]
+    r = np.empty(s.twists.shape)
+    r[..., 0] = c * t0 - sn * t1 + (a * rx - b * ry)
+    r[..., 1] = sn * t0 + c * t1 + (b * rx + a * ry)
+    r[..., 2] = s.twists[..., 2]
+    mc = np.zeros((r.shape[0], 6, 6))
+    for out, rows, kept in zip(mc, r, s.kept):
+        rows = _kept_rows(rows, kept)
+        out[_PLANAR_BLOCK] = rows.T @ rows / rows.shape[0]
     return mc
+
+
+def _kept_rows(rows: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    """The kept rows of a C-ordered (M, m) sample stack, itself if all are kept."""
+    return rows if kept.all() else rows[kept]
 
 
 def _pair_rows(pb, pred, samples, offset, i, j, methods):
     """CSV rows of one pair: its predictions against its own Monte-Carlo
-    samples, or error rows naming the oracle's error, else the first failing
-    method's."""
+    covariances, or error rows naming the oracle's error, else the first
+    failing method's."""
     try:
         for outcome in (samples, pred):
             if isinstance(outcome, Exception):
                 raise outcome
-        t_bar, twists, kept = samples
-        xis = twists[kept]
-        mc_twist = xis.T @ xis / xis.shape[0]
+        mc_twist, mc_params = samples
 
         s1, s2, cross = pb.sigma1, pb.sigma2, pb.cross
         corr = [
@@ -483,7 +523,7 @@ def _pair_rows(pb, pred, samples, offset, i, j, methods):
         rows = []
         for method in methods:
             # the SSC baseline is graded in parameter space, from the same samples
-            mc = _ssc_relative_cov(t_bar, xis) if method == "ssc" else mc_twist
+            mc = mc_params if method == "ssc" else mc_twist
             err = cov_error(pred[method], mc)
             nerr = normalized_cov_error(pred[method], mc)
             rows.append((offset, i, j, method, err, nerr, *corr, 0))
@@ -511,11 +551,12 @@ def run_slam_relpose(cfg) -> list[Path]:
         f"{time.perf_counter() - t0:.1f} s)"
     )
     marg = graphmod.Marginals(solved)
-    keys = sorted(solved.vertices)
+    keys = solved.keys.tolist()
+    keyset = set(keys)
 
     pairs, keyed, seeds = [], [], []
     for oidx, offset in enumerate(cfg["offsets"]):
-        starts = [k for k in keys if k + offset in solved.vertices]
+        starts = [k for k in keys if k + offset in keyset]
         if len(starts) > cap:
             sel = np.linspace(0, len(starts) - 1, cap).round().astype(int)
             starts = [starts[s] for s in dict.fromkeys(sel)]
@@ -529,7 +570,7 @@ def run_slam_relpose(cfg) -> list[Path]:
     for start in range(0, len(beliefs), _PAIR_BLOCK):
         block = slice(start, start + _PAIR_BLOCK)
         preds = _block_predictions(beliefs[block], methods)
-        oracles = _block_oracles(beliefs[block], cfg["M"], seeds[block])
+        oracles = _block_oracles(beliefs[block], cfg["M"], seeds[block], "ssc" in methods)
         for pb, pred, samples, key in zip(beliefs[block], preds, oracles, keyed[block]):
             rows += _pair_rows(pb, pred, samples, *key, methods)
     header = [
@@ -681,10 +722,9 @@ def run_solve_graph(cfg) -> list[Path]:
     t0 = time.perf_counter()
     solved, report = graphmod.solve(g)
     _log(f"solve-graph: {report} ({time.perf_counter() - t0:.1f} s)")
-    rows = []
-    for k in sorted(solved.vertices):
-        T = solved.vertices[k]
-        rows.append((k, T.t[0], T.t[1], float(np.arctan2(T.R[1, 0], T.R[0, 0]))))
+    # one heading at a time: arctan2 of a stack can round differently
+    rows = [(k, t[0], t[1], float(np.arctan2(R[1, 0], R[0, 0])))
+            for k, R, t in zip(solved.keys.tolist(), solved.R, solved.t)]
     return [
         _write_csv(cfg["out"] / "solution.csv", ["key", "x", "y", "theta"], rows),
         _write_csv(
@@ -731,7 +771,8 @@ TABLES = {
         "N": (10, _POSITIVE_INT),
         "sigma_t": (3.0, _POSITIVE),
         "sigma_r": (3.0, _POSITIVE),
-        "rho": (0.4, _rule(float)),
+        # every sweep point's chain joint is factored at resolution
+        "rho": (0.4, _FINITE),
         "M": (10_000, _DRAWS),
         "p": (0.999, _PROBABILITY),
         "dof_mode": ("full", _one_of("full", "position_only")),

@@ -8,18 +8,40 @@ information, with closed-form analytic Jacobians.  The gauge is fixed by a
 strong prior on the lowest-keyed vertex.  Marginals are recovered from the
 information matrix assembled in the same twist coordinates, so extracted
 pair beliefs feed the belief module's between() directly.
+
+A :class:`PoseGraph` is held as arrays: sorted keys, vertex rotation and
+translation stacks, edge endpoints, measurement stacks and information
+matrices, each checked once when the graph is made.  The generator, the
+loader, :func:`solve` and :class:`Marginals` make and read these arrays
+with no :class:`Pose` or :class:`Edge` per vertex or edge; ``vertices`` and
+``edges`` are read-only views built when read, and
+:meth:`Marginals.pair_beliefs` builds a Pose only for each vertex its pairs
+touch.  The stacked products are those a Pose would form, so the arrays
+equal the per-object results bit for bit.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .belief import PosePairBelief
-from .liegroup import _VINV_CUTOFF, Pose, adjoint_blocks, exp_many, inv_many, log_many
+from .belief import PosePairBelief, checked_covs
+from .liegroup import (
+    _VINV_CUTOFF,
+    Pose,
+    adjoint_blocks,
+    checked_pose_blocks,
+    compose_blocks,
+    exp_many,
+    inv_many,
+    invert_blocks,
+    log_many,
+)
 
 # Information placed on each channel of the gauge prior.
 _GAUGE_INFO = 1e8
@@ -67,6 +89,28 @@ class DivergenceError(ArithmeticError):
     """Gauss-Newton chi2 increased three iterations in a row."""
 
 
+def _checked_information(ends: np.ndarray, info: np.ndarray) -> np.ndarray:
+    """Symmetrized (E, 3, 3) information stack of edges with (E, 2) endpoint keys.
+
+    Each matrix must be symmetric within 1e-9 and PSD within -1e-9 times
+    ``max(1, max |entry|)``.  The first edge that is not raises
+    :class:`GraphValidationError` naming it, the symmetry test first.
+    """
+    info_t = np.swapaxes(info, 1, 2)
+    scale = np.maximum(1.0, np.abs(info).max(axis=(1, 2)))
+    asym = np.abs(info - info_t).max(axis=(1, 2)) > 1e-9 * scale
+    info = 0.5 * (info + info_t)
+    scale = np.maximum(1.0, np.abs(info).max(axis=(1, 2)))
+    indefinite = np.linalg.eigvalsh(info).min(axis=1) < -1e-9 * scale
+    bad = np.flatnonzero(asym | indefinite)
+    if bad.size:
+        k = bad[0]
+        what = "not symmetric" if asym[k] else "not PSD"
+        raise GraphValidationError(f"edge ({ends[k, 0]},{ends[k, 1]}): information {what}")
+    info.flags.writeable = False
+    return info
+
+
 @dataclass(frozen=True)
 class Edge:
     i: int
@@ -78,12 +122,7 @@ class Edge:
         info = np.asarray(self.information, dtype=float)
         if info.shape != (3, 3):
             raise GraphValidationError(f"edge ({self.i},{self.j}): information must be 3x3")
-        if np.abs(info - info.T).max() > 1e-9 * max(1.0, np.abs(info).max()):
-            raise GraphValidationError(f"edge ({self.i},{self.j}): information not symmetric")
-        info = 0.5 * (info + info.T)
-        if np.linalg.eigvalsh(info).min() < -1e-9 * max(1.0, np.abs(info).max()):
-            raise GraphValidationError(f"edge ({self.i},{self.j}): information not PSD")
-        info.flags.writeable = False
+        info = _checked_information(np.array([[self.i, self.j]]), info[None])[0]
         object.__setattr__(self, "information", info)
 
 
@@ -95,53 +134,163 @@ class SolveReport:
     converged: bool
 
 
-class PoseGraph:
-    """Keyed SE(2) vertices plus relative-pose edges with information matrices."""
+def _frozen(a) -> np.ndarray:
+    a = np.ascontiguousarray(a)
+    a.flags.writeable = False
+    return a
 
-    def __init__(self, vertices: dict[int, Pose], edges: list[Edge], *,
+
+class _VertexView(Mapping):
+    """Read-only key -> :class:`Pose` view of a graph's vertex stacks, in key
+    order; each Pose is built on its first read and then kept."""
+
+    def __init__(self, graph: "PoseGraph"):
+        self._graph = graph
+        self._poses: dict[int, Pose] = {}
+
+    def __getitem__(self, key) -> Pose:
+        pose = self._poses.get(key)
+        if pose is None:
+            row = self._graph._rows[key]
+            pose = self._poses[key] = Pose(self._graph.R[row], self._graph.t[row])
+        return pose
+
+    def __contains__(self, key) -> bool:
+        return key in self._graph._rows
+
+    def __iter__(self):
+        return iter(self._graph._rows)
+
+    def __len__(self) -> int:
+        return len(self._graph._rows)
+
+
+class PoseGraph:
+    """Keyed SE(2) vertices plus relative-pose edges with information matrices.
+
+    The graph is held as arrays, checked once when it is made: the sorted
+    vertex ``keys`` (n,) with their rotations ``R`` (n, 2, 2) and
+    translations ``t`` (n, 2), and per edge its endpoint keys ``ends``
+    (E, 2), its measurement's rotation ``Z_R`` (E, 2, 2) and translation
+    ``Z_t`` (E, 2), and its symmetrized ``information`` (E, 3, 3).
+    ``vertices`` (key -> :class:`Pose`) and ``edges`` (:class:`Edge` tuple)
+    are read-only views of them, built only when read.
+    """
+
+    def __init__(self, vertices: Mapping[int, Pose], edges: Sequence[Edge], *,
                  skipped_lines: int = 0, solved: bool = False):
-        self.vertices = dict(vertices)
-        self.edges = list(edges)
-        self.skipped_lines = int(skipped_lines)
-        self.solved = bool(solved)
-        for e in self.edges:
-            if e.i == e.j:
-                raise GraphValidationError(f"self-loop edge on vertex {e.i}")
-            for k in (e.i, e.j):
-                if k not in self.vertices:
-                    raise GraphValidationError(f"edge references missing vertex {k}")
-        for k, T in self.vertices.items():
+        vertices, edges = dict(vertices), list(edges)
+        for k, T in vertices.items():
             if T.dim != 2:
                 raise GraphValidationError(f"vertex {k} is not planar")
+        for e in edges:
+            if e.measurement.dim != 2:
+                raise GraphValidationError(f"edge ({e.i},{e.j}): measurement is not planar")
+        keys = sorted(vertices)
+        self._set(
+            np.array(keys, dtype=np.int64).reshape(-1),
+            np.array([vertices[k].R for k in keys]).reshape(-1, 2, 2),
+            np.array([vertices[k].t for k in keys]).reshape(-1, 2),
+            np.array([(e.i, e.j) for e in edges], dtype=np.int64).reshape(-1, 2),
+            np.array([e.measurement.R for e in edges]).reshape(-1, 2, 2),
+            np.array([e.measurement.t for e in edges]).reshape(-1, 2),
+            np.array([e.information for e in edges]).reshape(-1, 3, 3),
+            skipped_lines, solved,
+        )
+
+    @classmethod
+    def _of_arrays(cls, keys, R, t, ends, Z_R, Z_t, information, *,
+                   skipped_lines: int = 0, solved: bool = False) -> "PoseGraph":
+        """The graph of sorted unique keys and the stacks named in the class
+        docstring, checked as :meth:`__init__` checks its vertices and edges."""
+        graph = cls.__new__(cls)
+        graph._set(keys, R, t, ends, Z_R, Z_t, information, skipped_lines, solved)
+        return graph
+
+    def _set(self, keys, R, t, ends, Z_R, Z_t, information, skipped_lines, solved):
+        self.keys = _frozen(keys)
+        self._rows = dict(zip(self.keys.tolist(), range(self.keys.shape[0])))
+        self.t = _frozen(t)
+        self.R = _frozen(checked_pose_blocks(R, self.t))
+        self.ends = _frozen(ends)
+        self._edge_rows = _frozen(self._endpoint_rows())
+        self.Z_t = _frozen(Z_t)
+        self.Z_R = _frozen(checked_pose_blocks(Z_R, self.Z_t))
+        self.information = _checked_information(self.ends, np.asarray(information, dtype=float))
+        self.skipped_lines = int(skipped_lines)
+        self.solved = bool(solved)
+        self._vertices = _VertexView(self)
+        self._edges = None
+
+    def _endpoint_rows(self) -> np.ndarray:
+        """(E, 2) vertex rows of the edge endpoints; the first edge that is a
+        self-loop or names a missing vertex raises."""
+        rows = np.searchsorted(self.keys, self.ends)
+        found = np.zeros(self.ends.shape, dtype=bool)
+        inside = rows < self.keys.shape[0]
+        found[inside] = self.keys[rows[inside]] == self.ends[inside]
+        loop = self.ends[:, 0] == self.ends[:, 1]
+        bad = np.flatnonzero(loop | ~found.all(axis=1))
+        if bad.size:
+            i, j = self.ends[bad[0]].tolist()
+            if i == j:
+                raise GraphValidationError(f"self-loop edge on vertex {i}")
+            missing = i if not found[bad[0], 0] else j
+            raise GraphValidationError(f"edge references missing vertex {missing}")
+        return rows
+
+    @property
+    def vertices(self) -> Mapping[int, Pose]:
+        return self._vertices
+
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        if self._edges is None:
+            self._edges = tuple(
+                Edge(i, j, Pose(R, t), info) for (i, j), R, t, info
+                in zip(self.ends.tolist(), self.Z_R, self.Z_t, self.information)
+            )
+        return self._edges
 
     @property
     def n_vertices(self) -> int:
-        return len(self.vertices)
+        return self.keys.shape[0]
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return self.ends.shape[0]
 
     def is_connected(self) -> bool:
-        if not self.vertices:
+        n = self.n_vertices
+        if not n:
             return False
-        adj: dict[int, list[int]] = {k: [] for k in self.vertices}
-        for e in self.edges:
-            adj[e.i].append(e.j)
-            adj[e.j].append(e.i)
-        seen = set()
-        stack = [next(iter(self.vertices))]
-        while stack:
-            v = stack.pop()
-            if v in seen:
-                continue
-            seen.add(v)
-            stack.extend(adj[v])
-        return len(seen) == len(self.vertices)
+        parent = list(range(n))
+
+        def root(v):
+            while parent[v] != v:
+                parent[v] = v = parent[parent[v]]
+            return v
+
+        for i, j in self._edge_rows.tolist():
+            parent[root(i)] = root(j)
+        return all(root(v) == root(0) for v in range(n))
 
 
 _VERTEX_TAGS = ("VERTEX_SE2", "VERTEX2")
 _EDGE_TAGS = ("EDGE_SE2", "EDGE2")
+# information entries in the upper-triangular, row-major order of the file
+_UPPER = [0, 1, 2, 1, 3, 4, 2, 4, 5]
+
+
+def _planar_blocks(x, y, theta) -> tuple[np.ndarray, np.ndarray]:
+    """(M, 2, 2) rotations and (M, 2) translations of ``Pose.planar`` rows."""
+    c, s = np.cos(theta), np.sin(theta)
+    R = np.empty((c.shape[0], 2, 2))
+    R[:, 0, 0] = c
+    R[:, 0, 1] = -s
+    R[:, 1, 0] = s
+    R[:, 1, 1] = c
+    return R, np.column_stack([x, y])
 
 
 def load_graph(path) -> PoseGraph:
@@ -151,10 +300,14 @@ def load_graph(path) -> PoseGraph:
     I22 I23 I33`` (upper-triangular information, row-major), with ``VERTEX2``
     / ``EDGE2`` accepted as aliases carrying the same payload order.  Lines
     starting with ``#`` are comments; unknown record types are skipped and
-    counted on the returned graph.
+    counted on the returned graph.  A repeated vertex id keeps its last line.
+    The lines are read into lists and the graph is made from their arrays;
+    an edge whose information is not symmetric PSD is still reported before
+    a malformed line after it.
     """
-    vertices: dict[int, Pose] = {}
-    edges: list[Edge] = []
+    vertices: dict[int, tuple[float, float, float]] = {}
+    ends: list[tuple[int, int]] = []
+    edges: list[list[float]] = []
     skipped = 0
     with open(path, "r", encoding="ascii") as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -168,57 +321,71 @@ def load_graph(path) -> PoseGraph:
                     if len(tok) != 5:
                         raise ValueError(f"expected 4 fields after {tag}, got {len(tok) - 1}")
                     key = int(tok[1])
-                    x, y, th = (float(v) for v in tok[2:5])
-                    vertices[key] = Pose.planar(x, y, th)
+                    pose = [float(v) for v in tok[2:5]]
+                    if not all(map(math.isfinite, pose)):
+                        raise ValueError("pose entries must be finite")
+                    vertices[key] = pose
                 elif tag in _EDGE_TAGS:
                     if len(tok) != 12:
                         raise ValueError(f"expected 11 fields after {tag}, got {len(tok) - 1}")
                     i, j = int(tok[1]), int(tok[2])
-                    dx, dy, dth = (float(v) for v in tok[3:6])
-                    u = [float(v) for v in tok[6:12]]
-                    info = np.array(
-                        [[u[0], u[1], u[2]], [u[1], u[3], u[4]], [u[2], u[4], u[5]]]
-                    )
-                    edges.append(Edge(i, j, Pose.planar(dx, dy, dth), info))
+                    values = [float(v) for v in tok[3:12]]
+                    if not all(map(math.isfinite, values[:3])):
+                        raise ValueError("pose entries must be finite")
+                    ends.append((i, j))
+                    edges.append(values)
                 else:
                     skipped += 1
             except (ValueError, OverflowError) as e:
-                if isinstance(e, GraphValidationError):
-                    raise
+                _edge_arrays(ends, edges)  # an earlier bad information comes first
                 raise GraphParseError(line_no, str(e)) from None
-    return PoseGraph(vertices, edges, skipped_lines=skipped)
+    keys = sorted(vertices)
+    pose = np.array([vertices[k] for k in keys], dtype=float).reshape(-1, 3)
+    R, t = _planar_blocks(*pose.T)
+    return PoseGraph._of_arrays(np.array(keys, dtype=np.int64), R, t, *_edge_arrays(ends, edges),
+                                skipped_lines=skipped)
+
+
+def _edge_arrays(ends, edges):
+    """Endpoint, measurement and checked information stacks of parsed edge lines."""
+    ends = np.array(ends, dtype=np.int64).reshape(-1, 2)
+    values = np.array(edges, dtype=float).reshape(-1, 9)
+    info = _checked_information(ends, values[:, 3:][:, _UPPER].reshape(-1, 3, 3))
+    return (ends, *_planar_blocks(*values[:, :3].T), info)
 
 
 # ---------------------------------------------------------------------------
 # linearization machinery shared by the solver and the marginal extraction
 # ---------------------------------------------------------------------------
 
+def _homogeneous(R: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """(M, 3, 3) homogeneous matrices of (M, 2, 2) rotations and (M, 2) translations."""
+    out = np.zeros((t.shape[0], 3, 3))
+    out[:, :2, :2] = R
+    out[:, :2, 2] = t
+    out[:, 2, 2] = 1.0
+    return out
+
+
 class _System:
     """Vectorized residual/Jacobian evaluation in per-vertex twist coordinates."""
 
     def __init__(self, graph: PoseGraph):
-        self.keys = sorted(graph.vertices)
-        self.index = {k: i for i, k in enumerate(self.keys)}
-        self.n = len(self.keys)
-        self.ii = np.array([self.index[e.i] for e in graph.edges], dtype=int)
-        self.jj = np.array([self.index[e.j] for e in graph.edges], dtype=int)
-        if graph.edges:
-            self.Zinv = np.stack([e.measurement.inverse().matrix() for e in graph.edges])
-            # symmetric whitener W with r' info r == ||W r||^2; the eigh-based
-            # square root also accepts PSD-singular information (pinned channels)
-            infos = np.stack([e.information for e in graph.edges])
-            w, V = np.linalg.eigh(infos)
-            w = np.clip(w, 0.0, None)
-            self.W = (V * np.sqrt(w)[:, None, :]) @ np.swapaxes(V, 1, 2)
-        else:
-            self.Zinv = np.zeros((0, 3, 3))
-            self.W = np.zeros((0, 3, 3))
+        self.index = graph._rows
+        self.n = graph.n_vertices
+        self.ii, self.jj = graph._edge_rows.T
+        self.Zinv = _homogeneous(*invert_blocks(graph.Z_R, graph.Z_t))
+        # symmetric whitener W with r' info r == ||W r||^2; the eigh-based
+        # square root also accepts PSD-singular information (pinned channels)
+        w, V = np.linalg.eigh(graph.information)
+        w = np.clip(w, 0.0, None)
+        self.W = (V * np.sqrt(w)[:, None, :]) @ np.swapaxes(V, 1, 2)
         self.anchor = 0  # lowest key after sorting
-        self.prior_target_inv = graph.vertices[self.keys[0]].inverse().matrix()
+        self.prior_target_inv = _homogeneous(*invert_blocks(graph.R[:1], graph.t[:1]))[0]
         self.prior_w = np.sqrt(_GAUGE_INFO)
 
     def pose_matrices(self, graph: PoseGraph) -> np.ndarray:
-        return np.stack([graph.vertices[k].matrix() for k in self.keys])
+        return _homogeneous(graph.R, graph.t)
 
     def residuals(self, T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Raw (unwhitened) edge residuals (E, 3) and prior residual (3,)."""
@@ -374,12 +541,10 @@ def solve(graph: PoseGraph) -> tuple[PoseGraph, SolveReport]:
         chi2 = new_chi2
         if 0.0 <= rel_decrease < _REL_TOL or new_chi2 < 1e-15:
             converged = True
-    vertices = {
-        k: Pose(best_T[idx, :2, :2], best_T[idx, :2, 2])
-        for k, idx in sys_.index.items()
-    }
-    solved = PoseGraph(vertices, graph.edges, skipped_lines=graph.skipped_lines,
-                       solved=True)
+    solved = PoseGraph._of_arrays(
+        graph.keys, best_T[:, :2, :2], best_T[:, :2, 2], graph.ends, graph.Z_R, graph.Z_t,
+        graph.information, skipped_lines=graph.skipped_lines, solved=True,
+    )
     report = SolveReport(iterations, initial, best_chi2, converged)
     return solved, report
 
@@ -462,9 +627,10 @@ class Marginals:
                 for other in (0, 1):
                     row = 3 * idx[hit, other][:, None, None] + three[:, None]
                     cov[hit, 3 * other:3 * other + 3, 3 * side:3 * side + 3] = X[row, col]
-        cov = 0.5 * (cov + np.swapaxes(cov, 1, 2))
-        vertices = self._graph.vertices
-        return [PosePairBelief((vertices[i], vertices[j]), c) for (i, j), c in zip(pairs, cov)]
+        cov = checked_covs(0.5 * (cov + np.swapaxes(cov, 1, 2)), what="pair covariance")
+        vertices = self._graph.vertices  # a Pose for each vertex read, built once
+        return [PosePairBelief._of_checked((vertices[i], vertices[j]), c)
+                for (i, j), c in zip(pairs, cov)]
 
 
 # ---------------------------------------------------------------------------
@@ -484,19 +650,22 @@ def generate_grid_world(n_poses: int = 500, seed=0, *, trans_sigma: float = 0.14
     """
     rng = np.random.default_rng(seed)
     q = np.array([trans_sigma, trans_sigma, rot_sigma])
-    info = np.diag(1.0 / q ** 2)
 
-    gt = [Pose.identity(2)]
+    # ground truth: one turn draw per step, each step a product of the 2x2
+    # blocks Pose.planar and Pose.__matmul__ would form
+    turn = np.array([0.0, np.pi / 2, -np.pi / 2])
+    R_turn, t_turn = _planar_blocks(step_length * np.cos(turn), step_length * np.sin(turn), turn)
+    R = np.empty((n_poses, 2, 2))
+    t = np.empty((n_poses, 2))
+    R[0], t[0] = np.eye(2), 0.0
     cells = {(0, 0): [0]}
     loops: list[tuple[int, int]] = []
     for k in range(1, n_poses):
-        turn = rng.choice([0.0, np.pi / 2, -np.pi / 2], p=[0.6, 0.2, 0.2])
-        motion = Pose.planar(
-            step_length * np.cos(turn), step_length * np.sin(turn), turn
-        )
-        pose = gt[-1] @ motion
-        gt.append(pose)
-        cell = (int(round(pose.t[0])), int(round(pose.t[1])))
+        m = rng.choice(3, p=[0.6, 0.2, 0.2])
+        R[k] = R[k - 1] @ R_turn[m]
+        t[k] = R[k - 1] @ t_turn[m] + t[k - 1]
+        x, y = t[k].tolist()
+        cell = (round(x), round(y))
         for prev in cells.get(cell, []):
             if k - prev >= min_loop_gap and rng.uniform() < loop_prob:
                 loops.append((prev, k))
@@ -505,15 +674,20 @@ def generate_grid_world(n_poses: int = 500, seed=0, *, trans_sigma: float = 0.14
 
     # odometry edges, then loop closures: all edge noise in one draw, in the
     # order that one draw per edge would take it
-    pairs = [(k, k + 1) for k in range(n_poses - 1)] + loops
-    noise = exp_many(rng.normal(0.0, q, size=(len(pairs), 3)))
-    edges = [
-        Edge(a, b, Pose(N[:2, :2], N[:2, 2]) @ (gt[a].inverse() @ gt[b]), info)
-        for (a, b), N in zip(pairs, noise)
-    ]
+    ends = np.array([(k, k + 1) for k in range(n_poses - 1)] + loops, dtype=np.int64)
+    ends = ends.reshape(-1, 2)
+    noise = exp_many(rng.normal(0.0, q, size=(ends.shape[0], 3)))
+    a, b = ends.T
+    rel = compose_blocks(*invert_blocks(R[a], t[a]), R[b], t[b])
+    Z_R, Z_t = compose_blocks(np.ascontiguousarray(noise[:, :2, :2]),
+                              np.ascontiguousarray(noise[:, :2, 2]), *rel)
 
-    vertices = {0: gt[0]}
-    odo = {(e.i, e.j): e.measurement for e in edges[: n_poses - 1]}
+    # initial values integrate the noisy odometry, one product at a time
+    V_R = np.empty_like(R)
+    V_t = np.empty_like(t)
+    V_R[0], V_t[0] = R[0], t[0]
     for k in range(1, n_poses):
-        vertices[k] = vertices[k - 1] @ odo[(k - 1, k)]
-    return PoseGraph(vertices, edges)
+        V_R[k] = V_R[k - 1] @ Z_R[k - 1]
+        V_t[k] = V_R[k - 1] @ Z_t[k - 1] + V_t[k - 1]
+    info = np.broadcast_to(np.diag(1.0 / q ** 2), (ends.shape[0], 3, 3))
+    return PoseGraph._of_arrays(np.arange(n_poses), V_R, V_t, ends, Z_R, Z_t, info)

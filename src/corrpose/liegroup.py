@@ -343,14 +343,14 @@ def bch_approx(xi1, xi2, order: int) -> np.ndarray:
 # Vectorized kernels on homogeneous-matrix stacks
 # ---------------------------------------------------------------------------
 
-def _se2_coeffs_many(theta: np.ndarray) -> tuple[np.ndarray, ...]:
-    """cos t, sin t, sin(t)/t and (1-cos t)/t of an angle stack.
+def _se2_coeffs_many(theta: np.ndarray, cos: bool = True) -> tuple[np.ndarray, ...]:
+    """cos t (None unless ``cos``), sin t, sin(t)/t and (1-cos t)/t of an angle stack.
 
     The last two are the entries of the SE(2) V(t) = [[a, -b], [b, a]] and
     take the small-angle Taylor branch below ``_COEFF_CUTOFF``; above it
     (1-cos t)/t is taken as 2 sin^2(t/2)/t, free of cancellation.
     """
-    c, s = np.cos(theta), np.sin(theta)
+    c, s = np.cos(theta) if cos else None, np.sin(theta)
     small = np.flatnonzero(np.abs(theta) < _COEFF_CUTOFF)
     safe = theta.copy()
     safe[small] = 1.0
@@ -365,9 +365,9 @@ def _se2_coeffs_many(theta: np.ndarray) -> tuple[np.ndarray, ...]:
     return c, s, a, b
 
 
-def _se2_log_rows(theta, tx, ty) -> np.ndarray:
-    """(M, 3) SE(2) twists (V(theta)^-1 t, theta) of principal angles and translations."""
-    a, b = _se2_coeffs_many(theta)[2:]
+def _se2_log_rows(theta, tx, ty, a, b) -> np.ndarray:
+    """(M, 3) SE(2) twists (V(theta)^-1 t, theta) of principal angles and
+    translations, given a = sin(theta)/theta and b = (1-cos theta)/theta."""
     det = a * a + b * b
     out = np.empty((theta.shape[0], 3))
     out[:, 0] = (a * tx + b * ty) / det
@@ -447,17 +447,21 @@ def log_many_masked(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return out, ok
 
 
-def log_between_many(xi1: np.ndarray, xi2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def log_between_many(xi1: np.ndarray, xi2: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Twists ``log(exp(xi1)^-1 exp(xi2))`` of two (M, m) twist stacks, row by row.
 
-    Returns the twists and the mask of :func:`log_many_masked`: rows whose
+    Returns the twists, the mask of :func:`log_many_masked` (rows whose
     relative rotation angle falls within ``_PI_MARGIN`` of pi are False and
-    their twists unspecified.  SE(2) rows take a closed form on the twist
-    columns, with no 3x3 matrices: theta = wrap(theta2 - theta1),
-    t = R(theta1)^T (V(theta2) rho2 - V(theta1) rho1) and rho = V(theta)^-1 t
-    (Sola et al., arXiv 1812.01537), with the Taylor branches of
-    :func:`exp_many`.  SE(3) rows go through :func:`exp_many`,
-    :func:`inv_many`, one stacked product and :func:`log_many_masked`.
+    their twists unspecified) and the angle coefficients.  SE(2) rows take a
+    closed form on the twist columns, with no 3x3 matrices: theta =
+    wrap(theta2 - theta1), t = R(theta1)^T (V(theta2) rho2 - V(theta1) rho1)
+    and rho = V(theta)^-1 t (Sola et al., arXiv 1812.01537), with the Taylor
+    branches of :func:`exp_many`; the coefficients are the (4, M) rows cos,
+    sin, sin(t)/t and (1-cos t)/t of each relative angle t that V(theta)^-1
+    was formed from (:func:`_se2_coeffs_many`).  SE(3) rows go through
+    :func:`exp_many`, :func:`inv_many`, one stacked product and
+    :func:`log_many_masked`, and have no coefficient rows.
     """
     xi1 = np.asarray(xi1, dtype=float)
     xi2 = np.asarray(xi2, dtype=float)
@@ -465,18 +469,21 @@ def log_between_many(xi1: np.ndarray, xi2: np.ndarray) -> tuple[np.ndarray, np.n
         raise ValueError(f"expected two (M, 3) or (M, 6) twist stacks, got {xi1.shape} "
                          f"and {xi2.shape}")
     if xi1.shape[1] == 6:
-        return log_many_masked(inv_many(exp_many(xi1)) @ exp_many(xi2))
+        out, ok = log_many_masked(inv_many(exp_many(xi1)) @ exp_many(xi2))
+        return out, ok, np.empty((0, xi1.shape[0]))
     theta = xi2[:, 2] - xi1[:, 2]
     theta -= 2.0 * np.pi * np.round(theta / (2.0 * np.pi))
     ok = (np.pi - np.abs(theta)) > _PI_MARGIN
-    return _se2_log_rows(theta, *_se2_between_translation(xi1, xi2)), ok
+    tx, ty = _se2_between_translation(xi1, xi2)
+    coeffs = np.stack(_se2_coeffs_many(theta))
+    return _se2_log_rows(theta, tx, ty, *coeffs[2:]), ok, coeffs
 
 
 def _se2_between_translation(xi1, xi2) -> tuple[np.ndarray, np.ndarray]:
     """Translation columns R(theta1)^T (V(theta2) rho2 - V(theta1) rho1) of
     ``exp(xi1)^-1 exp(xi2)``; its temporaries die on return."""
     c1, s1, a1, b1 = _se2_coeffs_many(xi1[:, 2])
-    _, _, a2, b2 = _se2_coeffs_many(xi2[:, 2])
+    _, _, a2, b2 = _se2_coeffs_many(xi2[:, 2], cos=False)
     ux = (a2 * xi2[:, 0] - b2 * xi2[:, 1]) - (a1 * xi1[:, 0] - b1 * xi1[:, 1])
     uy = (b2 * xi2[:, 0] + a2 * xi2[:, 1]) - (b1 * xi1[:, 0] + a1 * xi1[:, 1])
     return c1 * ux + s1 * uy, c1 * uy - s1 * ux
@@ -495,7 +502,8 @@ def _log_stack(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if mats.shape[1] == 3:
         theta = np.arctan2(mats[:, 1, 0], mats[:, 0, 0])
         ok = (np.pi - np.abs(theta)) > _PI_MARGIN
-        return _se2_log_rows(theta, mats[:, 0, 2], mats[:, 1, 2]), ok, theta
+        _, _, a, b = _se2_coeffs_many(theta, cos=False)
+        return _se2_log_rows(theta, mats[:, 0, 2], mats[:, 1, 2], a, b), ok, theta
     R = mats[:, :3, :3]
     t = mats[:, :3, 3]
     w = 0.5 * np.stack(

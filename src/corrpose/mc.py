@@ -13,6 +13,7 @@ draw.  :func:`mc_relative_cov` is its one-pair call.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -190,6 +191,9 @@ class RelativeSamples(NamedTuple):
     t: np.ndarray  # (k, d) their translations
     twists: np.ndarray  # (k, M, m) log(T_m T_bar_12^-1), unspecified where not kept
     kept: np.ndarray  # (k, M) False where the logarithm hit its branch boundary
+    # (k, 4, M) cos t, sin t, sin(t)/t and (1 - cos t)/t of each SE(2) twist's
+    # angle t, from the kernel's V(t)^-1 (no rows for SE(3))
+    coeffs: np.ndarray
 
 
 def relative_samples(pairs: Sequence[PosePairBelief], M: int, seeds) -> RelativeSamples:
@@ -203,7 +207,9 @@ def relative_samples(pairs: Sequence[PosePairBelief], M: int, seeds) -> Relative
         log(T_m T_bar_12^-1) = Ad(T_bar_1^-1) log(exp(xi_1)^-1 exp(xi_2)),
 
     so one :func:`log_between_many` call serves every draw of every pair,
-    without the realized poses T_1, T_2 and T_m.  Row r depends on pair r alone, so a one-pair
+    without the realized poses T_1, T_2 and T_m.  The conjugation leaves an
+    SE(2) twist's angle as it is, so the kernel's coefficients of that angle
+    are handed on in ``coeffs``.  Row r depends on pair r alone, so a one-pair
     call gives the same bits as a block.  A pair that cannot be sampled, or
     that loses more than 0.1% of its draws to the logarithm's branch
     boundary, raises :class:`SamplingError` for the whole call.
@@ -216,13 +222,14 @@ def relative_samples(pairs: Sequence[PosePairBelief], M: int, seeds) -> Relative
     for r, (p, seed) in enumerate(zip(pairs, seeds, strict=True)):
         z = np.random.default_rng(seed).standard_normal((M, 2 * m))
         np.matmul(z, _sqrt_factor(p.cov).T, out=draws[r * M : (r + 1) * M])
-    xis, ok = log_between_many(draws[:, :m], draws[:, m:])
+    xis, ok, coeffs = log_between_many(draws[:, :m], draws[:, m:])
     ok = ok.reshape(len(pairs), M)
     for row in ok:
         _check_branch_budget(row)
     Ad, R, t = relative_mean_blocks(pairs)
     twists = xis.reshape(len(pairs), M, m) @ np.swapaxes(Ad, 1, 2)
-    return RelativeSamples(R, t, twists, ok)
+    coeffs = coeffs.reshape(-1, len(pairs), M).swapaxes(0, 1)
+    return RelativeSamples(R, t, twists, ok, coeffs)
 
 
 def _check_branch_budget(ok: np.ndarray) -> None:
@@ -256,19 +263,27 @@ def mc_relative_cov(b: PosePairBelief, M: int, seed) -> np.ndarray:
     return (kept.T @ kept) / kept.shape[0]
 
 
+def _frobenius(a: np.ndarray) -> float:
+    """Frobenius norm of a float matrix: the arithmetic of ``np.linalg.norm(a,
+    "fro")``, one dot product of its entries in memory order, without the
+    dispatch that costs more than the sum on a 6x6 matrix."""
+    a = a.ravel(order="K")
+    return math.sqrt(a.dot(a))
+
+
 def cov_error(sigma, sigma_mc) -> float:
     """Frobenius norm of the difference between two covariance matrices."""
     sigma = np.asarray(sigma, dtype=float)
     sigma_mc = np.asarray(sigma_mc, dtype=float)
     if sigma.shape != sigma_mc.shape or sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
         raise ValueError(f"shape mismatch: {sigma.shape} vs {sigma_mc.shape}")
-    return float(np.linalg.norm(sigma - sigma_mc, "fro"))
+    return _frobenius(sigma - sigma_mc)
 
 
 def normalized_cov_error(sigma, sigma_mc) -> float:
     """Covariance error after scaling both matrices by ||Sigma_mc||_F."""
     sigma_mc = np.asarray(sigma_mc, dtype=float)
-    nrm = float(np.linalg.norm(sigma_mc, "fro"))
+    nrm = _frobenius(sigma_mc)
     if nrm == 0.0:
         raise ValueError("Monte-Carlo covariance is zero; normalization undefined")
     return cov_error(np.asarray(sigma, dtype=float) / nrm, sigma_mc / nrm)

@@ -11,8 +11,8 @@ import numpy as np
 
 from corrpose import Pose, hat
 from corrpose.belief import between, between_ignoring_correlation
-from corrpose.experiments import _embed3_many, _log, _ssc_relative_cov, lie_pair_to_ssc
-from corrpose.liegroup import exp_many, inv_many, log_many_masked
+from corrpose.experiments import _PLANAR_BLOCK, _embed3_many, _log, lie_pair_to_ssc
+from corrpose.liegroup import _se2_coeffs_many, exp_many, inv_many, log_many_masked
 from corrpose.mc import (
     cov_error,
     normalized_cov_error,
@@ -182,6 +182,54 @@ def point_generate_grid_world(n_poses=500, seed=0, *, trans_sigma=0.14, rot_sigm
     for k in range(1, n_poses):
         vertices[k] = vertices[k - 1] @ odo[(k - 1, k)]
     return PoseGraph(vertices, edges)
+
+
+def point_load_graph(path):
+    """``graph.load_graph`` one line at a time, a ``Pose`` and an ``Edge`` per
+    record, as it was first written: the reference for the array loader."""
+    from corrpose.graph import (
+        _EDGE_TAGS,
+        _VERTEX_TAGS,
+        Edge,
+        GraphParseError,
+        GraphValidationError,
+        PoseGraph,
+    )
+
+    vertices = {}
+    edges = []
+    skipped = 0
+    with open(path, "r", encoding="ascii") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            tok = line.split()
+            tag = tok[0]
+            try:
+                if tag in _VERTEX_TAGS:
+                    if len(tok) != 5:
+                        raise ValueError(f"expected 4 fields after {tag}, got {len(tok) - 1}")
+                    key = int(tok[1])
+                    x, y, th = (float(v) for v in tok[2:5])
+                    vertices[key] = Pose.planar(x, y, th)
+                elif tag in _EDGE_TAGS:
+                    if len(tok) != 12:
+                        raise ValueError(f"expected 11 fields after {tag}, got {len(tok) - 1}")
+                    i, j = int(tok[1]), int(tok[2])
+                    dx, dy, dth = (float(v) for v in tok[3:6])
+                    u = [float(v) for v in tok[6:12]]
+                    info = np.array(
+                        [[u[0], u[1], u[2]], [u[1], u[3], u[4]], [u[2], u[4], u[5]]]
+                    )
+                    edges.append(Edge(i, j, Pose.planar(dx, dy, dth), info))
+                else:
+                    skipped += 1
+            except (ValueError, OverflowError) as e:
+                if isinstance(e, GraphValidationError):
+                    raise
+                raise GraphParseError(line_no, str(e)) from None
+    return PoseGraph(vertices, edges, skipped_lines=skipped)
 
 
 def _wrap(a):
@@ -544,6 +592,22 @@ def _pair_rows_against(pb, offset, i, j, methods, oracle):
         return [(offset, i, j, m, "", "", "", "", "", 1) for m in methods]
 
 
+def _ssc_relative_cov(t_bar, xis):
+    """(6, 6) Euler-parameter sample covariance of one pair's kept planar
+    relative samples, its residuals ((R(theta) - I) t_bar + V(theta) rho,
+    theta) formed from the twists alone: the per-pair reference for
+    ``experiments._ssc_relative_covs``."""
+    c, s, a, b = _se2_coeffs_many(xis[:, 2])
+    rx, ry = xis[:, 0], xis[:, 1]
+    r = np.empty((xis.shape[0], 3))
+    r[:, 0] = (c - 1.0) * t_bar[0] - s * t_bar[1] + (a * rx - b * ry)
+    r[:, 1] = s * t_bar[0] + (c - 1.0) * t_bar[1] + (b * rx + a * ry)
+    r[:, 2] = xis[:, 2]
+    mc = np.zeros((6, 6))
+    mc[_PLANAR_BLOCK] = r.T @ r / r.shape[0]
+    return mc
+
+
 def point_pair_rows(pb, offset, i, j, M, methods, seed):
     """slam-relpose CSV rows of one pair, everything computed for that pair
     alone; the samples come from a one-pair ``mc.relative_samples`` call."""
@@ -621,7 +685,7 @@ def patch_point_pair_rows(monkeypatch, pair_rows=point_pair_rows):
     oracles = sys.modules[__name__]
     monkeypatch.setattr(experiments, "_block_predictions", lambda block, methods: block)
     monkeypatch.setattr(
-        experiments, "_block_oracles", lambda block, M, seeds: [(M, s) for s in seeds]
+        experiments, "_block_oracles", lambda block, M, seeds, ssc: [(M, s) for s in seeds]
     )
     monkeypatch.setattr(
         experiments, "_pair_rows",

@@ -165,6 +165,21 @@ def test_compose_sweep_m_and_p_checked_before_sampling(tmp_path, monkeypatch, ca
                           {"values": [2], **payload}, message, "sample_joint")
 
 
+# rho = 0.9 gives a PSD joint at N = 2 but not at N = 5 (lag-1 correlation
+# needs |rho| <= 1 / (2 cos(pi / (N + 1)))): the first point used to sample
+# before the second one exited 1
+@pytest.mark.parametrize("payload,message", [
+    ({"sweep": "N", "values": [2, 5], "rho": 0.9}, "(rho=0.9, N=5)"),
+    ({"sweep": "sigma_r", "values": [1.0, 2.0], "N": 4, "rho": -0.7}, "(rho=-0.7, N=4)"),
+    ({"values": [2], "rho": float("nan")}, "config key 'rho' must be finite, got nan"),
+])
+def test_compose_sweep_rho_checked_before_sampling(tmp_path, monkeypatch, capsys, payload,
+                                                   message):
+    err = _assert_config_exit_2(tmp_path, monkeypatch, capsys, "compose-sweep", payload,
+                                message, "sample_joint")
+    assert "config key 'rho'" in err
+
+
 @pytest.mark.parametrize("M", [1, -3])
 def test_relpose_alpha_sweep_m_checked_before_sampling(tmp_path, monkeypatch, capsys, M):
     _assert_config_exit_2(tmp_path, monkeypatch, capsys, "relpose-alpha-sweep",
@@ -674,6 +689,49 @@ def _slam_csvs(cfg, out, seed):
             for name in ("slam_relpose.csv", "slam_relpose_summary.csv")]
 
 
+def test_slam_relpose_ssc_truth_bit_identical_to_per_pair_oracle(tmp_path, monkeypatch):
+    # the per-block parameter-space truth, from the coefficients the oracle's
+    # kernel took of each relative angle, against the per-pair closed form
+    # that takes them again from the twists, on the 600 pairs of a 500-pose run
+    from oracles import _ssc_relative_cov
+
+    real = experiments._ssc_relative_covs
+    seen = []
+    monkeypatch.setattr(experiments, "_ssc_relative_covs",
+                        lambda s: seen.append((s, real(s))) or seen[-1][1])
+    cfg = _write_cfg(tmp_path, {"generate": {"n_poses": 500, "seed": 0}})
+    _slam_csvs(cfg, tmp_path / "out", 0)
+    assert sum(got.shape[0] for _, got in seen) == 600
+    for s, got in seen:
+        assert s.coeffs.shape == (got.shape[0], 4, 1000)
+        for r, cov in enumerate(got):
+            want = _ssc_relative_cov(s.t[r], s.twists[r][s.kept[r]])
+            assert np.array_equal(cov, want)
+
+
+def test_slam_relpose_pose_budget(tmp_path, monkeypatch):
+    # counted as the benchmark's tracer counts them: a 500-pose run builds a
+    # Pose only for each vertex its pairs touch (456 here), the generator none
+    import functools
+
+    from corrpose import Pose, graph
+
+    real = Pose.__init__
+    count = [0]
+
+    @functools.wraps(real)
+    def counted(self, R, t):
+        count[0] += 1
+        real(self, R, t)
+
+    monkeypatch.setattr(Pose, "__init__", counted)
+    graph.generate_grid_world(3500, seed=0)
+    assert count[0] == 0
+    cfg = _write_cfg(tmp_path, {"generate": {"n_poses": 500, "seed": 0}})
+    _slam_csvs(cfg, tmp_path / "out", 0)
+    assert 0 < count[0] <= 600
+
+
 def test_slam_relpose_csv_bytes_match_point_oracle(tmp_path, monkeypatch):
     from oracles import patch_point_pair_rows
 
@@ -844,12 +902,12 @@ def test_slam_relpose_branch_cut_budget_fails_one_pair(tmp_path, monkeypatch, ca
     calls = []
 
     def lossy(xi1, xi2):
-        xis, ok = real(xi1, xi2)
+        xis, ok, coeffs = real(xi1, xi2)
         calls.append(xi1.shape[0])
         if len(calls) in flagged_rows:
             ok = ok.copy()
             ok[flagged_rows[len(calls)] + np.array([17, 400])] = False
-        return xis, ok
+        return xis, ok, coeffs
 
     monkeypatch.setattr(mcmod, "log_between_many", lossy)
     capsys.readouterr()

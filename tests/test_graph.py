@@ -97,6 +97,83 @@ def test_load_missing_endpoint_is_validation_error(tmp_path):
         gr.load_graph(p)
 
 
+def _write_g2o(path, g, bad_info_edge=None, tail=""):
+    """g as g2o text with repr floats; edge ``bad_info_edge`` gets an
+    indefinite information matrix."""
+    lines = ["# generated", "VERTEX_SE2 3 9.0 9.0 0.5"]  # overridden by its later line
+    for k, R, t in zip(g.keys.tolist(), g.R, g.t):
+        theta = float(np.arctan2(R[1, 0], R[0, 0]))
+        lines.append(f"VERTEX_SE2 {k} {float(t[0])!r} {float(t[1])!r} {theta!r}")
+    lines.append("EDGE_SE3:QUAT 0 1 0 0 0 0 0 0 1")  # unknown type, skipped
+    for e, ((i, j), R, t, info) in enumerate(zip(g.ends.tolist(), g.Z_R, g.Z_t, g.information)):
+        upper = info[np.triu_indices(3)]
+        if e == bad_info_edge:
+            upper = np.array([1.0, 0.0, 0.0, 1.0, 0.0, -5.0])
+        theta = float(np.arctan2(R[1, 0], R[0, 0]))
+        tag = "EDGE2" if e % 7 == 3 else "EDGE_SE2"
+        lines.append(f"{tag} {i} {j} {float(t[0])!r} {float(t[1])!r} {theta!r} "
+                     + " ".join(repr(float(v)) for v in upper))
+    path.write_text("\n".join(lines) + "\n" + tail)
+
+
+def test_load_graph_matches_per_line_loader(tmp_path):
+    from oracles import point_load_graph
+
+    p = tmp_path / "g.g2o"
+    _write_g2o(p, gr.generate_grid_world(500, seed=3))
+    got, want = gr.load_graph(p), point_load_graph(p)
+    assert got.skipped_lines == want.skipped_lines == 1
+    for name in ("keys", "R", "t", "ends", "Z_R", "Z_t", "information"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert got.n_vertices == 500 and got.n_edges == want.n_edges
+
+
+@pytest.mark.parametrize("tail", ["", "VERTEX_SE2 9999 oops 0 0\n"])
+def test_load_graph_names_the_bad_information_edge(tmp_path, tail):
+    # one indefinite information matrix among hundreds of valid ones; a malformed
+    # line after it does not hide it
+    from oracles import point_load_graph
+
+    g = gr.generate_grid_world(500, seed=3)
+    p = tmp_path / "g.g2o"
+    _write_g2o(p, g, bad_info_edge=321, tail=tail)
+    i, j = g.ends[321].tolist()
+    message = rf"^edge \({i},{j}\): information not PSD$"
+    for load in (gr.load_graph, point_load_graph):
+        with pytest.raises(gr.GraphValidationError, match=message):
+            load(p)
+
+
+def test_graph_errors_name_the_first_bad_edge():
+    T = cp.Pose.planar(0, 0, 0)
+    vertices = {k: T for k in range(4)}
+    good = [gr.Edge(k, k + 1, T, INFO) for k in range(3)]
+    with pytest.raises(gr.GraphValidationError, match="^self-loop edge on vertex 2$"):
+        gr.PoseGraph(vertices, good + [gr.Edge(2, 2, T, INFO), gr.Edge(0, 9, T, INFO)])
+    with pytest.raises(gr.GraphValidationError, match="^edge references missing vertex 8$"):
+        gr.PoseGraph(vertices, good + [gr.Edge(8, 1, T, INFO), gr.Edge(0, 9, T, INFO)])
+    with pytest.raises(gr.GraphValidationError, match="^edge references missing vertex 9$"):
+        gr.PoseGraph(vertices, good + [gr.Edge(0, 9, T, INFO)])
+    with pytest.raises(gr.GraphValidationError, match=r"^edge \(1,2\): information not symmetric$"):
+        gr.Edge(1, 2, T, INFO + np.triu(np.ones((3, 3)), 1))
+
+
+def test_graph_views_are_read_only_and_built_when_read():
+    g = gr.generate_grid_world(30, seed=2)
+    assert g.vertices._poses == {} and g._edges is None
+    T = g.vertices[7]
+    assert g.vertices[7] is T and list(g.vertices._poses) == [7]
+    assert np.array_equal(T.R, g.R[7]) and np.array_equal(T.t, g.t[7])
+    assert list(g.vertices) == list(range(30)) and 7 in g.vertices and 30 not in g.vertices
+    with pytest.raises(KeyError):
+        g.vertices[30]
+    with pytest.raises(TypeError):
+        g.vertices[7] = T
+    assert isinstance(g.edges, tuple) and g.edges[0].measurement.R.tolist() == g.Z_R[0].tolist()
+    for name in ("keys", "R", "t", "ends", "Z_R", "Z_t", "information"):
+        assert not getattr(g, name).flags.writeable, name
+
+
 @needs_manhattan
 def test_load_manhattan_counts():
     g = gr.load_graph(MANHATTAN)
@@ -531,7 +608,7 @@ def test_generate_grid_world_deterministic():
 # all edge noise from one draw and one exp_many call: the same random stream
 # and the same matrices as one draw and one exp_map per edge
 @pytest.mark.parametrize("n_poses,seed", [(30, 0), (30, 5), (250, 1), (250, 12),
-                                          (500, 0), (500, 7)])
+                                          (500, 0), (500, 7), (3500, 0)])
 def test_generate_grid_world_matches_per_edge_noise(n_poses, seed):
     from oracles import point_generate_grid_world
 

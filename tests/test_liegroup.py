@@ -515,7 +515,7 @@ def _planar_between_cases(rng):
 def test_log_between_many_matches_matrix_route():
     from oracles import matrix_log_between
 
-    from corrpose.liegroup import log_between_many
+    from corrpose.liegroup import _se2_coeffs_many, log_between_many
 
     rng = np.random.default_rng(40)
     xi1, xi2 = _planar_between_cases(rng)
@@ -525,11 +525,14 @@ def test_log_between_many_matches_matrix_route():
         (rng.normal(0, 0.5, (20_000, 6)), rng.normal(0, 0.5, (20_000, 6))),
     ]
     for a, b in cases:
-        got, ok = log_between_many(a, b)
+        got, ok, coeffs = log_between_many(a, b)
         want, ok_want = matrix_log_between(a, b)
         assert np.array_equal(ok, ok_want)
         assert np.abs(got - want)[ok].max() <= 1e-12
-    _, ok = log_between_many(xi1, xi2)
+        # the planar kernel's coefficients are those of the angles it returns
+        want_coeffs = np.stack(_se2_coeffs_many(got[:, 2])) if a.shape[1] == 3 else []
+        assert np.array_equal(coeffs, np.reshape(want_coeffs, (-1, a.shape[0])))
+    _, ok, _ = log_between_many(xi1, xi2)
     assert ok.tolist() == [True] * 13 + [False, False] + [True] * 3
 
 
@@ -539,7 +542,7 @@ def test_log_between_many_equal_twists_give_exact_zeros(m):
 
     xi = np.random.default_rng(41).normal(0, 1, (500, m))
     for a in (xi, np.zeros_like(xi)):
-        out, ok = log_between_many(a, a)
+        out, ok, _ = log_between_many(a, a)
         assert ok.all()
         if m == 3:  # the closed form cancels exactly; matrices round
             assert not out.any()

@@ -222,10 +222,10 @@ def test_mc_relative_cov_singular_budget(monkeypatch):
     real = mcmod.log_between_many
 
     def flaky(xi1, xi2):
-        xis, ok = real(xi1, xi2)
+        xis, ok, coeffs = real(xi1, xi2)
         ok = ok.copy()
         ok[:: 100] = False
-        return xis, ok
+        return xis, ok, coeffs
 
     monkeypatch.setattr(mcmod, "log_between_many", flaky)
     pair = cp.PosePairBelief.from_blocks(
