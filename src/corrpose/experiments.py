@@ -183,14 +183,12 @@ def resolve_config(name: str, cfg) -> MappingProxyType:
 
 
 def _fmt(value) -> str:
-    if type(value) is float:  # most cells; the same text as the branch below
-        return format(value, ".17g")
+    if isinstance(value, (float, np.floating)):
+        return format(float(value), ".17g")
     if isinstance(value, (bool, np.bool_)):
         return "1" if value else "0"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
     return str(value)
 
 

@@ -11,13 +11,13 @@ pair beliefs feed the belief module's between() directly.
 
 A :class:`PoseGraph` is held as arrays: sorted keys, vertex rotation and
 translation stacks, edge endpoints, measurement stacks and information
-matrices, each checked once when the graph is made.  The generator, the
-loader, :func:`solve` and :class:`Marginals` make and read these arrays
-with no :class:`Pose` or :class:`Edge` per vertex or edge; ``vertices`` and
-``edges`` are read-only views built when read, and
-:meth:`Marginals.pair_beliefs` builds a Pose only for each vertex its pairs
-touch.  The stacked products are those a Pose would form, so the arrays
-equal the per-object results bit for bit.
+matrices, checked when the graph is made (a solved copy checks only its
+new vertex stacks).  The generator, the loader, :func:`solve` and
+:class:`Marginals` make and read these arrays with no :class:`Pose` or
+:class:`Edge` per vertex or edge; ``vertices`` and ``edges`` are read-only
+views built when read, and :meth:`Marginals.pair_beliefs` builds a Pose
+only for each vertex its pairs touch.  The stacked products are those a
+Pose would form, so the arrays equal the per-object results bit for bit.
 """
 
 from __future__ import annotations
@@ -92,21 +92,26 @@ class DivergenceError(ArithmeticError):
 def _checked_information(ends: np.ndarray, info: np.ndarray) -> np.ndarray:
     """Symmetrized (E, 3, 3) information stack of edges with (E, 2) endpoint keys.
 
-    Each matrix must be symmetric within 1e-9 and PSD within -1e-9 times
-    ``max(1, max |entry|)``.  The first edge that is not raises
-    :class:`GraphValidationError` naming it, the symmetry test first.
+    Each matrix must have finite entries, be symmetric within 1e-9 and PSD
+    within -1e-9 times ``max(1, max |entry|)``.  The first edge that does not
+    raises :class:`GraphValidationError` naming it, the tests in that order.
     """
+    finite = np.isfinite(info).all(axis=(1, 2))
+    info = np.where(finite[:, None, None], info, 0.0)
     info_t = np.swapaxes(info, 1, 2)
     scale = np.maximum(1.0, np.abs(info).max(axis=(1, 2)))
     asym = np.abs(info - info_t).max(axis=(1, 2)) > 1e-9 * scale
     info = 0.5 * (info + info_t)
     scale = np.maximum(1.0, np.abs(info).max(axis=(1, 2)))
     indefinite = np.linalg.eigvalsh(info).min(axis=1) < -1e-9 * scale
-    bad = np.flatnonzero(asym | indefinite)
+    bad = np.flatnonzero(~finite | asym | indefinite)
     if bad.size:
         k = bad[0]
+        edge = f"edge ({ends[k, 0]},{ends[k, 1]})"
+        if not finite[k]:
+            raise GraphValidationError(f"{edge}: information entries must be finite")
         what = "not symmetric" if asym[k] else "not PSD"
-        raise GraphValidationError(f"edge ({ends[k, 0]},{ends[k, 1]}): information {what}")
+        raise GraphValidationError(f"{edge}: information {what}")
     info.flags.writeable = False
     return info
 
@@ -140,6 +145,24 @@ def _frozen(a) -> np.ndarray:
     return a
 
 
+def _endpoint_rows(keys: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """(E, 2) rows in sorted ``keys`` of the edge endpoints ``ends``; the
+    first edge that is a self-loop or names a missing vertex raises."""
+    rows = np.searchsorted(keys, ends)
+    found = np.zeros(ends.shape, dtype=bool)
+    inside = rows < keys.shape[0]
+    found[inside] = keys[rows[inside]] == ends[inside]
+    loop = ends[:, 0] == ends[:, 1]
+    bad = np.flatnonzero(loop | ~found.all(axis=1))
+    if bad.size:
+        i, j = ends[bad[0]].tolist()
+        if i == j:
+            raise GraphValidationError(f"self-loop edge on vertex {i}")
+        missing = i if not found[bad[0], 0] else j
+        raise GraphValidationError(f"edge references missing vertex {missing}")
+    return rows
+
+
 class _VertexView(Mapping):
     """Read-only key -> :class:`Pose` view of a graph's vertex stacks, in key
     order; each Pose is built on its first read and then kept."""
@@ -168,13 +191,13 @@ class _VertexView(Mapping):
 class PoseGraph:
     """Keyed SE(2) vertices plus relative-pose edges with information matrices.
 
-    The graph is held as arrays, checked once when it is made: the sorted
-    vertex ``keys`` (n,) with their rotations ``R`` (n, 2, 2) and
-    translations ``t`` (n, 2), and per edge its endpoint keys ``ends``
-    (E, 2), its measurement's rotation ``Z_R`` (E, 2, 2) and translation
-    ``Z_t`` (E, 2), and its symmetrized ``information`` (E, 3, 3).
-    ``vertices`` (key -> :class:`Pose`) and ``edges`` (:class:`Edge` tuple)
-    are read-only views of them, built only when read.
+    The graph is held as arrays, checked when it is made: the sorted vertex
+    ``keys`` (n,) with their rotations ``R`` (n, 2, 2) and translations
+    ``t`` (n, 2), and per edge its endpoint keys ``ends`` (E, 2), its
+    measurement's rotation ``Z_R`` (E, 2, 2) and translation ``Z_t``
+    (E, 2), and its symmetrized ``information`` (E, 3, 3).  ``vertices``
+    (key -> :class:`Pose`) and ``edges`` (:class:`Edge` tuple) are
+    read-only views of them, built only when read.
     """
 
     def __init__(self, vertices: Mapping[int, Pose], edges: Sequence[Edge], *,
@@ -186,12 +209,14 @@ class PoseGraph:
         for e in edges:
             if e.measurement.dim != 2:
                 raise GraphValidationError(f"edge ({e.i},{e.j}): measurement is not planar")
-        keys = sorted(vertices)
-        self._set(
-            np.array(keys, dtype=np.int64).reshape(-1),
-            np.array([vertices[k].R for k in keys]).reshape(-1, 2, 2),
-            np.array([vertices[k].t for k in keys]).reshape(-1, 2),
-            np.array([(e.i, e.j) for e in edges], dtype=np.int64).reshape(-1, 2),
+        # each Pose and Edge was checked when it was made; only the endpoints are left
+        keys = np.array(sorted(vertices), dtype=np.int64).reshape(-1)
+        ends = np.array([(e.i, e.j) for e in edges], dtype=np.int64).reshape(-1, 2)
+        self._store(
+            keys,
+            np.array([vertices[k].R for k in keys.tolist()]).reshape(-1, 2, 2),
+            np.array([vertices[k].t for k in keys.tolist()]).reshape(-1, 2),
+            ends, _endpoint_rows(keys, ends),
             np.array([e.measurement.R for e in edges]).reshape(-1, 2, 2),
             np.array([e.measurement.t for e in edges]).reshape(-1, 2),
             np.array([e.information for e in edges]).reshape(-1, 3, 3),
@@ -200,44 +225,39 @@ class PoseGraph:
 
     @classmethod
     def _of_arrays(cls, keys, R, t, ends, Z_R, Z_t, information, *,
-                   skipped_lines: int = 0, solved: bool = False) -> "PoseGraph":
+                   skipped_lines: int = 0) -> "PoseGraph":
         """The graph of sorted unique keys and the stacks named in the class
-        docstring, checked as :meth:`__init__` checks its vertices and edges."""
+        docstring, checked as a :class:`Pose` and an :class:`Edge` check
+        theirs: vertex poses, endpoints, measurements, then information."""
         graph = cls.__new__(cls)
-        graph._set(keys, R, t, ends, Z_R, Z_t, information, skipped_lines, solved)
+        graph._store(
+            keys, checked_pose_blocks(R, t), t, ends, _endpoint_rows(keys, ends),
+            checked_pose_blocks(Z_R, Z_t), Z_t,
+            _checked_information(ends, np.asarray(information, dtype=float)),
+            skipped_lines, False,
+        )
         return graph
 
-    def _set(self, keys, R, t, ends, Z_R, Z_t, information, skipped_lines, solved):
+    def _solved_at(self, R, t) -> "PoseGraph":
+        """A solved copy of this graph at vertex stacks ``R``, ``t``; only they
+        are checked, the edge arrays are shared."""
+        graph = PoseGraph.__new__(PoseGraph)
+        graph._store(self.keys, checked_pose_blocks(R, t), t, self.ends, self._edge_rows,
+                     self.Z_R, self.Z_t, self.information, self.skipped_lines, True)
+        return graph
+
+    def _store(self, keys, R, t, ends, edge_rows, Z_R, Z_t, information, skipped_lines, solved):
+        """Keep checked arrays, read-only, and start the views empty."""
         self.keys = _frozen(keys)
         self._rows = dict(zip(self.keys.tolist(), range(self.keys.shape[0])))
-        self.t = _frozen(t)
-        self.R = _frozen(checked_pose_blocks(R, self.t))
-        self.ends = _frozen(ends)
-        self._edge_rows = _frozen(self._endpoint_rows())
-        self.Z_t = _frozen(Z_t)
-        self.Z_R = _frozen(checked_pose_blocks(Z_R, self.Z_t))
-        self.information = _checked_information(self.ends, np.asarray(information, dtype=float))
+        self.R, self.t = _frozen(R), _frozen(t)
+        self.ends, self._edge_rows = _frozen(ends), _frozen(edge_rows)
+        self.Z_R, self.Z_t = _frozen(Z_R), _frozen(Z_t)
+        self.information = _frozen(information)
         self.skipped_lines = int(skipped_lines)
         self.solved = bool(solved)
         self._vertices = _VertexView(self)
         self._edges = None
-
-    def _endpoint_rows(self) -> np.ndarray:
-        """(E, 2) vertex rows of the edge endpoints; the first edge that is a
-        self-loop or names a missing vertex raises."""
-        rows = np.searchsorted(self.keys, self.ends)
-        found = np.zeros(self.ends.shape, dtype=bool)
-        inside = rows < self.keys.shape[0]
-        found[inside] = self.keys[rows[inside]] == self.ends[inside]
-        loop = self.ends[:, 0] == self.ends[:, 1]
-        bad = np.flatnonzero(loop | ~found.all(axis=1))
-        if bad.size:
-            i, j = self.ends[bad[0]].tolist()
-            if i == j:
-                raise GraphValidationError(f"self-loop edge on vertex {i}")
-            missing = i if not found[bad[0], 0] else j
-            raise GraphValidationError(f"edge references missing vertex {missing}")
-        return rows
 
     @property
     def vertices(self) -> Mapping[int, Pose]:
@@ -337,7 +357,8 @@ def load_graph(path) -> PoseGraph:
                 else:
                     skipped += 1
             except (ValueError, OverflowError) as e:
-                _edge_arrays(ends, edges)  # an earlier bad information comes first
+                bad_ends, *_, info = _edge_arrays(ends, edges)
+                _checked_information(bad_ends, info)  # an earlier bad information comes first
                 raise GraphParseError(line_no, str(e)) from None
     keys = sorted(vertices)
     pose = np.array([vertices[k] for k in keys], dtype=float).reshape(-1, 3)
@@ -347,11 +368,10 @@ def load_graph(path) -> PoseGraph:
 
 
 def _edge_arrays(ends, edges):
-    """Endpoint, measurement and checked information stacks of parsed edge lines."""
+    """Endpoint, measurement and (unchecked) information stacks of parsed edge lines."""
     ends = np.array(ends, dtype=np.int64).reshape(-1, 2)
     values = np.array(edges, dtype=float).reshape(-1, 9)
-    info = _checked_information(ends, values[:, 3:][:, _UPPER].reshape(-1, 3, 3))
-    return (ends, *_planar_blocks(*values[:, :3].T), info)
+    return (ends, *_planar_blocks(*values[:, :3].T), values[:, 3:][:, _UPPER].reshape(-1, 3, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -541,10 +561,7 @@ def solve(graph: PoseGraph) -> tuple[PoseGraph, SolveReport]:
         chi2 = new_chi2
         if 0.0 <= rel_decrease < _REL_TOL or new_chi2 < 1e-15:
             converged = True
-    solved = PoseGraph._of_arrays(
-        graph.keys, best_T[:, :2, :2], best_T[:, :2, 2], graph.ends, graph.Z_R, graph.Z_t,
-        graph.information, skipped_lines=graph.skipped_lines, solved=True,
-    )
+    solved = graph._solved_at(best_T[:, :2, :2], best_T[:, :2, 2])
     report = SolveReport(iterations, initial, best_chi2, converged)
     return solved, report
 

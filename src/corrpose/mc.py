@@ -13,7 +13,6 @@ draw.  :func:`mc_relative_cov` is its one-pair call.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -263,27 +262,19 @@ def mc_relative_cov(b: PosePairBelief, M: int, seed) -> np.ndarray:
     return (kept.T @ kept) / kept.shape[0]
 
 
-def _frobenius(a: np.ndarray) -> float:
-    """Frobenius norm of a float matrix: the arithmetic of ``np.linalg.norm(a,
-    "fro")``, one dot product of its entries in memory order, without the
-    dispatch that costs more than the sum on a 6x6 matrix."""
-    a = a.ravel(order="K")
-    return math.sqrt(a.dot(a))
-
-
 def cov_error(sigma, sigma_mc) -> float:
     """Frobenius norm of the difference between two covariance matrices."""
     sigma = np.asarray(sigma, dtype=float)
     sigma_mc = np.asarray(sigma_mc, dtype=float)
     if sigma.shape != sigma_mc.shape or sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
         raise ValueError(f"shape mismatch: {sigma.shape} vs {sigma_mc.shape}")
-    return _frobenius(sigma - sigma_mc)
+    return float(np.linalg.norm(sigma - sigma_mc, "fro"))
 
 
 def normalized_cov_error(sigma, sigma_mc) -> float:
     """Covariance error after scaling both matrices by ||Sigma_mc||_F."""
     sigma_mc = np.asarray(sigma_mc, dtype=float)
-    nrm = _frobenius(sigma_mc)
+    nrm = float(np.linalg.norm(sigma_mc, "fro"))
     if nrm == 0.0:
         raise ValueError("Monte-Carlo covariance is zero; normalization undefined")
     return cov_error(np.asarray(sigma, dtype=float) / nrm, sigma_mc / nrm)

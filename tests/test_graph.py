@@ -97,9 +97,12 @@ def test_load_missing_endpoint_is_validation_error(tmp_path):
         gr.load_graph(p)
 
 
-def _write_g2o(path, g, bad_info_edge=None, tail=""):
-    """g as g2o text with repr floats; edge ``bad_info_edge`` gets an
-    indefinite information matrix."""
+_INDEFINITE = [1.0, 0.0, 0.0, 1.0, 0.0, -5.0]
+
+
+def _write_g2o(path, g, bad_info_edge=None, tail="", bad_upper=_INDEFINITE):
+    """g as g2o text with repr floats; edge ``bad_info_edge`` gets the
+    information entries ``bad_upper`` (upper triangle, row-major)."""
     lines = ["# generated", "VERTEX_SE2 3 9.0 9.0 0.5"]  # overridden by its later line
     for k, R, t in zip(g.keys.tolist(), g.R, g.t):
         theta = float(np.arctan2(R[1, 0], R[0, 0]))
@@ -108,7 +111,7 @@ def _write_g2o(path, g, bad_info_edge=None, tail=""):
     for e, ((i, j), R, t, info) in enumerate(zip(g.ends.tolist(), g.Z_R, g.Z_t, g.information)):
         upper = info[np.triu_indices(3)]
         if e == bad_info_edge:
-            upper = np.array([1.0, 0.0, 0.0, 1.0, 0.0, -5.0])
+            upper = np.array(bad_upper)
         theta = float(np.arctan2(R[1, 0], R[0, 0]))
         tag = "EDGE2" if e % 7 == 3 else "EDGE_SE2"
         lines.append(f"{tag} {i} {j} {float(t[0])!r} {float(t[1])!r} {theta!r} "
@@ -129,16 +132,20 @@ def test_load_graph_matches_per_line_loader(tmp_path):
 
 
 @pytest.mark.parametrize("tail", ["", "VERTEX_SE2 9999 oops 0 0\n"])
-def test_load_graph_names_the_bad_information_edge(tmp_path, tail):
-    # one indefinite information matrix among hundreds of valid ones; a malformed
-    # line after it does not hide it
+@pytest.mark.parametrize("bad_upper, what", [
+    (_INDEFINITE, "information not PSD"),
+    ([1.0, 0.0, float("nan"), 1.0, 0.0, 1.0], "information entries must be finite"),
+], ids=["indefinite", "nan"])
+def test_load_graph_names_the_bad_information_edge(tmp_path, tail, bad_upper, what):
+    # one bad information matrix among hundreds of valid ones; a malformed line
+    # after it does not hide it
     from oracles import point_load_graph
 
     g = gr.generate_grid_world(500, seed=3)
     p = tmp_path / "g.g2o"
-    _write_g2o(p, g, bad_info_edge=321, tail=tail)
+    _write_g2o(p, g, bad_info_edge=321, tail=tail, bad_upper=bad_upper)
     i, j = g.ends[321].tolist()
-    message = rf"^edge \({i},{j}\): information not PSD$"
+    message = rf"^edge \({i},{j}\): {what}$"
     for load in (gr.load_graph, point_load_graph):
         with pytest.raises(gr.GraphValidationError, match=message):
             load(p)
@@ -172,6 +179,21 @@ def test_graph_views_are_read_only_and_built_when_read():
     assert isinstance(g.edges, tuple) and g.edges[0].measurement.R.tolist() == g.Z_R[0].tolist()
     for name in ("keys", "R", "t", "ends", "Z_R", "Z_t", "information"):
         assert not getattr(g, name).flags.writeable, name
+
+
+def test_information_checked_once(monkeypatch):
+    # an Edge checks its information when made, and a solved copy shares the
+    # input's checked edge arrays; neither is checked again
+    g = gr.generate_grid_world(30, seed=2)
+    edges = g.edges
+    calls = []
+    monkeypatch.setattr(gr, "_checked_information", lambda *a: calls.append(a))
+    rebuilt = gr.PoseGraph(g.vertices, edges)
+    assert np.array_equal(rebuilt.information, g.information)
+    solved, _ = gr.solve(g)
+    assert calls == []
+    for name in ("ends", "Z_R", "Z_t", "information", "_edge_rows"):
+        assert getattr(solved, name) is getattr(g, name), name
 
 
 @needs_manhattan
