@@ -163,7 +163,7 @@ class JointPoseBelief:
 class PosePairBelief:
     """Two poses with a full 2m x 2m joint covariance (named blocks)."""
 
-    __slots__ = ("means", "cov")
+    __slots__ = ("means", "cov", "_inv_adjoint")
 
     def __init__(self, means: Sequence[Pose], cov):
         means = tuple(means)
@@ -287,22 +287,35 @@ def inverse(u: UncertainPose) -> UncertainPose:
     return UncertainPose(T_inv, finalize_propagated_cov(Ad @ u.cov @ Ad.T))
 
 
+def _inverse_first_means(pairs) -> tuple[np.ndarray, np.ndarray]:
+    """Checked (R, t) stacks of ``T_ij^-1`` of k pairs."""
+    return invert_blocks(np.stack([p.means[0].R for p in pairs]),
+                         np.stack([p.means[0].t for p in pairs]))
+
+
+def _inverse_adjoints(pairs) -> np.ndarray:
+    """(k, m, m) ``Ad(T_ij^-1)`` of k pairs, each formed once and kept on its
+    pair for every later between covariance and oracle call."""
+    todo = [p for p in pairs if getattr(p, "_inv_adjoint", None) is None]
+    if todo:
+        for p, Ad in zip(todo, adjoint_blocks(*_inverse_first_means(todo))):
+            object.__setattr__(p, "_inv_adjoint", Ad)
+    return np.stack([p._inv_adjoint for p in pairs])
+
+
 def relative_mean_blocks(pairs: Sequence[PosePairBelief]):
     """Adjoints ``Ad(T_ij^-1)`` (k, m, m) and checked (R, t) stacks of the
     relative means ``T_ij^-1 T_ik`` of k pairs sharing a group."""
-    R_inv, t_inv = invert_blocks(
-        np.stack([p.means[0].R for p in pairs]), np.stack([p.means[0].t for p in pairs])
-    )
     R, t = compose_blocks(
-        R_inv, t_inv,
+        *_inverse_first_means(pairs),
         np.stack([p.means[1].R for p in pairs]), np.stack([p.means[1].t for p in pairs]),
     )
-    return adjoint_blocks(R_inv, t_inv), R, t
+    return _inverse_adjoints(pairs), R, t
 
 
-def _between_blocks(pairs, *, use_cross: bool):
-    """Mean blocks (R, t) of ``T_ij^-1 T_ik`` and unfinalized covariances of k pairs."""
-    Ad, R, t = relative_mean_blocks(pairs)
+def _between_covs(pairs, *, use_cross: bool) -> np.ndarray:
+    """Unfinalized (k, m, m) between covariances of k pairs."""
+    Ad = _inverse_adjoints(pairs)
     cov = np.stack([p.cov for p in pairs])
     m = pairs[0].block_dim
     inner = cov[:, :m, :m] + cov[:, m:, m:]
@@ -311,7 +324,13 @@ def _between_blocks(pairs, *, use_cross: bool):
         # the relative pose as -Ad xi_ij, the second as +Ad xi_ik.
         cross = cov[:, :m, m:]
         inner = inner - cross - np.swapaxes(cross, 1, 2)
-    return R, t, Ad @ inner @ np.swapaxes(Ad, 1, 2)
+    return Ad @ inner @ np.swapaxes(Ad, 1, 2)
+
+
+def _between_blocks(pairs, *, use_cross: bool):
+    """Mean blocks (R, t) of ``T_ij^-1 T_ik`` and unfinalized covariances of k pairs."""
+    _, R, t = relative_mean_blocks(pairs)
+    return R, t, _between_covs(pairs, use_cross=use_cross)
 
 
 def between_covs(pairs: Sequence[PosePairBelief], *, use_cross: bool = True) -> np.ndarray:
@@ -320,10 +339,10 @@ def between_covs(pairs: Sequence[PosePairBelief], *, use_cross: bool = True) -> 
     With ``use_cross=False`` it is ``between_ignoring_correlation(p).cov``.
     One stacked evaluation, identical bit for bit to the one-pair calls and
     with their checks and exception types; if any pair fails, the whole
-    call raises.
+    call raises.  The relative means are not formed.
     """
-    _, _, cov = _between_blocks(pairs, use_cross=use_cross)
-    return checked_covs(_finalized_covs(cov), what="covariance")
+    return checked_covs(_finalized_covs(_between_covs(pairs, use_cross=use_cross)),
+                        what="covariance")
 
 
 def between(p: PosePairBelief) -> UncertainPose:

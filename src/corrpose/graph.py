@@ -32,8 +32,9 @@ import scipy.sparse.linalg
 
 from .belief import PosePairBelief, checked_covs
 from .liegroup import (
-    _VINV_CUTOFF,
     Pose,
+    _angle_coeffs,
+    _vinv_coeff,
     adjoint_blocks,
     checked_pose_blocks,
     compose_blocks,
@@ -467,20 +468,12 @@ def _inv_right_jacobian_many(xi: np.ndarray) -> np.ndarray:
 
     Jr = [[A, c], [0, 1]], A = [[a, b], [-b, a]], a = sin(t)/t, b = (1 - cos t)/t
     (Sola et al., arXiv 1812.01537, eq. 163).  [[A^-1, -A^-1 c], [0, 1]] reduces
-    to I + ad/2 + d ad^2 with d = (1 - (t/2) cot(t/2)) / t^2; formed from a and b
-    instead, its translation column lost up to 4e-10 to cancellation just above
-    _COEFF_CUTOFF.  Like the SE(3) V-inverse coefficient of the stack log, d
-    takes the _VINV_CUTOFF Taylor window.
+    to I + ad/2 + d ad^2 with d = (1 - (t/2) cot(t/2)) / t^2, the coefficient of
+    the SE(3) V^-1 in the stack log, of the angle alone (``liegroup._vinv_coeff``).
     """
     theta = xi[:, 2]
     t2 = theta * theta
-    small = np.abs(theta) < _VINV_CUTOFF
-    safe = np.where(small, 1.0, theta)
-    d = np.where(
-        small,
-        1.0 / 12.0 + t2 / 720.0 + t2 * t2 / 30240.0,
-        (1.0 - 0.5 * safe / np.tan(0.5 * safe)) / (safe * safe),
-    )
+    d = _vinv_coeff(theta)
     out = np.zeros((xi.shape[0], 3, 3))
     out[:, 0, 0] = out[:, 1, 1] = 1.0 - t2 * d
     out[:, 0, 1] = -0.5 * theta
@@ -513,12 +506,12 @@ def _solve_normal_equations(A: scipy.sparse.csr_matrix, b: np.ndarray) -> np.nda
 
 def _renormalized(T: np.ndarray) -> np.ndarray:
     """Project the rotation blocks of an SE(2) matrix stack back onto SO(2)."""
-    th = np.arctan2(T[:, 1, 0], T[:, 0, 0])
+    c, s, _, _ = _angle_coeffs(np.arctan2(T[:, 1, 0], T[:, 0, 0]))
     out = T.copy()
-    out[:, 0, 0] = np.cos(th)
-    out[:, 0, 1] = -np.sin(th)
-    out[:, 1, 0] = np.sin(th)
-    out[:, 1, 1] = np.cos(th)
+    out[:, 0, 0] = c
+    out[:, 0, 1] = -s
+    out[:, 1, 0] = s
+    out[:, 1, 1] = c
     out[:, 2, :2] = 0.0
     out[:, 2, 2] = 1.0
     return out
@@ -620,10 +613,11 @@ class Marginals:
         SuperLU's rounding of a column depends on how many columns are
         solved with it and on its slot, so these marginals can differ from
         one six-column solve per pair at rounding level.  On the 600 pairs
-        of 500-pose graphs they are identical for seeds 0-3, 5, 6, 8 and 9;
-        seeds 4 and 7 differ in 162 and 119 pairs, by at most 3.2e-12 and
-        5.8e-11 of the pair's largest entry, and 3500 poses (seed 0) in 465
-        pairs, by at most 4.9e-10.  Block sizes are measured at ``_VERTEX_BLOCK``.
+        of 500-pose graphs they are identical for seeds 0-4 and 6-8; seeds 5
+        and 9 differ in 142 and 81 pairs, by at most 3.5e-11 and 9.2e-12 of
+        the pair's largest entry, and 3500 poses (seed 0) in 401 pairs, by at
+        most 2.4e-10.  Which graphs differ moves with any rounding-level
+        change of the solved poses.  Block sizes are measured at ``_VERTEX_BLOCK``.
         """
         pairs = list(pairs)
         for i, j in pairs:

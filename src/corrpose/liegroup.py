@@ -14,7 +14,10 @@ Conventions used throughout the package:
 Each group has one exponential, :func:`exp_many`, and one logarithm,
 ``_log_stack`` behind :func:`log_many` and :func:`log_many_masked`, all on
 stacks of twists and homogeneous matrices.  The :class:`Pose` entry points
-:func:`exp_map` and :func:`log_map` are one-row calls of them.
+:func:`exp_map` and :func:`log_map` are one-row calls of them.  The stack
+kernels take no sine or cosine: every angle coefficient comes from one
+tan(t/2) per angle (:func:`_angle_coeffs`, :func:`_vinv_coeff`), and SE(3)
+rows are formed on columns, without 3x3 matrix products.
 """
 
 from __future__ import annotations
@@ -291,8 +294,8 @@ def curly_hat(xi) -> np.ndarray:
 _AXIS_BRANCH = 1e-4
 # Taylor switch points: below _COEFF_CUTOFF the sin(t)/t-style ratios are
 # evaluated by series (their closed forms are 0/0 at t = 0, and
-# (t - sin t)/t^3 loses ~eps/t^2 to cancellation); the log's V-inverse
-# curvature coefficient loses ~eps/t^4 and gets the wider _VINV_CUTOFF window.
+# (t - sin t)/t^3 loses ~eps/t^2 to cancellation); the V-inverse curvature
+# coefficient loses ~12 eps/t^2 and gets the wider _VINV_CUTOFF window.
 _COEFF_CUTOFF = 1e-4
 _VINV_CUTOFF = 1e-2
 
@@ -343,26 +346,40 @@ def bch_approx(xi1, xi2, order: int) -> np.ndarray:
 # Vectorized kernels on homogeneous-matrix stacks
 # ---------------------------------------------------------------------------
 
-def _se2_coeffs_many(theta: np.ndarray, cos: bool = True) -> tuple[np.ndarray, ...]:
-    """cos t (None unless ``cos``), sin t, sin(t)/t and (1-cos t)/t of an angle stack.
+def _angle_coeffs(theta: np.ndarray) -> tuple[np.ndarray, ...]:
+    """cos t, sin t, a = sin(t)/t and b = (1-cos t)/t of an angle stack.
 
-    The last two are the entries of the SE(2) V(t) = [[a, -b], [b, a]] and
-    take the small-angle Taylor branch below ``_COEFF_CUTOFF``; above it
-    (1-cos t)/t is taken as 2 sin^2(t/2)/t, free of cancellation.
+    All four come from u = tan(t/2), the one transcendental taken: c =
+    (1-u^2)/(1+u^2), s = 2u/(1+u^2), a = s/t and b = s u/t, free of
+    cancellation.  a and b, the entries of the SE(2) V(t) = [[a, -b], [b, a]],
+    take the Taylor branch below ``_COEFF_CUTOFF``.
     """
-    c, s = np.cos(theta) if cos else None, np.sin(theta)
-    small = np.flatnonzero(np.abs(theta) < _COEFF_CUTOFF)
-    safe = theta.copy()
-    safe[small] = 1.0
-    a = s / safe
-    h = np.sin(0.5 * theta)
-    b = 2.0 * h * h / safe
+    u = np.tan(0.5 * theta)
+    u2 = u * u
+    c = (1.0 - u2) / (1.0 + u2)
+    s = 2.0 * u / (1.0 + u2)
+    with np.errstate(divide="ignore", invalid="ignore"):  # t = 0 takes the series
+        a = s / theta
+    b = a * u
     # the series only where it is used: small angles are rare in a stack
+    small = np.flatnonzero(np.abs(theta) < _COEFF_CUTOFF)
     t = theta[small]
     t2 = t * t
     a[small] = 1.0 - t2 / 6.0 + t2 * t2 / 120.0
     b[small] = t * (0.5 - t2 / 24.0 + t2 * t2 / 720.0)
     return c, s, a, b
+
+
+def _vinv_coeff(theta: np.ndarray) -> np.ndarray:
+    """d = (1 - (t/2) cot(t/2)) / t^2 of angles |t| <= pi, as (1 - t/(2u)) / t^2
+    with u = tan(t/2): the curvature coefficient of the SE(3) V(t)^-1 =
+    I - K/2 + d K^2 and of the SE(2) inverse right Jacobian."""
+    with np.errstate(divide="ignore", invalid="ignore"):  # t = 0 takes the series
+        d = (1.0 - 0.5 * theta / np.tan(0.5 * theta)) / (theta * theta)
+    small = np.flatnonzero(np.abs(theta) < _VINV_CUTOFF)
+    t2 = theta[small] ** 2
+    d[small] = 1.0 / 12.0 + t2 / 720.0 + t2 * t2 / 30240.0
+    return d
 
 
 def _se2_log_rows(theta, tx, ty, a, b) -> np.ndarray:
@@ -392,15 +409,17 @@ def exp_many(xis: np.ndarray) -> np.ndarray:
 
     The one exponential of the package (:func:`exp_map` is a one-row call),
     in the closed forms of Sola et al. (arXiv 1812.01537) with the Taylor
-    branches below ``_COEFF_CUTOFF``; 1 - cos is taken as 2 sin^2 of the
-    half angle.
+    branches below ``_COEFF_CUTOFF``; every angle coefficient comes from
+    tan(t/2) (:func:`_angle_coeffs`).  SE(3) rows are formed on columns, with
+    K = skew(phi): R = cI + (s/t) K + ((1-c)/t^2) phi phi^T and
+    V rho = (s/t) rho + ((1-c)/t^2) phi x rho + ((t-s)/t^3) phi (phi . rho).
     """
     xis = np.asarray(xis, dtype=float)
     if xis.ndim != 2 or xis.shape[1] not in (3, 6):
         raise ValueError(f"expected (M, 3) or (M, 6) twists, got {xis.shape}")
     m = xis.shape[0]
     if xis.shape[1] == 3:
-        c, s, a, b = _se2_coeffs_many(xis[:, 2])
+        c, s, a, b = _angle_coeffs(xis[:, 2])
         out = np.zeros((m, 3, 3))
         out[:, 0, 0] = c
         out[:, 0, 1] = -s
@@ -411,26 +430,24 @@ def exp_many(xis: np.ndarray) -> np.ndarray:
         out[:, 2, 2] = 1.0
         return out
     rho, phi = xis[:, :3], xis[:, 3:]
-    theta = np.linalg.norm(phi, axis=1)
-    small = theta < _COEFF_CUTOFF
-    safe = np.where(small, 1.0, theta)
+    theta = np.sqrt(phi[:, 0] ** 2 + phi[:, 1] ** 2 + phi[:, 2] ** 2)
+    c, s, a, b = _angle_coeffs(theta)
     t2 = theta * theta
-    a = np.where(small, 1.0 - t2 / 6.0 + t2 * t2 / 120.0, np.sin(theta) / safe)
-    h = np.sin(0.5 * theta)
-    b = np.where(small, 0.5 - t2 / 24.0 + t2 * t2 / 720.0, 2.0 * h * h / (safe * safe))
-    cc = np.where(
-        small,
-        1.0 / 6.0 - t2 / 120.0 + t2 * t2 / 5040.0,
-        (theta - np.sin(theta)) / (safe ** 3),
-    )
-    K = _skew_many(phi)
-    K2 = K @ K
-    eye = np.broadcast_to(np.eye(3), (m, 3, 3))
-    R = eye + a[:, None, None] * K + b[:, None, None] * K2
-    V = eye + b[:, None, None] * K + cc[:, None, None] * K2
+    with np.errstate(divide="ignore", invalid="ignore"):  # t = 0 takes the series
+        b = b / theta
+        cc = (theta - s) / (theta * t2)
+    small = np.flatnonzero(theta < _COEFF_CUTOFF)
+    t2 = t2[small]
+    b[small] = 0.5 - t2 / 24.0 + t2 * t2 / 720.0
+    cc[small] = 1.0 / 6.0 - t2 / 120.0 + t2 * t2 / 5040.0
+    cc *= phi[:, 0] * rho[:, 0] + phi[:, 1] * rho[:, 1] + phi[:, 2] * rho[:, 2]
     out = np.zeros((m, 4, 4))
-    out[:, :3, :3] = R
-    out[:, :3, 3] = np.einsum("mij,mj->mi", V, rho)
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):  # cyclic: K[j, i] = phi_k
+        out[:, i, i] = b * phi[:, i] * phi[:, i] + c
+        out[:, i, j] = b * phi[:, i] * phi[:, j] - a * phi[:, k]
+        out[:, j, i] = b * phi[:, i] * phi[:, j] + a * phi[:, k]
+        out[:, i, 3] = (a * rho[:, i] + b * (phi[:, j] * rho[:, k] - phi[:, k] * rho[:, j])
+                        + cc * phi[:, i])
     out[:, 3, 3] = 1.0
     return out
 
@@ -457,11 +474,11 @@ def log_between_many(xi1: np.ndarray, xi2: np.ndarray
     closed form on the twist columns, with no 3x3 matrices: theta =
     wrap(theta2 - theta1), t = R(theta1)^T (V(theta2) rho2 - V(theta1) rho1)
     and rho = V(theta)^-1 t (Sola et al., arXiv 1812.01537), with the Taylor
-    branches of :func:`exp_many`; the coefficients are the (4, M) rows cos,
-    sin, sin(t)/t and (1-cos t)/t of each relative angle t that V(theta)^-1
-    was formed from (:func:`_se2_coeffs_many`).  SE(3) rows go through
-    :func:`exp_many`, :func:`inv_many`, one stacked product and
-    :func:`log_many_masked`, and have no coefficient rows.
+    branches of :func:`exp_many` and one tan(t/2) per angle; the coefficients
+    are the (4, M) rows cos, sin, sin(t)/t and (1-cos t)/t of each relative
+    angle t that V(theta)^-1 was formed from (:func:`_angle_coeffs`).  SE(3)
+    rows go through :func:`exp_many`, :func:`inv_many`, one stacked product
+    and :func:`log_many_masked`, and have no coefficient rows.
     """
     xi1 = np.asarray(xi1, dtype=float)
     xi2 = np.asarray(xi2, dtype=float)
@@ -475,15 +492,15 @@ def log_between_many(xi1: np.ndarray, xi2: np.ndarray
     theta -= 2.0 * np.pi * np.round(theta / (2.0 * np.pi))
     ok = (np.pi - np.abs(theta)) > _PI_MARGIN
     tx, ty = _se2_between_translation(xi1, xi2)
-    coeffs = np.stack(_se2_coeffs_many(theta))
+    coeffs = np.stack(_angle_coeffs(theta))
     return _se2_log_rows(theta, tx, ty, *coeffs[2:]), ok, coeffs
 
 
 def _se2_between_translation(xi1, xi2) -> tuple[np.ndarray, np.ndarray]:
     """Translation columns R(theta1)^T (V(theta2) rho2 - V(theta1) rho1) of
     ``exp(xi1)^-1 exp(xi2)``; its temporaries die on return."""
-    c1, s1, a1, b1 = _se2_coeffs_many(xi1[:, 2])
-    _, _, a2, b2 = _se2_coeffs_many(xi2[:, 2], cos=False)
+    c1, s1, a1, b1 = _angle_coeffs(xi1[:, 2])
+    _, _, a2, b2 = _angle_coeffs(xi2[:, 2])
     ux = (a2 * xi2[:, 0] - b2 * xi2[:, 1]) - (a1 * xi1[:, 0] - b1 * xi1[:, 1])
     uy = (b2 * xi2[:, 0] + a2 * xi2[:, 1]) - (b1 * xi1[:, 0] + a1 * xi1[:, 1])
     return c1 * ux + s1 * uy, c1 * uy - s1 * ux
@@ -494,7 +511,9 @@ def _log_stack(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     The one logarithm of the package, in the closed forms of Sola et al.
     (arXiv 1812.01537).  Rows within ``_PI_MARGIN`` of pi are masked False
-    and their twists unspecified; no row raises.
+    and their twists unspecified; no row raises.  The SE(3) translation is
+    rho = t - phi x t / 2 + d phi x (phi x t), formed on columns, with d of
+    the angle alone (:func:`_vinv_coeff`).
     """
     mats = np.asarray(mats, dtype=float)
     if mats.ndim != 3 or mats.shape[1] != mats.shape[2] or mats.shape[1] not in (3, 4):
@@ -502,7 +521,7 @@ def _log_stack(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if mats.shape[1] == 3:
         theta = np.arctan2(mats[:, 1, 0], mats[:, 0, 0])
         ok = (np.pi - np.abs(theta)) > _PI_MARGIN
-        _, _, a, b = _se2_coeffs_many(theta, cos=False)
+        _, _, a, b = _angle_coeffs(theta)
         return _se2_log_rows(theta, mats[:, 0, 2], mats[:, 1, 2], a, b), ok, theta
     R = mats[:, :3, :3]
     t = mats[:, :3, 3]
@@ -524,18 +543,14 @@ def _log_stack(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     near = np.flatnonzero(np.pi - theta < _AXIS_BRANCH)
     if near.size:
         phi[near] = theta[near, None] * _near_pi_axes(R[near], c[near], w[near])
-    small_d = theta < _VINV_CUTOFF
-    safe = np.where(small_d, 1.0, theta)
-    denom = 2.0 * (1.0 - c)
-    d = np.where(
-        small_d,
-        1.0 / 12.0 + t2 / 720.0 + t2 * t2 / 30240.0,
-        (1.0 - theta * s / np.where(denom == 0.0, 1.0, denom)) / (safe * safe),
-    )
-    K = _skew_many(phi)
-    K2 = K @ K
-    rho = t - 0.5 * np.einsum("mij,mj->mi", K, t) + d[:, None] * np.einsum("mij,mj->mi", K2, t)
-    return np.concatenate([rho, phi], axis=1), ok, theta
+    out = np.empty((mats.shape[0], 6))
+    out[:, 3:] = phi
+    cyclic = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+    p = [phi[:, j] * t[:, k] - phi[:, k] * t[:, j] for _, j, k in cyclic]  # phi x t
+    d = _vinv_coeff(theta)
+    for i, j, k in cyclic:
+        out[:, i] = t[:, i] - 0.5 * p[i] + d * (phi[:, j] * p[k] - phi[:, k] * p[j])
+    return out, ok, theta
 
 
 def _near_pi_axes(R: np.ndarray, c: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ import numpy as np
 from corrpose import Pose, hat
 from corrpose.belief import between, between_ignoring_correlation
 from corrpose.experiments import _PLANAR_BLOCK, _embed3_many, _log, lie_pair_to_ssc
-from corrpose.liegroup import _se2_coeffs_many, exp_many, inv_many, log_many_masked
+from corrpose.liegroup import _angle_coeffs, exp_many, inv_many, log_many_masked
 from corrpose.mc import (
     cov_error,
     normalized_cov_error,
@@ -597,7 +597,7 @@ def _ssc_relative_cov(t_bar, xis):
     relative samples, its residuals ((R(theta) - I) t_bar + V(theta) rho,
     theta) formed from the twists alone: the per-pair reference for
     ``experiments._ssc_relative_covs``."""
-    c, s, a, b = _se2_coeffs_many(xis[:, 2])
+    c, s, a, b = _angle_coeffs(xis[:, 2])
     rx, ry = xis[:, 0], xis[:, 1]
     r = np.empty((xis.shape[0], 3))
     r[:, 0] = (c - 1.0) * t_bar[0] - s * t_bar[1] + (a * rx - b * ry)
@@ -824,6 +824,25 @@ def mp_params_jacobian(T_bar, dps=40):
     R, t = T_bar.R.tolist(), T_bar.t.tolist()
     return mp_jacobian(lambda xi: _mp_params(_mp_exp(xi) * _mp_pose(mp.matrix(R), t)),
                        np.zeros(T_bar.twist_dim), dps)
+
+
+def mp_angle_coeffs(theta, dps=40):
+    """(5, M) rows cos t, sin t, sin(t)/t, (1 - cos t)/t and
+    (1 - (t/2) cot(t/2))/t^2 of float angles, evaluated with ``dps`` digits
+    and rounded to floats; t = 0 takes the limits 1, 0, 1, 0 and 1/12."""
+    import mpmath as mp
+
+    out = []
+    with mp.workdps(dps):
+        for v in theta:
+            t = mp.mpf(float(v))
+            if t == 0:
+                out.append([1.0, 0.0, 1.0, 0.0, 1.0 / 12.0])
+                continue
+            c, s = mp.cos(t), mp.sin(t)
+            out.append([float(c), float(s), float(s / t), float((1 - c) / t),
+                        float((1 - t / 2 * mp.cot(t / 2)) / t ** 2)])
+    return np.array(out).T
 
 
 def mp_exp_many(xis, dps=40):

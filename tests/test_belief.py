@@ -400,6 +400,24 @@ def test_between_covs_bit_identical_to_one_pair_calls(dim):
     assert clipped  # the clipping branch was exercised
 
 
+def test_between_covs_form_each_adjoint_once_and_no_means(monkeypatch):
+    # the two predictions and the oracle of a block share each pair's
+    # Ad(T_ij^-1); between_covs never composes the relative means
+    import corrpose.belief as bel
+
+    pairs = _random_pairs(np.random.default_rng(12), 2, 20)
+    real = bel.adjoint_blocks
+    calls = []
+    monkeypatch.setattr(bel, "adjoint_blocks", lambda R, t: calls.append(len(t)) or real(R, t))
+    monkeypatch.setattr(bel, "compose_blocks", None)  # any call raises TypeError
+    bel.between_covs(pairs[:16], use_cross=True)
+    bel.between_covs(pairs, use_cross=False)
+    assert calls == [16, 4]
+    monkeypatch.setattr(bel, "compose_blocks", cp.liegroup.compose_blocks)
+    assert bel.relative_mean_blocks(pairs)[0].shape == (20, 3, 3)
+    assert calls == [16, 4]
+
+
 def test_stacked_cov_checks_raise_like_one_matrix():
     from corrpose.belief import _finalized_covs, checked_covs
 

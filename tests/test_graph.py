@@ -412,9 +412,9 @@ def test_sparse_pair_marginals_match_dense_inverse():
 
 
 # a test-sized graph, and a 500-pose one on which the solves of 16 vertices
-# at a time reproduce every six-column solve exactly (as on seeds 0-3, 5, 6, 8
-# and 9; seeds 4 and 7 differ at rounding level, see the bounded test below)
-@pytest.mark.parametrize("n_poses,seed", [(120, 12), (500, 9)])
+# at a time reproduce every six-column solve exactly (as on seeds 0-4 and 6-8;
+# seeds 5 and 9 differ at rounding level, see the bounded test below)
+@pytest.mark.parametrize("n_poses,seed", [(120, 12), (500, 8)])
 def test_pair_beliefs_bit_identical_to_six_column_solves(n_poses, seed):
     g = gr.generate_grid_world(n_poses, seed=seed)
     solved, _ = gr.solve(g)
@@ -447,10 +447,13 @@ def _slam_pairs(n_poses):
     return pairs
 
 
-# graphs on which SuperLU rounds some columns differently when they are solved
-# 48 at a time: 162, 119 and 38 of 600 pairs differ from six-column solves, by
-# at most 3.2e-12, 5.8e-11 and 4.6e-13 of the pair's largest entry
-@pytest.mark.parametrize("n_poses,seed", [(500, 4), (500, 7), (1000, 4)])
+# graphs on which SuperLU may round some columns differently when they are
+# solved 48 at a time.  Which graphs do depends on the rounding of the solved
+# poses: on 500-pose seeds 5 and 9, 142 and 81 of 600 pairs differ from
+# six-column solves, by at most 3.5e-11 and 9.2e-12 of the pair's largest
+# entry; 500-pose seeds 4 and 7 and 1000-pose seed 4 (162, 119 and 38 pairs
+# before the tan(t/2) angle coefficients) now match exactly
+@pytest.mark.parametrize("n_poses,seed", [(500, 4), (500, 7), (1000, 4), (500, 5), (500, 9)])
 def test_pair_beliefs_near_six_column_solves(n_poses, seed):
     marg = _solved_marginals(n_poses, seed)
     pairs = _slam_pairs(n_poses)

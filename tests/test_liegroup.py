@@ -400,11 +400,11 @@ def test_checked_pose_blocks_follow_pose_constructor():
 # ---------------------------------------------------------------------------
 
 # Largest error against the twist of a 40-digit exponential rounded to floats
-# (rho of size up to ~10): 9.4e-12 in the random band and 1.5e-11 around
-# _VINV_CUTOFF (both at angles just above it, where V^-1's curvature
-# coefficient takes 1 - cos from the matrix trace); 1.8e-15 around
-# _SMALL_ANGLE; 6.7e-12 near pi, from the rows just outside _AXIS_BRANCH,
-# where w carries eps / (pi - angle) relative error.
+# (rho of size up to ~10): 3.4e-15 in the random band, 1.8e-15 around
+# _SMALL_ANGLE and 8.9e-16 around _VINV_CUTOFF, with V^-1's curvature
+# coefficient of the angle alone (it took 1 - cos from the matrix trace and
+# read 9.4e-12 and 1.5e-11 there); 6.7e-12 near pi, from the rows just
+# outside _AXIS_BRANCH, where w carries eps / (pi - angle) relative error.
 def test_log_many_against_mpmath_exponentials():
     from oracles import mp_exp_many
 
@@ -417,7 +417,7 @@ def test_log_many_against_mpmath_exponentials():
         _VINV_CUTOFF * np.exp(rng.uniform(-0.1, 0.1, 200)),
         np.pi - _AXIS_BRANCH * np.exp(rng.uniform(-2.0, 0.5, 200)),
     ]
-    for angles, bound in zip(bands, (3e-11, 1e-14, 5e-11, 2e-11)):
+    for angles, bound in zip(bands, (1e-14, 1e-14, 5e-15, 2e-11)):
         axes = rng.normal(size=(angles.size, 3))
         axes /= np.linalg.norm(axes, axis=1)[:, None]
         xis = np.column_stack([rng.normal(0, 3.0, size=(angles.size, 3)), angles[:, None] * axes])
@@ -465,22 +465,108 @@ def test_log_many_masked_pi_rows_do_not_raise():
     npt.assert_allclose(out[0], [0.1, 0.2, 0.3, 0.0, 0.0, 0.5], atol=1e-15)
 
 
-# (1 - cos t)/t against 40 digits: 2 sin^2(t/2)/t has no cancellation just
-# above _COEFF_CUTOFF, where 1 - cos t lost up to 2.7e-9 relative
+# (1 - cos t)/t against 40 digits: sin(t) tan(t/2)/t has no cancellation
+# just above _COEFF_CUTOFF, where 1 - cos t lost up to 2.7e-9 relative
 @pytest.mark.parametrize("t", [1.0001e-4, 2e-4, 1e-3, 0.1, 3.0])
 def test_one_minus_cos_coefficient_against_mpmath(t):
     import mpmath as mp
 
-    from corrpose.liegroup import _se2_coeffs_many
+    from corrpose.liegroup import _angle_coeffs
 
     with mp.workdps(40):
         want = float((1 - mp.cos(mp.mpf(t))) / mp.mpf(t))
     got = [
-        _se2_coeffs_many(np.array([t]))[3][0],
+        _angle_coeffs(np.array([t]))[3][0],
         exp_many(np.array([[1.0, 0.0, t]]))[0, 1, 2],  # b rho_x in V rho
         exp_many(np.array([[1.0, 0.0, 0.0, 0.0, 0.0, t]]))[0, 1, 3],
     ]
     assert np.abs(np.array(got) / want - 1.0).max() <= 1e-15
+
+
+# The angle coefficients from tan(t/2) against 40 digits.  Largest errors
+# measured: 3.3e-16 absolute for c, s, a and b, 4.3e-16 relative for s, a and
+# b (over |t| in [1e-12, pi] and unwrapped up to 20).  d cancels to
+# ~12 eps/t^2 relative just above _VINV_CUTOFF (1.4e-11), but its term of V^-1
+# weighs it by t^2: that error is at most 1.6e-16; inside the window and near
+# pi d is exact to 1.7e-16 relative.
+def test_angle_coefficients_against_mpmath():
+    from oracles import mp_angle_coeffs
+
+    from corrpose.liegroup import _COEFF_CUTOFF, _VINV_CUTOFF, _angle_coeffs, _vinv_coeff
+
+    rng = np.random.default_rng(23)
+    edges = np.array([1.0 - 1e-12, 1.0, 1.0 + 1e-12])
+    theta = np.concatenate([
+        [0.0],
+        np.exp(rng.uniform(np.log(1e-12), np.log(np.pi - 1e-9), 1500)),
+        np.pi - np.exp(rng.uniform(np.log(1e-9), np.log(1e-2), 200)),
+        _COEFF_CUTOFF * np.concatenate([edges, np.exp(rng.uniform(-0.1, 0.1, 200))]),
+        _VINV_CUTOFF * np.concatenate([edges, np.exp(rng.uniform(-0.1, 0.1, 200))]),
+    ])
+    theta = np.concatenate([theta, -theta])
+    unwrapped = rng.uniform(-20.0, 20.0, 500)
+    for angles in (theta, unwrapped):
+        want = mp_angle_coeffs(angles)
+        got = np.stack(_angle_coeffs(angles))
+        assert np.abs(got - want[:4]).max() <= 4e-16
+        nonzero = angles != 0.0
+        rel = np.abs(got[1:] - want[1:4])[:, nonzero] / np.abs(want[1:4, nonzero])
+        assert rel.max() <= 5e-16
+    d, want = _vinv_coeff(theta), mp_angle_coeffs(theta)[4]
+    assert (np.abs(d - want) * theta * theta).max() <= 2e-16
+    exact = (np.abs(theta) < _VINV_CUTOFF) | (np.abs(theta) > 3.1)
+    assert (np.abs(d - want) / want)[exact].max() <= 2e-16
+
+
+# The SE(3) exponential on columns against 40-digit exponentials (rho of size
+# ~3, up to ~10).  Largest errors measured: 3.9e-16 in R and 3.6e-15 in V rho
+# for angles up to 3 (2.2e-16 and 1.8e-15 around _COEFF_CUTOFF); unwrapped
+# angles up to 20 carry the rounding of |phi| into R: 2.4e-15, and 2.7e-15 in
+# V rho.
+def test_exp_many_se3_against_mpmath():
+    from oracles import mp_exp_many
+
+    from corrpose.liegroup import _COEFF_CUTOFF
+
+    rng = np.random.default_rng(29)
+    bands = [
+        np.concatenate([[0.0], np.exp(rng.uniform(np.log(1e-9), np.log(3.0), 400))]),
+        _COEFF_CUTOFF * np.exp(rng.uniform(-0.1, 0.1, 200)),
+        rng.uniform(3.0, 20.0, 200),
+    ]
+    for angles, bound_R in zip(bands, (1e-15, 1e-15, 5e-15)):
+        axes = rng.normal(size=(angles.size, 3))
+        axes /= np.linalg.norm(axes, axis=1)[:, None]
+        xis = np.column_stack([rng.normal(0, 3.0, (angles.size, 3)), angles[:, None] * axes])
+        err = np.abs(exp_many(xis) - mp_exp_many(xis))
+        assert err[:, :3, :3].max() <= bound_R
+        assert err[:, :3, 3].max() <= 8e-15
+        assert not err[:, 3].any()
+
+
+def test_stack_kernels_take_no_sine_or_cosine(monkeypatch):
+    # every angle coefficient of the stack kernels comes from tan(t/2)
+    import corrpose.graph as gr
+    import corrpose.liegroup as lg
+
+    class NoSineOrCosine:
+        def __getattr__(self, name):
+            if name in ("sin", "cos"):
+                raise AssertionError(f"np.{name} called")
+            return getattr(np, name)
+
+    rng = np.random.default_rng(31)
+    xi2, xi3 = rng.normal(0, 1, (50, 3)), rng.normal(0, 1, (50, 6))
+    xi3[0, 3:] = [0.0, 0.0, np.pi - 1e-6]  # the log's axis branch near pi
+    mats = [exp_many(xi2), exp_many(xi3)]
+    monkeypatch.setattr(lg, "np", NoSineOrCosine())
+    monkeypatch.setattr(gr, "np", NoSineOrCosine())
+    for xi, M in zip((xi2, xi3), mats):
+        lg.exp_many(xi)
+        lg.log_many_masked(M)
+        lg.log_between_many(xi, xi[::-1])
+    gr._inv_right_jacobian_many(xi2)
+    gr._renormalized(mats[0])
 
 
 # ---------------------------------------------------------------------------
@@ -507,15 +593,15 @@ def _planar_between_cases(rng):
     return xi1, xi2
 
 
-# Largest difference from the matrix route (entries of size ~2): 8.9e-16 on
-# the switch-point cases and 2.7e-15 on the random rows (3.1e-15 on 1e5).
-# With (1 - cos t)/t taken as 2 sin^2(t/2)/t neither route loses digits
-# just above _COEFF_CUTOFF, where the difference was 7.2e-13 with 1 - cos t.
+# Largest difference from the matrix route (entries of size ~2): 1.3e-15 on
+# the switch-point cases and 2.7e-15 on the random rows.  With (1 - cos t)/t
+# taken as sin(t) tan(t/2)/t neither route loses digits just above
+# _COEFF_CUTOFF, where the difference was 7.2e-13 with 1 - cos t.
 # The SE(3) kernel is the matrix route.
 def test_log_between_many_matches_matrix_route():
     from oracles import matrix_log_between
 
-    from corrpose.liegroup import _se2_coeffs_many, log_between_many
+    from corrpose.liegroup import _angle_coeffs, log_between_many
 
     rng = np.random.default_rng(40)
     xi1, xi2 = _planar_between_cases(rng)
@@ -530,7 +616,7 @@ def test_log_between_many_matches_matrix_route():
         assert np.array_equal(ok, ok_want)
         assert np.abs(got - want)[ok].max() <= 1e-12
         # the planar kernel's coefficients are those of the angles it returns
-        want_coeffs = np.stack(_se2_coeffs_many(got[:, 2])) if a.shape[1] == 3 else []
+        want_coeffs = np.stack(_angle_coeffs(got[:, 2])) if a.shape[1] == 3 else []
         assert np.array_equal(coeffs, np.reshape(want_coeffs, (-1, a.shape[0])))
     _, ok, _ = log_between_many(xi1, xi2)
     assert ok.tolist() == [True] * 13 + [False, False] + [True] * 3
