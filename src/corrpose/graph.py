@@ -4,10 +4,11 @@ twist-space marginal covariance extraction.
 The solver works on-manifold: vertex updates are left perturbations
 ``T <- exp(hat(delta)) @ T`` and edge residuals are
 ``log(Z^-1 (T_i^-1 T_j))`` whitened by the square root of the edge
-information, with closed-form analytic Jacobians.  The gauge is fixed by a
-strong prior on the lowest-keyed vertex.  Marginals are recovered from the
-information matrix assembled in the same twist coordinates, so extracted
-pair beliefs feed the belief module's between() directly.
+information, with closed-form analytic Jacobians.  The lowest-keyed vertex
+is held fixed, which fixes the gauge: its twist is not a variable, and its
+marginal covariance is zero.  Marginals are recovered from the information
+matrix assembled in the same twist coordinates, so extracted pair beliefs
+feed the belief module's between() directly.
 
 A :class:`PoseGraph` is held as arrays: sorted keys, vertex rotation and
 translation stacks, edge endpoints, measurement stacks and information
@@ -44,17 +45,15 @@ from .liegroup import (
     log_many,
 )
 
-# Information placed on each channel of the gauge prior.
-_GAUGE_INFO = 1e8
 # Gauss-Newton stops once chi2 falls by less than this fraction, or after
 # this many iterations.
 _REL_TOL = 1e-9
 _MAX_ITERATIONS = 100
 # An information matrix is singular when some LU pivot |U_jj| is at most
-# this fraction of the diagonal entry of its own column, about three decades
-# from each side: generated graphs of 30-3500 poses give at least 5.7e-10 at
-# every Gauss-Newton step, one vertex with an unconstrained heading 2e-19 to
-# 8e-18 (edge information 1e2 to 1e8 elsewhere), a two-pose graph 1.3e-16.
+# this fraction of the diagonal entry of its own column: generated graphs of
+# 30-3500 poses give at least 3.2e-9 (6.3e-8 at 500), an unconstrained
+# heading at most 7.0e-18 (edge information 1e6-1e8; at 1e2 SuperLU meets
+# an exact zero), heading information 1e-8 1.1e-15, a two-pose graph 1.3e-16.
 _MIN_PIVOT_RATIO = 1e-13
 # Vertices (three columns each) per solve of Marginals.pair_beliefs.  On the
 # 600 slam-relpose pairs (x86_64, one BLAS thread), 4 / 8 / 16 / 32 vertices
@@ -389,7 +388,10 @@ def _homogeneous(R: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 class _System:
-    """Vectorized residual/Jacobian evaluation in per-vertex twist coordinates."""
+    """Residuals, Jacobians and information matrix in per-vertex twist
+    coordinates.  Vertex 0 is held fixed, which fixes the gauge by
+    elimination: vertex k > 0 owns columns 3 (k - 1) to 3 k - 1.  The CSC
+    pattern, a 3x3 block per vertex and per adjacent pair, is built once."""
 
     def __init__(self, graph: PoseGraph):
         self.index = graph._rows
@@ -401,66 +403,58 @@ class _System:
         w, V = np.linalg.eigh(graph.information)
         w = np.clip(w, 0.0, None)
         self.W = (V * np.sqrt(w)[:, None, :]) @ np.swapaxes(V, 1, 2)
-        self.anchor = 0  # lowest key after sorting
-        self.prior_target_inv = _homogeneous(*invert_blocks(graph.R[:1], graph.t[:1]))[0]
-        self.prior_w = np.sqrt(_GAUGE_INFO)
+        # entry (a, b) of each edge's (i, i), (j, j) and (i, j) blocks is at
+        # variable row R = 3 u + a - 3 and column C = 3 v + b - 3 (negative
+        # for vertex 0), key C m + R in column-major order; the (j, i) block
+        # holds the (i, j) entries mirrored
+        three = np.arange(3)
+        i3, j3 = 3 * self.ii - 3, 3 * self.jj - 3
+        R = np.stack([i3, j3, i3])[:, :, None, None] + three[:, None]
+        C = np.stack([i3, j3, j3])[:, :, None, None] + three
+        m = 3 * self.n - 3
+        key = np.concatenate([C * m + R, R[2:] * m + C[2:]])
+        fixed = (R < 0) | (C < 0)
+        key[np.concatenate([fixed, fixed[2:]])] = m * m  # vertex 0's entries sort last
+        # each entry's slot in the CSC data: repeated edges share theirs, and
+        # vertex 0's share one past the end, which is dropped
+        pattern = np.unique(key)
+        self._slots = np.searchsorted(pattern, key.ravel())
+        pattern_cols, self._indices = np.divmod(pattern[pattern < m * m], m)
+        self._indptr = np.searchsorted(pattern_cols, np.arange(m + 1))
+        self._grad_rows = (3 * np.concatenate([self.ii, self.jj])[:, None] + three).ravel()
 
     def pose_matrices(self, graph: PoseGraph) -> np.ndarray:
         return _homogeneous(graph.R, graph.t)
 
-    def residuals(self, T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Raw (unwhitened) edge residuals (E, 3) and prior residual (3,)."""
-        M = self.Zinv @ inv_many(T[self.ii]) @ T[self.jj]
-        r = log_many(M)
-        rp = log_many((T[self.anchor] @ self.prior_target_inv)[None])[0]
-        return r, rp
+    def residuals(self, T: np.ndarray) -> np.ndarray:
+        """Raw (unwhitened) edge residuals (E, 3)."""
+        return log_many(self.Zinv @ inv_many(T[self.ii]) @ T[self.jj])
 
-    def chi2(self, T: np.ndarray) -> float:
-        r, rp = self.residuals(T)
-        rw = np.einsum("eab,eb->ea", self.W, r)
-        return float((rw ** 2).sum() + (self.prior_w ** 2) * (rp ** 2).sum())
+    def chi2(self, r: np.ndarray) -> float:
+        """Sum of squared whitened residuals of the edge residuals ``r``."""
+        return float((np.einsum("eab,eb->ea", self.W, r) ** 2).sum())
 
-    def jacobians(self, T: np.ndarray, r: np.ndarray, rp: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Residual Jacobians (Ji, Jj, Jp) at T, given its residuals (r, rp).
-
-        dr/dxi_j = Jr^-1(r) Ad(T_j^-1) and dr/dxi_i = -dr/dxi_j; the prior's
-        is the left-Jacobian inverse Jl^-1(rp) = Jr^-1(-rp).
-        """
+    def jacobians(self, T: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """Residual Jacobians dr/dxi_j = Jr^-1(r) Ad(T_j^-1) (E, 3, 3) at T,
+        given its residuals r; dr/dxi_i = -dr/dxi_j."""
         Tj_inv = inv_many(T[self.jj])
-        Jj = _inv_right_jacobian_many(r) @ adjoint_blocks(Tj_inv[:, :2, :2], Tj_inv[:, :2, 2])
-        Jp = _inv_right_jacobian_many(-rp[None])[0]
-        return -Jj, Jj, Jp
+        return _inv_right_jacobian_many(r) @ adjoint_blocks(Tj_inv[:, :2, :2], Tj_inv[:, :2, 2])
 
-    def assemble(self, T: np.ndarray) -> tuple[scipy.sparse.csr_matrix, np.ndarray]:
-        """Whitened sparse Jacobian A and stacked rhs -r_w at linearization T."""
-        r, rp = self.residuals(T)
-        Ji, Jj, Jp = self.jacobians(T, r, rp)
-        E = r.shape[0]
-        Wi = self.W @ Ji
-        Wj = self.W @ Jj
-        rw = np.einsum("eab,eb->ea", self.W, r)
-
-        rows_e = (3 * np.arange(E))[:, None, None] + np.arange(3)[:, None]
-        rows = np.broadcast_to(rows_e, (E, 3, 3))
-        cols_i = (3 * self.ii)[:, None, None] + np.arange(3)[None, None, :]
-        cols_i = np.broadcast_to(cols_i, (E, 3, 3))
-        cols_j = (3 * self.jj)[:, None, None] + np.arange(3)[None, None, :]
-        cols_j = np.broadcast_to(cols_j, (E, 3, 3))
-
-        prow = 3 * E + np.arange(3)
-        pj = self.prior_w * Jp
-        data = np.concatenate([Wi.ravel(), Wj.ravel(), pj.ravel()])
-        rows_all = np.concatenate([rows.ravel(), rows.ravel(), np.repeat(prow, 3)])
-        cols_all = np.concatenate(
-            [cols_i.ravel(), cols_j.ravel(),
-             np.tile(3 * self.anchor + np.arange(3), 3)]
-        )
-        A = scipy.sparse.coo_matrix(
-            (data, (rows_all, cols_all)), shape=(3 * E + 3, 3 * self.n)
-        ).tocsr()
-        b = -np.concatenate([rw.ravel(), self.prior_w * rp])
-        return A, b
+    def assemble(self, T: np.ndarray, r: np.ndarray
+                 ) -> tuple[scipy.sparse.csc_matrix, np.ndarray]:
+        """Information H = sum J' W' W J on the fixed pattern and gradient
+        g = J' W' W r at T, given its residuals r.  With B = (W J_j)' (W J_j),
+        each edge adds B to its (i, i) and (j, j) blocks, -B to (i, j) and
+        -B' to (j, i)."""
+        WJ = self.W @ self.jacobians(T, r)
+        B = (np.swapaxes(WJ, 1, 2) @ WJ).ravel()
+        data = np.bincount(self._slots, np.concatenate([B, B, -B, -B]),
+                           minlength=self._indices.shape[0] + 1)[:-1]
+        m = 3 * self.n - 3
+        H = scipy.sparse.csc_matrix((data, self._indices, self._indptr), shape=(m, m))
+        gj = np.einsum("eba,eb->ea", WJ, np.einsum("eab,eb->ea", self.W, r)).ravel()
+        g = np.bincount(self._grad_rows, np.concatenate([-gj, gj]), minlength=3 * self.n)[3:]
+        return H, g
 
 
 def _inv_right_jacobian_many(xi: np.ndarray) -> np.ndarray:
@@ -500,10 +494,6 @@ def _factor(info: scipy.sparse.csc_matrix):
     return lu
 
 
-def _solve_normal_equations(A: scipy.sparse.csr_matrix, b: np.ndarray) -> np.ndarray:
-    return _factor((A.T @ A).tocsc()).solve(A.T @ b)
-
-
 def _renormalized(T: np.ndarray) -> np.ndarray:
     """Project the rotation blocks of an SE(2) matrix stack back onto SO(2)."""
     c, s, _, _ = _angle_coeffs(np.arctan2(T[:, 1, 0], T[:, 0, 0]))
@@ -518,28 +508,31 @@ def _renormalized(T: np.ndarray) -> np.ndarray:
 
 
 def solve(graph: PoseGraph) -> tuple[PoseGraph, SolveReport]:
-    """Gauss-Newton with on-manifold updates and a gauge prior on the lowest key.
+    """Gauss-Newton with on-manifold updates, the lowest-keyed vertex held fixed.
 
     Returns a solved copy of the graph plus a report.  Terminates on relative
     chi2 decrease below ``_REL_TOL`` or after ``_MAX_ITERATIONS``; three
-    consecutive chi2 increases raise :class:`DivergenceError`.
+    consecutive chi2 increases raise :class:`DivergenceError`.  Each iterate's
+    residuals are evaluated once, for its chi2 and the next step.
     """
     if not graph.is_connected():
         raise GraphValidationError("graph is not connected")
     sys_ = _System(graph)
     T = sys_.pose_matrices(graph)
-    chi2 = sys_.chi2(T)
+    r = sys_.residuals(T)
+    chi2 = sys_.chi2(r)
     initial = chi2
-    best_chi2, best_T = chi2, T.copy()
+    best_chi2, best_T = chi2, T
     converged = chi2 < 1e-15
     iterations = 0
     increases = 0
     while not converged and iterations < _MAX_ITERATIONS:
-        A, b = sys_.assemble(T)
-        delta = _solve_normal_equations(A, b)
-        T = _renormalized(exp_many(delta.reshape(sys_.n, 3)) @ T)
+        H, g = sys_.assemble(T, r)
+        delta = _factor(H).solve(-g)
+        T = np.concatenate([T[:1], _renormalized(exp_many(delta.reshape(-1, 3)) @ T[1:])])
         iterations += 1
-        new_chi2 = sys_.chi2(T)
+        r = sys_.residuals(T)
+        new_chi2 = sys_.chi2(r)
         if new_chi2 > chi2:
             increases += 1
             if increases >= 3:
@@ -549,7 +542,7 @@ def solve(graph: PoseGraph) -> tuple[PoseGraph, SolveReport]:
         else:
             increases = 0
         if new_chi2 < best_chi2:
-            best_chi2, best_T = new_chi2, T.copy()
+            best_chi2, best_T = new_chi2, T
         rel_decrease = (chi2 - new_chi2) / max(chi2, 1e-300)
         chi2 = new_chi2
         if 0.0 <= rel_decrease < _REL_TOL or new_chi2 < 1e-15:
@@ -564,7 +557,8 @@ class Marginals:
 
     Build once per solved graph, then query any number of pair marginals;
     a query solves only the columns of the vertices its pairs touch, each
-    vertex once per query (:meth:`pair_beliefs`).
+    vertex once per query (:meth:`pair_beliefs`).  The lowest-keyed vertex
+    is held fixed, so its rows and columns of the covariance are zero.
     """
 
     def __init__(self, graph: PoseGraph):
@@ -572,15 +566,17 @@ class Marginals:
             raise GraphStateError("marginals need a solved graph; call solve() first")
         self._graph = graph
         self._sys = _System(graph)
-        A, _ = self._sys.assemble(self._sys.pose_matrices(graph))
-        info = (A.T @ A).tocsc()
-        self._nvars = info.shape[0]
-        self._lu = _factor(info)
+        T = self._sys.pose_matrices(graph)
+        info, _ = self._sys.assemble(T, self._sys.residuals(T))
+        # a one-vertex graph has no variables and no pair to query
+        self._lu = _factor(info) if info.shape[0] else None
 
     def _solve_columns(self, cols: np.ndarray) -> np.ndarray:
-        E = np.zeros((self._nvars, cols.shape[0]))
+        """Columns ``cols`` of the 3n x 3n covariance; vertex 0's are zero."""
+        E = np.zeros((3 * self._sys.n, cols.shape[0]))
         E[cols, np.arange(cols.shape[0])] = 1.0
-        return self._lu.solve(E)
+        E[:3], E[3:] = 0.0, self._lu.solve(E[3:])
+        return E
 
     def _check_pair(self, i: int, j: int) -> None:
         if i == j:
@@ -613,11 +609,12 @@ class Marginals:
         SuperLU's rounding of a column depends on how many columns are
         solved with it and on its slot, so these marginals can differ from
         one six-column solve per pair at rounding level.  On the 600 pairs
-        of 500-pose graphs they are identical for seeds 0-4 and 6-8; seeds 5
-        and 9 differ in 142 and 81 pairs, by at most 3.5e-11 and 9.2e-12 of
-        the pair's largest entry, and 3500 poses (seed 0) in 401 pairs, by at
-        most 2.4e-10.  Which graphs differ moves with any rounding-level
-        change of the solved poses.  Block sizes are measured at ``_VERTEX_BLOCK``.
+        of 500-pose graphs they are identical for seeds 0-9 and 11; seed 10
+        differs in 441 pairs, by at most 4.1e-11 of the pair's largest entry,
+        1000 poses (seed 4) in 324 pairs, by at most 1.2e-10, and 3500 poses
+        (seed 0) in 147 pairs, by at most 4.0e-10.  Which graphs differ
+        moves with any rounding-level change of the solved poses.  Block
+        sizes are measured at ``_VERTEX_BLOCK``.
         """
         pairs = list(pairs)
         for i, j in pairs:

@@ -79,12 +79,12 @@ def random_psd(rng, n, scale=1.0):
 
 
 def dense_information(solved) -> np.ndarray:
-    """Slow, independent assembly of a solved planar graph's twist-space
-    information matrix (per-edge scalar central differences + gauge prior)."""
+    """Slow, independent assembly of a solved planar graph's 3n x 3n
+    twist-space information matrix from per-edge scalar central
+    differences, every vertex included: singular by the gauge freedom."""
     import scipy.linalg
 
     from corrpose import exp_map, log_map
-    from corrpose.graph import _GAUGE_INFO
 
     keys = sorted(solved.vertices)
     idx = {k: i for i, k in enumerate(keys)}
@@ -118,22 +118,34 @@ def dense_information(solved) -> np.ndarray:
         info[bi : bi + 3, bj : bj + 3] += Ji.T @ Jj
         info[bj : bj + 3, bi : bi + 3] += Jj.T @ Ji
         info[bj : bj + 3, bj : bj + 3] += Jj.T @ Jj
-    # gauge prior: identity Jacobian at the solution
-    info[:3, :3] += _GAUGE_INFO * np.eye(3)
     return info
+
+
+def dense_covariance(solved) -> np.ndarray:
+    """3n x 3n twist covariance of a solved planar graph with its
+    lowest-keyed vertex held fixed: the dense inverse of
+    :func:`dense_information` without that vertex's rows and columns, and
+    zeros in them."""
+    info = dense_information(solved)
+    cov = np.zeros_like(info)
+    cov[3:, 3:] = np.linalg.inv(info[3:, 3:])
+    return cov
 
 
 def six_column_pair_belief(marg, i, j):
     """Pair marginal from a solve of the pair's own six columns on the factor
-    of ``marg``: one query at a time, the reference for
+    of ``marg`` (three when one vertex is the fixed vertex 0, whose blocks
+    are zero): one query at a time, the reference for
     ``Marginals.pair_beliefs``."""
     from corrpose import PosePairBelief
 
     index = marg._sys.index
-    cols = np.concatenate([3 * index[i] + np.arange(3), 3 * index[j] + np.arange(3)])
-    E = np.zeros((marg._nvars, 6))
-    E[cols, np.arange(6)] = 1.0
-    cov = marg._lu.solve(E)[cols, :]
+    cols = (3 * (np.array([index[i], index[j]])[:, None] - 1) + np.arange(3)).ravel()
+    free = np.flatnonzero(cols >= 0)
+    E = np.zeros((marg._lu.shape[0], free.shape[0]))
+    E[cols[free], np.arange(free.shape[0])] = 1.0
+    cov = np.zeros((6, 6))
+    cov[np.ix_(free, free)] = marg._lu.solve(E)[cols[free], :]
     cov = 0.5 * (cov + cov.T)
     return PosePairBelief((marg._graph.vertices[i], marg._graph.vertices[j]), cov)
 
@@ -237,17 +249,16 @@ def _wrap(a):
 
 
 def numeric_edge_jacobians(sys_, T, h=1e-6):
-    """Central-difference residual Jacobians (Ji, Jj, Jp) of a graph
-    ``_System`` at T, perturbing each twist channel by +-h: the solver's
-    Jacobian before the closed form, the reference for ``_System.jacobians``."""
+    """Central-difference residual Jacobians (Ji, Jj) of a graph ``_System``
+    at T, perturbing each twist channel by +-h: the solver's Jacobian before
+    the closed form, the reference for ``_System.jacobians`` (which is Jj,
+    with Ji = -Jj)."""
     from corrpose.liegroup import exp_many, inv_many, log_many
 
     E = sys_.ii.shape[0]
     Ji = np.empty((E, 3, 3))
     Jj = np.empty((E, 3, 3))
-    Jp = np.empty((3, 3))
     Ti, Tj = T[sys_.ii], T[sys_.jj]
-    Ta = T[sys_.anchor]
     for k in range(3):
         d = np.zeros(3)
         d[k] = h
@@ -263,12 +274,7 @@ def numeric_edge_jacobians(sys_, T, h=1e-6):
         diff = rp_ - rm_
         diff[:, 2] = _wrap(diff[:, 2])
         Jj[:, :, k] = diff / (2 * h)
-        pp = log_many((Ep @ Ta @ sys_.prior_target_inv)[None])[0]
-        pm = log_many((Em @ Ta @ sys_.prior_target_inv)[None])[0]
-        dpr = pp - pm
-        dpr[2] = _wrap(dpr[2])
-        Jp[:, k] = dpr / (2 * h)
-    return Ji, Jj, Jp
+    return Ji, Jj
 
 
 def series_inv_right_jacobian(xi, terms=14):

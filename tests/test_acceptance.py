@@ -12,7 +12,7 @@ import corrpose as cp
 from corrpose import experiments, graph as gr, ssc
 from corrpose.convert import UtConfig, sigma_points, ut_convert
 from corrpose.liegroup import log_many_masked
-from oracles import dense_information, random_pose, random_psd, ssc_matrices
+from oracles import dense_covariance, random_pose, random_psd, ssc_matrices
 
 
 def _verdict(number: int, description: str, ok: bool, detail: str = "") -> None:
@@ -214,7 +214,7 @@ def test_criterion_5_marginal_extraction():
     t0 = time.perf_counter()
     g = gr.generate_grid_world(50, seed=505)
     solved, _ = gr.solve(g)
-    dense_cov = np.linalg.inv(dense_information(solved))
+    dense_cov = dense_covariance(solved)
     marg = gr.Marginals(solved)
     rng = np.random.default_rng(505)
     worst = 0.0
