@@ -8,7 +8,9 @@ information, with closed-form analytic Jacobians.  The lowest-keyed vertex
 is held fixed, which fixes the gauge: its twist is not a variable, and its
 marginal covariance is zero.  Marginals are recovered from the information
 matrix assembled in the same twist coordinates, so extracted pair beliefs
-feed the belief module's between() directly.
+feed the belief module's between() directly.  The solver's steps and the
+marginals share one symmetric factor P H P' = L D L'; a pair marginal takes
+forward solves only, each vertex's on its path of the elimination tree.
 
 A :class:`PoseGraph` is held as arrays: sorted keys, vertex rotation and
 translation stacks, edge endpoints, measurement stacks and information
@@ -49,20 +51,19 @@ from .liegroup import (
 # this many iterations.
 _REL_TOL = 1e-9
 _MAX_ITERATIONS = 100
-# An information matrix is singular when some LU pivot |U_jj| is at most
-# this fraction of the diagonal entry of its own column: generated graphs of
-# 30-3500 poses give at least 3.2e-9 (6.3e-8 at 500), an unconstrained
-# heading at most 7.0e-18 (edge information 1e6-1e8; at 1e2 SuperLU meets
-# an exact zero), heading information 1e-8 1.1e-15, a two-pose graph 1.3e-16.
-_MIN_PIVOT_RATIO = 1e-13
-# Vertices (three columns each) per solve of Marginals.pair_beliefs.  On the
-# 600 slam-relpose pairs (x86_64, one BLAS thread), 4 / 8 / 16 / 32 vertices
-# took 0.155 / 0.132 / 0.124 / 0.125 s at 500 poses (traced peak 0.7 / 1.1 /
-# 1.9 / 3.7 MB) and 2.07 / 2.04 / 2.00 / 2.17 s at 3500 poses (3.2 / 6.3 /
-# 12.3 / 24.4 MB), medians of 7 and 3 runs.  16 was fastest at both sizes;
-# its peak is three n x 48 arrays: right-hand sides, solution and SuperLU's
-# copy of the right-hand sides.
-_VERTEX_BLOCK = 16
+# An information matrix is singular when some pivot D_jj of its symmetric
+# factor is not positive or is at most this fraction of its diagonal entry
+# H_jj.  Over every Gauss-Newton step and Marginals, generated graphs give
+# at least 2.5e-3 (30 poses), 1.1e-5 (250), 1.5e-6 (500, seeds 0-9), 4.5e-7
+# (1000) and 6.4e-8 (3500); an unconstrained heading at most 8.4e-16 (edge
+# information 1e2-1e8, some pivots negative), heading information 1e-8 2.3e-13.
+_MIN_PIVOT_RATIO = 1e-10
+# Bytes of one Marginals.pair_beliefs work array: the (height, 3 c) forward
+# solve of c vertices, and the rows of one block of pair products.  No array
+# of a query is larger: freeing larger ones raises glibc's mmap threshold,
+# and with it the peak RSS of later work (slam-500 +1.9% with one array of
+# all path rows).
+_WORK_BYTES = 1 << 19
 
 
 class GraphParseError(ValueError):
@@ -403,24 +404,28 @@ class _System:
         w, V = np.linalg.eigh(graph.information)
         w = np.clip(w, 0.0, None)
         self.W = (V * np.sqrt(w)[:, None, :]) @ np.swapaxes(V, 1, 2)
-        # entry (a, b) of each edge's (i, i), (j, j) and (i, j) blocks is at
-        # variable row R = 3 u + a - 3 and column C = 3 v + b - 3 (negative
-        # for vertex 0), key C m + R in column-major order; the (j, i) block
-        # holds the (i, j) entries mirrored
-        three = np.arange(3)
-        i3, j3 = 3 * self.ii - 3, 3 * self.jj - 3
-        R = np.stack([i3, j3, i3])[:, :, None, None] + three[:, None]
-        C = np.stack([i3, j3, j3])[:, :, None, None] + three
-        m = 3 * self.n - 3
-        key = np.concatenate([C * m + R, R[2:] * m + C[2:]])
-        fixed = (R < 0) | (C < 0)
-        key[np.concatenate([fixed, fixed[2:]])] = m * m  # vertex 0's entries sort last
-        # each entry's slot in the CSC data: repeated edges share theirs, and
-        # vertex 0's share one past the end, which is dropped
-        pattern = np.unique(key)
-        self._slots = np.searchsorted(pattern, key.ravel())
-        pattern_cols, self._indices = np.divmod(pattern[pattern < m * m], m)
-        self._indptr = np.searchsorted(pattern_cols, np.arange(m + 1))
+        # the pattern's 3x3 blocks, keyed v n + u for block row u and column v,
+        # from each edge's (i, i), (j, j), (i, j) and (j, i) blocks: repeated
+        # edges share theirs, vertex 0's sort last.  Column b of block column
+        # v holds three rows of each of its blocks, block s's from slot start[s, b]
+        n, three, ii, jj = self.n, np.arange(3), self.ii, self.jj
+        u, v = np.stack([ii, jj, ii, jj]), np.stack([ii, jj, jj, ii])
+        blocks, slot = np.unique(np.where((u > 0) & (v > 0), v * n + u, n * n), return_inverse=True)
+        cols, rows = np.divmod(blocks[blocks < n * n], n)
+        nb, before = cols.shape[0], np.searchsorted(cols, np.arange(1, n + 1))
+        count, rank = np.diff(before), np.arange(nb) - before[cols - 1]  # rank in block column
+        self._indptr = np.append(9 * before[:-1, None] + 3 * count[:, None] * three, 9 * nb)
+        start = self._indptr[3 * cols[:, None] - 3 + three] + 3 * rank[:, None]
+        a = three[:, None]  # an entry's row in its block
+        self._indices = np.empty(9 * nb, dtype=np.int64)
+        self._indices[start[:, None] + a] = (3 * rows - 3)[:, None, None] + a
+        # each edge entry's slot: the (j, i) block mirrors the (i, j) entries,
+        # and vertex 0's share one slot past the end, which is dropped
+        slot = slot.reshape(u.shape)
+        slots = start[np.minimum(slot, nb - 1)][:, :, None, :] + a
+        slots[3] = np.swapaxes(slots[3], 1, 2).copy()
+        slots[slot == nb] = 9 * nb
+        self._slots = slots.ravel()
         self._grad_rows = (3 * np.concatenate([self.ii, self.jj])[:, None] + three).ravel()
 
     def pose_matrices(self, graph: PoseGraph) -> np.ndarray:
@@ -479,19 +484,33 @@ def _inv_right_jacobian_many(xi: np.ndarray) -> np.ndarray:
 
 
 def _factor(info: scipy.sparse.csc_matrix):
-    """COLAMD SuperLU factor of an information matrix.  Singular matrices
-    raise, also when a pivot is only rounding (SuperLU stops on zero alone)."""
+    """P H P' = L D L' of an information matrix H: symmetric-mode SuperLU on
+    a minimum-degree order of H + H' with diagonal pivots, so perm_r == perm_c
+    and U = D L'.  Singular matrices raise, also when a pivot D_jj is not
+    positive or is only rounding (SuperLU stops on an exact zero alone)."""
     try:
-        lu = scipy.sparse.linalg.splu(info, permc_spec="COLAMD")
+        lu = scipy.sparse.linalg.splu(info, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                                      options=dict(SymmetricMode=True, Equil=False))
     except RuntimeError as e:
         raise RankDeficiencyError(str(e)) from None
-    # U column j holds column k of info where perm_c[k] == j
-    pivots = np.abs(lu.U.diagonal())[lu.perm_c]
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise RankDeficiencyError("singular information: a pivot left the diagonal")
+    # U row j holds the pivot of column k of info where perm_c[k] == j
+    pivots = lu.U.diagonal()[lu.perm_c]
     diag = info.diagonal()
     ratio = np.divide(pivots, diag, out=np.zeros_like(pivots), where=diag > 0).min()
     if not ratio > _MIN_PIVOT_RATIO:
-        raise RankDeficiencyError(f"singular information: LU pivot ratio {ratio:.3g}")
+        raise RankDeficiencyError(f"singular information: pivot ratio {ratio:.3g}")
     return lu
+
+
+def _segment_products(A: np.ndarray, B: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """(k, 3, 3) sums of A_r' B_r over consecutive segments of ``lengths``
+    rows (all positive) of (rows, 3) arrays: elementwise products summed by
+    ``np.add.reduceat``, so a sum depends on its own rows alone and swapping
+    A and B transposes it exactly."""
+    first = np.cumsum(lengths) - lengths
+    return np.stack([np.add.reduceat(A[:, i, None] * B, first) for i in range(3)], axis=1)
 
 
 def _renormalized(T: np.ndarray) -> np.ndarray:
@@ -553,12 +572,16 @@ def solve(graph: PoseGraph) -> tuple[PoseGraph, SolveReport]:
 
 
 class Marginals:
-    """Shared factorization of the twist-space information matrix.
+    """Shared factor of the twist-space information matrix.
 
-    Build once per solved graph, then query any number of pair marginals;
-    a query solves only the columns of the vertices its pairs touch, each
-    vertex once per query (:meth:`pair_beliefs`).  The lowest-keyed vertex
-    is held fixed, so its rows and columns of the covariance are zero.
+    Build once per solved graph, then query any number of pair marginals.
+    With P H P' = L D L' (:func:`_factor`), the covariance block of vertices
+    a and b is Z_a' Z_b, Z = D^-1/2 L^-1 P E for their columns E: forward
+    solves only (Kaess and Dellaert, RAS 2009).  L^-1 e_k is nonzero only on
+    the path from k to its root in the elimination tree of P H P', so a
+    vertex is solved on its path alone, and a and b share the rows from
+    their paths' lowest common ancestor up.  The lowest-keyed vertex is held
+    fixed, so its rows and columns of the covariance are zero.
     """
 
     def __init__(self, graph: PoseGraph):
@@ -568,15 +591,65 @@ class Marginals:
         self._sys = _System(graph)
         T = self._sys.pose_matrices(graph)
         info, _ = self._sys.assemble(T, self._sys.residuals(T))
+        m = info.shape[0]
         # a one-vertex graph has no variables and no pair to query
-        self._lu = _factor(info) if info.shape[0] else None
+        self._lu = lu = _factor(info) if m else None
+        if lu is None:
+            return
+        # elimination tree of H's pattern, m the roots' parent, by Liu's
+        # algorithm with path compression (Davis, Direct Methods for Sparse
+        # Linear Systems, 2006, sec. 4.1); a parent comes after its children.
+        # Loops read arrays through memoryview: no list of ints is built
+        H = info.tocoo()
+        r, c = lu.perm_c[H.row], lu.perm_c[H.col]
+        order = np.argsort(c[r < c], kind="stable")
+        parent, ancestor = [m] * (m + 1), [m] * m
+        for i, k in zip(memoryview(r[r < c][order]), memoryview(c[r < c][order])):
+            while i < k:
+                up, ancestor[i] = ancestor[i], k
+                if up == m:
+                    parent[i] = k
+                i = up
+        # each node's depth and its subtree's postorder interval [first, last]
+        size, depth, first, free = [1] * (m + 1), [-1] * (m + 1), [0] * m, [0] * (m + 1)
+        for k in range(m):
+            size[parent[k]] += size[k]
+        for k in range(m - 1, -1, -1):
+            depth[k] = depth[parent[k]] + 1
+            first[k] = free[k] = free[parent[k]]
+            free[parent[k]] += size[k]
+        self._parent, self._depth, self._height = np.array(parent), np.array(depth), max(depth) + 1
+        self._first = first = np.array(first)
+        self._last = last = first + np.array(size[:m]) - 1
+        # L's entries below the diagonal, each on its column's path: Z starts
+        # at D^-1/2 on each column's node and steps by D^-1/2 L D^1/2
+        L = lu.L
+        col = np.repeat(np.arange(m), np.diff(L.indptr))
+        below = (L.indices > col) & (L.data != 0)
+        row, col = L.indices[below], col[below]
+        if not ((first[row] <= first[col]) & (first[col] <= last[row])).all():
+            raise RuntimeError("factor has an entry off its elimination tree")
+        scale = self._scale = 1.0 / np.sqrt(lu.U.diagonal())
+        rows, steps = self._depth[row], (L.data[below] * scale[row] / scale[col])[:, None]
+        self._rows, self._steps, self._cut = rows, steps, np.searchsorted(col, np.arange(m + 1))
 
-    def _solve_columns(self, cols: np.ndarray) -> np.ndarray:
-        """Columns ``cols`` of the 3n x 3n covariance; vertex 0's are zero."""
-        E = np.zeros((3 * self._sys.n, cols.shape[0]))
-        E[cols, np.arange(cols.shape[0])] = 1.0
-        E[:3], E[3:] = 0.0, self._lu.solve(E[3:])
-        return E
+    def _forward_solves(self, nodes: np.ndarray) -> np.ndarray:
+        """Path rows of Z for the vertices whose permuted columns are the rows
+        of ``nodes`` (c, 3), in the postorder of each row's lowest node: each
+        vertex's three columns at each node of its path, root first.  Node by
+        node in elimination order, on rows by depth; the columns under a node
+        are one slice, so a column takes the same steps in any batch."""
+        low = nodes.min(axis=1)
+        W = np.zeros((self._height, nodes.size))
+        W[self._depth[nodes.ravel()], np.arange(nodes.size)] = self._scale[nodes.ravel()]
+        lo = 3 * np.searchsorted(self._last[low], self._first)
+        hi = 3 * np.searchsorted(self._last[low], self._last, "right")
+        on = np.flatnonzero(hi > lo)  # the nodes some column's path passes
+        rows, steps, cut = self._rows, self._steps, self._cut
+        for d, a, b, u, v in zip(*(memoryview(x[on]) for x in (self._depth, lo, hi, cut, cut[1:]))):
+            W[rows[u:v], a:b] -= steps[u:v] * W[d, a:b]
+        on_path = np.arange(self._height) <= self._depth[low][:, None]
+        return np.swapaxes(W.reshape(self._height, -1, 3), 0, 1)[on_path]
 
     def _check_pair(self, i: int, j: int) -> None:
         if i == j:
@@ -594,48 +667,51 @@ class Marginals:
         """Joint 6x6 twist covariance (and means) of each pair (i, j), in
         order; every pair is checked before anything is solved.
 
-        Each distinct vertex's three columns of the inverse information are
-        solved once, ``_VERTEX_BLOCK`` vertices per solve in ascending index
-        order, and serve every pair the vertex is in: Sigma_ii and Sigma_ji
-        from vertex i's columns, Sigma_jj and Sigma_ij from vertex j's.  The
-        blocks are copied out of each solve, which is then dropped, and each
-        6x6 matrix is symmetrized as (C + C^T) / 2.
-
-        Per column, a 48-column solve costs about what a pair's own six
-        columns do (50 against 53 us at 500 poses, 0.73 against 0.78 ms at
-        3500); the gain is in solving fewer columns.  The 600 pairs of a
-        500-pose ``slam-relpose`` run touch 456 distinct vertices (1,368
-        columns instead of 3,600), those of a 3500-pose run 1,064 (3,192).
-        SuperLU's rounding of a column depends on how many columns are
-        solved with it and on its slot, so these marginals can differ from
-        one six-column solve per pair at rounding level.  On the 600 pairs
-        of 500-pose graphs they are identical for seeds 0-9 and 11; seed 10
-        differs in 441 pairs, by at most 4.1e-11 of the pair's largest entry,
-        1000 poses (seed 4) in 324 pairs, by at most 1.2e-10, and 3500 poses
-        (seed 0) in 147 pairs, by at most 4.0e-10.  Which graphs differ
-        moves with any rounding-level change of the solved poses.  Block
-        sizes are measured at ``_VERTEX_BLOCK``.
+        Each distinct vertex is solved once (:meth:`_forward_solves`), as many
+        per solve as ``_WORK_BYTES`` holds.  Sigma_ii sums Z_i' Z_i over i's
+        path and Sigma_ij sums Z_i' Z_j over the rows both paths share
+        (:func:`_segment_products`), so a pair's matrix has the same bits in
+        any query, and its reverse is its blocks swapped and transposed.
         """
         pairs = list(pairs)
         for i, j in pairs:
             self._check_pair(i, j)
         index = self._sys.index
         idx = np.array([[index[i], index[j]] for i, j in pairs], dtype=int).reshape(-1, 2)
-        verts = np.unique(idx)  # sorted: the solves depend only on the vertex set
-        pos = np.searchsorted(verts, idx)  # each vertex's place in that order
-        cov = np.empty((len(pairs), 6, 6))
-        three = np.arange(3)
-        for start in range(0, verts.shape[0], _VERTEX_BLOCK):
-            stop = start + _VERTEX_BLOCK
-            X = self._solve_columns((3 * verts[start:stop, None] + three).ravel())
-            for side in (0, 1):
-                hit = (pos[:, side] >= start) & (pos[:, side] < stop)
-                # columns of this side's vertex in X, rows of both vertices
-                col = 3 * (pos[hit, side] - start)[:, None, None] + three
-                for other in (0, 1):
-                    row = 3 * idx[hit, other][:, None, None] + three[:, None]
-                    cov[hit, 3 * other:3 * other + 3, 3 * side:3 * side + 3] = X[row, col]
-        cov = checked_covs(0.5 * (cov + np.swapaxes(cov, 1, 2)), what="pair covariance")
+        cov = np.zeros((len(pairs), 6, 6))
+        verts = np.unique(idx[idx > 0])
+        if verts.size:
+            nodes = self._lu.perm_c[3 * verts[:, None] - 3 + np.arange(3)]
+            order = np.argsort(self._last[nodes.min(axis=1)])  # postorder of lowest nodes
+            verts, nodes, low = verts[order], nodes[order], nodes.min(axis=1)[order]
+            step, lengths = max(1, _WORK_BYTES // (24 * self._height)), self._depth[low] + 1
+            # each vertex's path rows, kept as views of the solves' results:
+            # no array larger than a work array
+            Z, S = [], np.empty((verts.shape[0], 3, 3))
+            for j in range(0, verts.shape[0], step):
+                k = slice(j, j + step)
+                rows, ends = self._forward_solves(nodes[k]), np.cumsum(lengths[k]).tolist()
+                S[k] = _segment_products(rows, rows, lengths[k])
+                Z += [rows[u:v] for u, v in zip([0] + ends, ends)]
+            place = np.full(self._sys.n, -1)
+            place[verts] = np.arange(verts.shape[0])
+            a, b = place[idx].T
+            cov[a >= 0, :3, :3], cov[b >= 0, 3:, 3:] = S[a[a >= 0]], S[b[b >= 0]]
+            # shared rows: the depth of the paths' lowest common ancestor plus
+            # one (0 in separate trees); the lower of two nodes steps up
+            both = np.flatnonzero((a >= 0) & (b >= 0))
+            x, y = low[a[both]], low[b[both]]
+            while (apart := x != y).any():
+                x, y = np.where(apart, self._parent[np.minimum(x, y)], x), np.maximum(x, y)
+            shared = self._depth[x] + 1
+            both, shared = both[shared > 0], shared[shared > 0]
+            for j in range(0, both.shape[0], step):
+                p, n = both[j:j + step], shared[j:j + step]
+                A, B = (np.concatenate([Z[v][:r] for v, r in zip(w[p].tolist(), n.tolist())])
+                        for w in (a, b))
+                X = _segment_products(A, B, n)
+                cov[p, :3, 3:], cov[p, 3:, :3] = X, np.swapaxes(X, 1, 2)
+        cov = checked_covs(cov, what="pair covariance")
         vertices = self._graph.vertices  # a Pose for each vertex read, built once
         return [PosePairBelief._of_checked((vertices[i], vertices[j]), c)
                 for (i, j), c in zip(pairs, cov)]

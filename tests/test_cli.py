@@ -918,9 +918,7 @@ def test_slam_relpose_branch_cut_budget_fails_one_pair(tmp_path, monkeypatch, ca
     _assert_only_pair_failed(good, got, _pair_key(good[1 + 3 * 15]))
 
 
-def test_slam_relpose_csv_bytes_match_six_column_oracle(tmp_path, monkeypatch):
-    from oracles import six_column_pair_belief
-
+def test_slam_relpose_csv_bytes_match_one_pair_calls(tmp_path, monkeypatch):
     from corrpose import graph
 
     cfg = _write_cfg(
@@ -937,10 +935,9 @@ def test_slam_relpose_csv_bytes_match_six_column_oracle(tmp_path, monkeypatch):
 
     got = run(tmp_path / "got")
     assert run(tmp_path / "jobs2", jobs="2") == got
-    monkeypatch.setattr(
-        graph.Marginals, "pair_beliefs",
-        lambda self, pairs: [six_column_pair_belief(self, i, j) for i, j in pairs],
-    )
+    block = graph.Marginals.pair_beliefs
+    monkeypatch.setattr(graph.Marginals, "pair_beliefs",
+                        lambda self, pairs: [block(self, [pair])[0] for pair in pairs])
     assert run(tmp_path / "oracle") == got
     assert b",1\n" not in got[0]
 

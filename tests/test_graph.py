@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg
 
 import corrpose as cp
 from corrpose import graph as gr
@@ -263,17 +264,16 @@ def _with_unconstrained_heading(g, info, heading_info=0.0):
 
 def test_sparse_rank_deficient_information_raises():
     # SuperLU factors the singular matrix without complaint (its smallest
-    # pivot is rounding noise), so the pivot-ratio check must refuse it.  At
-    # edge information 1e7 the smallest pivot over the largest is 1.4e-16,
-    # below machine epsilon; over its own column's diagonal entry it is
-    # 2.8e-18.  At 1e2 SuperLU itself meets an exactly zero pivot.
+    # pivot is rounding noise, some pivots negative), so the pivot-ratio
+    # check must refuse it: the smallest D_jj over its own H_jj is at most
+    # 8.4e-16 at edge information 1e2-1e8, against 6.4e-8 or more on
+    # healthy graphs.
     g = gr.generate_grid_world(250, seed=12)
-    cases = ((1e2, "exactly singular"), (1e6, "pivot"), (1e7, "pivot"), (1e8, "pivot"))
-    for info, match in cases:
+    for info in (1e2, 1e6, 1e7, 1e8):
         vertices, edges = _with_unconstrained_heading(g, info)
-        with pytest.raises(gr.RankDeficiencyError, match=match):
+        with pytest.raises(gr.RankDeficiencyError, match="pivot"):
             gr.solve(gr.PoseGraph(vertices, edges))
-        with pytest.raises(gr.RankDeficiencyError, match=match):
+        with pytest.raises(gr.RankDeficiencyError, match="pivot"):
             gr.Marginals(gr.PoseGraph(vertices, edges, solved=True))
     # the healthy graph it was built from still factors
     solved, report = gr.solve(g)
@@ -282,7 +282,7 @@ def test_sparse_rank_deficient_information_raises():
 
 def test_nearly_unconstrained_heading_raises():
     # heading information 1e-8 against 1e2 on the other channels: the pivot
-    # ratio, 1.1e-15, is above machine epsilon but far below the 3.2e-9 or
+    # ratio, 2.3e-13, is above machine epsilon but far below the 6.4e-8 or
     # more of healthy graphs, so the information is refused as singular
     g = gr.generate_grid_world(250, seed=12)
     vertices, edges = _with_unconstrained_heading(g, 1e2, heading_info=1e-8)
@@ -448,6 +448,14 @@ def test_two_pose_closed_form():
     expect = dense_covariance(solved)[3:, 3:]
     assert np.abs(pair.cross).max() > 1e-3
     npt.assert_allclose(pair.cov, expect, rtol=1e-6, atol=1e-12)
+    # a star around the fixed pose: 1 and 2 lie in separate trees of the
+    # elimination forest, so their paths share no row and the cross block is zero
+    g = gr.PoseGraph({0: T0, 1: T1, 2: T2}, [
+        gr.Edge(0, 1, T0.inverse() @ T1, W), gr.Edge(0, 2, T0.inverse() @ T2, W)])
+    solved, _ = gr.solve(g)
+    pair = gr.Marginals(solved).pair_belief(1, 2)
+    assert not pair.cross.any()
+    npt.assert_allclose(pair.cov, dense_covariance(solved)[3:, 3:], rtol=1e-6, atol=1e-12)
 
 
 def test_pair_marginals_match_dense_inverse():
@@ -469,7 +477,7 @@ def test_pair_marginals_match_dense_inverse():
 
 
 def test_sparse_pair_marginals_match_dense_inverse():
-    # 250 poses: SuperLU solves the six columns of a pair in one call
+    # 250 poses: forward solves on the elimination tree of a sparse factor
     g = gr.generate_grid_world(250, seed=12)
     solved, _ = gr.solve(g)
     marg = gr.Marginals(solved)
@@ -480,26 +488,6 @@ def test_sparse_pair_marginals_match_dense_inverse():
         rows = np.concatenate([3 * i + np.arange(3), 3 * j + np.arange(3)])
         expect = dense_cov[np.ix_(rows, rows)]
         assert np.linalg.norm(pair.cov - expect) / np.linalg.norm(expect) < 1e-6
-
-
-# a test-sized graph, and a 500-pose one on which the solves of 16 vertices
-# at a time reproduce every six-column solve exactly (as on seeds 0-9 and 11;
-# seed 10 differs at rounding level, see the bounded test below)
-@pytest.mark.parametrize("n_poses,seed", [(120, 12), (500, 8)])
-def test_pair_beliefs_bit_identical_to_six_column_solves(n_poses, seed):
-    g = gr.generate_grid_world(n_poses, seed=seed)
-    solved, _ = gr.solve(g)
-    marg = gr.Marginals(solved)
-    pairs = [(i, i + 10) for i in range(0, 100, 3)]
-    pairs += [(5, 17), (17, 5), (5, 60), (60, 17), (100, 101), (101, 100)]  # repeats
-    pairs += [(180 % n_poses, 120 % n_poses), (n_poses - 1, 0)]  # reversed
-    got = marg.pair_beliefs(pairs)
-    assert len(got) == len(pairs)
-    for (i, j), pb in zip(pairs, got):
-        want = six_column_pair_belief(marg, i, j)
-        assert pb.means == want.means
-        assert np.array_equal(pb.cov, want.cov)
-    assert marg.pair_beliefs([]) == []
 
 
 @functools.lru_cache(maxsize=None)
@@ -518,12 +506,28 @@ def _slam_pairs(n_poses):
     return pairs
 
 
-# graphs on which SuperLU may round some columns differently when they are
-# solved 48 at a time.  Which graphs do depends on the rounding of the solved
-# poses: with vertex 0 held fixed, 500-pose seed 10 and 1000-pose seed 4
-# differ from six-column solves in 441 and 324 of 600 pairs, by at most
-# 4.1e-11 and 1.2e-10 of the pair's largest entry; 500-pose seeds 4, 5, 7
-# and 9, which differed under earlier roundings, now match exactly
+# a test-sized graph and twelve 500-pose ones: the pair beliefs of one block
+# of 642 pairs (the slam-relpose pairs plus repeats and reversals) equal
+# one-pair calls bit for bit, as the pivot order comes from H's pattern alone
+@pytest.mark.parametrize("n_poses,seed", [(120, 12)] + [(500, s) for s in range(12)])
+def test_pair_beliefs_bit_identical_to_one_pair_calls(n_poses, seed):
+    marg = _solved_marginals(n_poses, seed)
+    pairs = [(i, i + 10) for i in range(0, 100, 3)]
+    pairs += [(5, 17), (17, 5), (5, 60), (60, 17), (100, 101), (101, 100)]  # repeats
+    pairs += [(180 % n_poses, 120 % n_poses), (n_poses - 1, 0)]  # reversed
+    got = marg.pair_beliefs(_slam_pairs(n_poses) + pairs)[-len(pairs):]
+    for (i, j), pb in zip(pairs, got):
+        one = marg.pair_belief(i, j)
+        assert pb.means == one.means
+        assert pb.cov.tobytes() == one.cov.tobytes()
+    assert marg.pair_beliefs([]) == []
+
+
+# the symmetric factor's forward solves against a pair's six columns solved
+# forward and back on the same factor: measured at most 1.5e-11, 9.6e-11,
+# 1.1e-11, 2.6e-11 and 9.3e-12 of the pair's largest entry (500-pose seeds 4,
+# 7, 9 and 10, 1000-pose seed 4; 2.7e-12 at seed 5); every pair differs at
+# rounding level
 @pytest.mark.parametrize("n_poses,seed",
                          [(500, 4), (500, 7), (1000, 4), (500, 5), (500, 9), (500, 10)])
 def test_pair_beliefs_near_six_column_solves(n_poses, seed):
@@ -538,20 +542,126 @@ def test_pair_beliefs_near_six_column_solves(n_poses, seed):
     assert worst < 1e-9
 
 
+# the slam-relpose pairs and the pair (479, 489), against columns of the dense
+# inverse of the oracle information (central differences): measured at most
+# 2.0e-7 (500 poses, seed 0) and 3.1e-7 (1000 poses, seed 4) of the pair's
+# largest entry, the oracle's own differences amplified by H's conditioning
+@pytest.mark.parametrize("n_poses,seed", [(500, 0), (1000, 4)])
+def test_pair_beliefs_match_dense_inverse(n_poses, seed):
+    marg = _solved_marginals(n_poses, seed)
+    pairs = _slam_pairs(n_poses) + [(479, 489)]
+    verts = np.unique([k for pair in pairs for k in pair if k])
+    cols = (3 * verts[:, None] - 3 + np.arange(3)).ravel()
+    info = dense_information(marg._graph)[3:, 3:]
+    E = np.zeros((info.shape[0], cols.shape[0]))
+    E[cols, np.arange(cols.shape[0])] = 1.0
+    X = np.zeros((info.shape[0] + 3, cols.shape[0]))
+    X[3:] = scipy.linalg.cho_solve(scipy.linalg.cho_factor(info, overwrite_a=True), E)
+    del info, E
+    place = {int(v): 3 * k for k, v in enumerate(verts)}
+    worst = 0.0
+    for (i, j), pb in zip(pairs, marg.pair_beliefs(pairs)):
+        rows = np.r_[3 * i:3 * i + 3, 3 * j:3 * j + 3]
+        want = np.zeros((6, 6))
+        for side, k in ((0, i), (3, j)):
+            if k:
+                want[:, side:side + 3] = X[rows, place[k]:place[k] + 3]
+        worst = max(worst, np.abs(pb.cov - want).max() / np.abs(want).max())
+    assert worst < 1e-6
+
+
+def _uncovered_columns(L, parent):
+    """Columns of the unit lower-triangular L whose full forward solve
+    L^-1 e_k has a nonzero off the path from k to its root in ``parent``."""
+    m = L.shape[0]
+    Y = scipy.linalg.solve_triangular(L.toarray(), np.eye(m), lower=True, unit_diagonal=True)
+    bad = 0
+    for k in range(m):
+        path, q = set(), k
+        while q < m:
+            path.add(q)
+            q = parent[q]
+        bad += not set(np.flatnonzero(Y[:, k]).tolist()) <= path
+    return bad
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_elimination_tree_paths_cover_forward_solves(seed):
+    marg = _solved_marginals(500, seed)
+    L = marg._lu.L
+    L.sort_indices()
+    assert _uncovered_columns(L, marg._parent) == 0
+    if seed == 0:
+        # parents taken from L's first entry below the diagonal: L's stored
+        # pattern is not closed, and such paths miss nonzeros (11 of 1,497
+        # parents differ from the elimination tree's on this graph, leaving
+        # 101 columns uncovered)
+        m = L.shape[0]
+        first_below = [m] * (m + 1)
+        for k in range(m):
+            rows = L.indices[L.indptr[k]:L.indptr[k + 1]]
+            if (rows > k).any():
+                first_below[k] = int(rows[rows > k].min())
+        assert _uncovered_columns(L, first_below) > 0
+
+
+def test_factor_refuses_off_diagonal_pivots(monkeypatch):
+    import types
+
+    import scipy.sparse.linalg
+
+    marg = _solved_marginals(120, 12)
+    T = marg._sys.pose_matrices(marg._graph)
+    info, _ = marg._sys.assemble(T, marg._sys.residuals(T))
+    real = scipy.sparse.linalg.splu
+
+    def swapped(*args, **kwargs):
+        lu = real(*args, **kwargs)
+        perm_r = lu.perm_r.copy()
+        perm_r[[0, 1]] = perm_r[[1, 0]]
+        return types.SimpleNamespace(perm_r=perm_r, perm_c=lu.perm_c, L=lu.L, U=lu.U)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", swapped)
+    with pytest.raises(gr.RankDeficiencyError, match="pivot left the diagonal"):
+        gr._factor(info)
+
+
+def test_one_factor_path(monkeypatch):
+    import inspect
+
+    import scipy.sparse.linalg
+
+    source = inspect.getsource(gr)
+    assert source.count("splu(") == 1 and "COLAMD" not in source
+    assert "scipy.sparse.linalg.splu(" in inspect.getsource(gr._factor)
+    calls = []
+    real = scipy.sparse.linalg.splu
+    monkeypatch.setattr(scipy.sparse.linalg, "splu",
+                        lambda *a, **k: calls.append(a[0].shape) or real(*a, **k))
+    solved, report = gr.solve(gr.generate_grid_world(120, seed=12))
+    assert len(calls) == report.iterations > 0
+    gr.Marginals(solved)
+    assert len(calls) == report.iterations + 1
+
+
 def test_pair_beliefs_solve_each_vertex_once(monkeypatch):
     marg = _solved_marginals(120, 12)
     pairs = [(3, 40), (40, 3), (3, 40), (7, 8), (100, 7), (119, 0)] + [
         (i, i + 10) for i in range(0, 100, 7)]
     want = marg.pair_beliefs(pairs)
     solves = []
-    real = marg._solve_columns
-    monkeypatch.setattr(marg, "_solve_columns", lambda cols: solves.append(cols) or real(cols))
+    real = marg._forward_solves
+    monkeypatch.setattr(marg, "_forward_solves", lambda nodes: solves.append(nodes) or real(nodes))
+    monkeypatch.setattr(gr, "_WORK_BYTES", 24 * marg._height * 5)  # five vertices per solve
     got = marg.pair_beliefs(pairs)
-    verts = sorted({k for pair in pairs for k in pair})  # keys equal indices here
-    cols = np.concatenate(solves)
-    assert len(solves) == -(-len(verts) // gr._VERTEX_BLOCK)
-    assert all(c.shape[0] <= 3 * gr._VERTEX_BLOCK for c in solves)
-    assert np.array_equal(cols, (3 * np.array(verts)[:, None] + np.arange(3)).ravel())
+    verts = np.array(sorted({k for pair in pairs for k in pair} - {0}))  # keys equal indices here
+    cols = marg._lu.perm_c[3 * verts[:, None] - 3 + np.arange(3)]
+    nodes = np.concatenate(solves)
+    # each free vertex's three columns once, vertex 0's never, in the
+    # postorder of each vertex's lowest node
+    assert sorted(map(tuple, nodes.tolist())) == sorted(map(tuple, cols.tolist()))
+    assert (np.diff(marg._last[nodes.min(axis=1)]) > 0).all()
+    assert len(solves) == -(-len(verts) // 5) and all(c.shape[0] <= 5 for c in solves)
     for a, b in zip(got, want):
         assert np.array_equal(a.cov, b.cov)
 
@@ -581,8 +691,8 @@ def test_pair_belief_is_one_pair_call_of_pair_beliefs():
 
 
 def test_pair_beliefs_peak_memory():
-    # the solves' blocks are copied out; keeping views into them holds every
-    # 1500 x 48 solution alive, a traced peak of 17.0 MB on this graph
+    # path rows of the 455 solved vertices (1.7 MB on this graph, whose
+    # elimination tree is 609 deep) plus one work array of _WORK_BYTES
     marg = _solved_marginals(500, 4)
     pairs = _slam_pairs(500)
     tracemalloc.start()
@@ -592,14 +702,14 @@ def test_pair_beliefs_peak_memory():
     finally:
         tracemalloc.stop()
     assert len(beliefs) == 600
-    assert peak < 4e6  # measured 1.9 MB
+    assert peak < 4e6  # measured 3.3 MB
 
 
 def test_pair_beliefs_checks_every_pair_before_solving(monkeypatch):
     solved, _ = gr.solve(gr.generate_grid_world(30, seed=2))
     marg = gr.Marginals(solved)
     solves = []
-    monkeypatch.setattr(marg, "_solve_columns", lambda cols: solves.append(cols))
+    monkeypatch.setattr(marg, "_forward_solves", lambda nodes: solves.append(nodes))
     with pytest.raises(KeyError):
         marg.pair_beliefs([(0, 5), (1, 6), (0, 999)])
     with pytest.raises(ValueError):
