@@ -8,9 +8,8 @@ where experiment is one of compose-sweep, relpose-alpha-sweep, slam-relpose,
 convert-demo, solve-graph.  Configuration is JSON; command-line flags
 override config-file fields, which override built-in defaults.  Outputs are
 CSV tables (plus plot scripts); identical config + seed reproduces identical
-bytes.  ``--jobs`` is accepted for compatibility and has no effect.  Logs
-go to stderr.  Exit codes: 0 success, 2 usage/config problems, 1 runtime
-failures.
+bytes.  ``--jobs`` is accepted and has no effect.  Logs go to stderr.  Exit
+codes: 0 success, 2 usage/config problems, 1 runtime failures.
 """
 
 from __future__ import annotations
@@ -33,8 +32,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, help="random seed (overrides config)")
         p.add_argument("--out", help="output directory (overrides config)")
-        p.add_argument("--jobs", type=int, help="must be positive; no effect: runs are "
-                       "single-threaded, as a thread pool only slowed them down")
+        p.add_argument("--jobs", type=int, help="must be positive; no effect (single-threaded)")
     return parser
 
 

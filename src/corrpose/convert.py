@@ -26,11 +26,12 @@ import numpy as np
 
 from .belief import JointPoseBelief
 from .liegroup import SingularLogError, compose_blocks, invert_blocks, log_many
+from .mc import _sqrt_factor
 from .ssc import SscBelief, _pose_blocks, ssc_to_pose
 
 
 class ConversionError(RuntimeError):
-    """The input coordinate covariance could not be factorized."""
+    """The input coordinate covariance is indefinite beyond float noise."""
 
 
 class SigmaPointSingularityError(RuntimeError):
@@ -88,27 +89,13 @@ class UtConfig:
         return denom, wm, wc
 
 
-def _jittered_cholesky(cov: np.ndarray) -> np.ndarray:
-    """Cholesky with up to 3 jitter retries of growing multiples of 1e-12*trace."""
-    if not cov.any():
-        return np.zeros_like(cov)
-    eps = 1e-12 * float(np.trace(cov))
-    for attempt in range(4):
-        jitter = 0.0 if attempt == 0 else eps * 10.0 ** (attempt - 1)
-        try:
-            return np.linalg.cholesky(cov + jitter * np.eye(cov.shape[0]))
-        except np.linalg.LinAlgError:
-            continue
-    raise ConversionError(
-        f"coordinate covariance is not factorizable (trace {np.trace(cov):.3e})"
-    )
-
-
 def sigma_points(mean: np.ndarray, cov: np.ndarray, cfg: UtConfig):
-    """Sigma point set and (mean, covariance) weights for a Gaussian."""
+    """Sigma point set and (mean, covariance) weights for a Gaussian, spread
+    along the columns of :func:`~corrpose.mc._sqrt_factor` of ``cov`` (an
+    indefinite ``cov`` raises :class:`ConversionError`)."""
     dim = mean.shape[0]
     spread, wm, wc = cfg.spread_and_weights(dim)
-    L = _jittered_cholesky(cov)
+    L = _sqrt_factor(cov, err=ConversionError)
     offsets = np.sqrt(spread) * L
     points = np.empty((2 * dim + 1, dim))
     points[0] = mean

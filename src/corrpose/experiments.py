@@ -11,8 +11,7 @@ rules, are one table in :data:`TABLES`; the README lists the same tables.
 :func:`run_experiment` resolves the whole configuration against it before
 any work (:func:`resolve_config`).  ``jobs`` must be a positive integer but
 has no effect: per-item work is small numpy calls holding the interpreter
-lock, so a thread pool only slowed runs down (500-pose ``slam-relpose`` on
-two cores: 4.6-8.0 s with two workers, 3.8-4.4 s with one).
+lock, so every experiment runs on one thread.
 
 ``slam-relpose`` works on blocks of ``_PAIR_BLOCK`` = 16 pairs.  Each block
 is one stacked evaluation of the first-order predictions (``between``,
@@ -53,6 +52,7 @@ from .liegroup import Pose
 from .mc import (
     ChainNoiseSpec,
     InvalidSpecError,
+    _sqrt_factor,
     build_chain_joint,
     chi2_quantile,
     containment_fraction,
@@ -289,7 +289,7 @@ def _ssc_chain_cov(step_belief: SscBelief, n_steps: int) -> SscBelief:
 
 def _chain_spec(cfg, value, rho) -> ChainNoiseSpec:
     """The chain of one sweep point, ``cfg`` with the key that ``sweep`` names
-    set to ``value``, its steps correlated by ``rho``; building it factors the
+    set to ``value``, its steps correlated by ``rho``; building it checks the
     joint, and one that is not PSD raises :class:`InvalidSpecError`."""
     point = {**cfg, cfg["sweep"]: value}
     cov = _step_cov(point["sigma_t"], point["sigma_r"])
@@ -297,7 +297,7 @@ def _chain_spec(cfg, value, rho) -> ChainNoiseSpec:
 
 
 def _check_chain_joints(cfg) -> None:
-    """Factor every sweep point's chain joint at resolution, so a ``rho`` that
+    """Check every sweep point's chain joint at resolution, so a ``rho`` that
     makes one of them not PSD exits 2 before any sampling."""
     for value in cfg["values"]:
         try:
@@ -640,9 +640,7 @@ def _ellipse_locus(mean, cov, p=0.95, n_points=128):
     cov = np.asarray(cov, dtype=float)
     t = np.linspace(0.0, 2 * np.pi, n_points + 1)
     circle = np.stack([np.cos(t), np.sin(t)])
-    if not cov.any():
-        return np.tile(mean, (n_points + 1, 1))
-    L = np.linalg.cholesky(cov + 1e-300 * np.eye(2))
+    L = _sqrt_factor(cov)
     radius = np.sqrt(chi2_quantile(2, p))
     return (mean[:, None] + radius * (L @ circle)).T
 
@@ -769,7 +767,7 @@ TABLES = {
         "N": (10, _POSITIVE_INT),
         "sigma_t": (3.0, _POSITIVE),
         "sigma_r": (3.0, _POSITIVE),
-        # every sweep point's chain joint is factored at resolution
+        # every sweep point's chain joint is checked at resolution
         "rho": (0.4, _FINITE),
         "M": (10_000, _DRAWS),
         "p": (0.999, _PROBABILITY),

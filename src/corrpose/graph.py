@@ -36,7 +36,6 @@ import scipy.sparse.linalg
 from .belief import PosePairBelief, checked_covs
 from .liegroup import (
     Pose,
-    _angle_coeffs,
     _vinv_coeff,
     adjoint_blocks,
     checked_pose_blocks,
@@ -513,26 +512,15 @@ def _segment_products(A: np.ndarray, B: np.ndarray, lengths: np.ndarray) -> np.n
     return np.stack([np.add.reduceat(A[:, i, None] * B, first) for i in range(3)], axis=1)
 
 
-def _renormalized(T: np.ndarray) -> np.ndarray:
-    """Project the rotation blocks of an SE(2) matrix stack back onto SO(2)."""
-    c, s, _, _ = _angle_coeffs(np.arctan2(T[:, 1, 0], T[:, 0, 0]))
-    out = T.copy()
-    out[:, 0, 0] = c
-    out[:, 0, 1] = -s
-    out[:, 1, 0] = s
-    out[:, 1, 1] = c
-    out[:, 2, :2] = 0.0
-    out[:, 2, 2] = 1.0
-    return out
-
-
 def solve(graph: PoseGraph) -> tuple[PoseGraph, SolveReport]:
     """Gauss-Newton with on-manifold updates, the lowest-keyed vertex held fixed.
 
     Returns a solved copy of the graph plus a report.  Terminates on relative
     chi2 decrease below ``_REL_TOL`` or after ``_MAX_ITERATIONS``; three
     consecutive chi2 increases raise :class:`DivergenceError`.  Each iterate's
-    residuals are evaluated once, for its chi2 and the next step.
+    residuals are evaluated once, for its chi2 and the next step.  Iterates
+    are ``exp(hat(delta)) @ T`` as they come; rotation drift beyond
+    ``ORTHONORMALITY_TOL`` is repaired once, by the checks of the solved copy.
     """
     if not graph.is_connected():
         raise GraphValidationError("graph is not connected")
@@ -548,7 +536,7 @@ def solve(graph: PoseGraph) -> tuple[PoseGraph, SolveReport]:
     while not converged and iterations < _MAX_ITERATIONS:
         H, g = sys_.assemble(T, r)
         delta = _factor(H).solve(-g)
-        T = np.concatenate([T[:1], _renormalized(exp_many(delta.reshape(-1, 3)) @ T[1:])])
+        T = np.concatenate([T[:1], exp_many(delta.reshape(-1, 3)) @ T[1:]])
         iterations += 1
         r = sys_.residuals(T)
         new_chi2 = sys_.chi2(r)

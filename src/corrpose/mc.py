@@ -17,10 +17,9 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy import linalg as sla
 from scipy import special
 
-from .belief import JointPoseBelief, PosePairBelief, UncertainPose, relative_mean_blocks
+from .belief import _PSD_TOL, JointPoseBelief, PosePairBelief, UncertainPose, relative_mean_blocks
 from .liegroup import Pose, exp_many, log_between_many, log_many_masked
 
 # Fraction of singular-logarithm samples tolerated before the estimate is
@@ -33,22 +32,25 @@ class InvalidSpecError(ValueError):
 
 
 class SamplingError(RuntimeError):
-    """Sampling failed (unfactorizable covariance or too many singular draws)."""
+    """Sampling failed (indefinite covariance or too many singular draws)."""
 
 
 def _sqrt_factor(cov: np.ndarray, *, err=SamplingError) -> np.ndarray:
-    """Factor L with L @ L.T == cov for sampling.
+    """Factor L with L @ L.T == cov: the package's one PSD square root, for
+    sampling, unscented sigma points and ellipse loci.
 
     Cholesky where it succeeds; otherwise (PSD-singular input: pinned
     channels, perfectly correlated blocks) the eigendecomposition square
-    root ``V sqrt(max(w, 0))``, without diagonal jitter.  Indefinite input
-    beyond float noise raises.
+    root ``V sqrt(max(w, 0))``, without diagonal jitter.  A zero covariance
+    gives a zero factor.  Input that :func:`~corrpose.belief.checked_covs`
+    would call indefinite (an eigenvalue below ``_PSD_TOL`` times
+    ``max(1, max |entry|)``) raises ``err``.
 
     Singular directions get rounding-level noise, not none.  Cholesky often
     succeeds on a singular matrix, with pivots that are rounding residue of
     order sqrt(eps |cov|), and ``eigh`` leaves eigenvalues of order
     eps |cov|.  For ``[[S, S], [S, S]]`` with entries of S of order 0.1-1,
-    diagonal or not, draws of xi_1 - xi_2 then had a std of up to 4.5e-8,
+    diagonal or not, draws of xi_1 - xi_2 then have a std of up to 4.5e-8,
     median 1.5e-8 (200 random S).  They are exactly zero only where the
     factor's two halves come out equal: when Cholesky meets an exact zero
     pivot on a diagonal S and the eigendecomposition is taken instead, as
@@ -63,7 +65,7 @@ def _sqrt_factor(cov: np.ndarray, *, err=SamplingError) -> np.ndarray:
     except np.linalg.LinAlgError:
         pass
     w, V = np.linalg.eigh(cov)
-    if w.min() < -1e-10 * max(1.0, w.max()):
+    if w.min() < _PSD_TOL * max(1.0, np.abs(cov).max()):
         raise err(f"covariance is indefinite (eigenvalue {w.min():.3e})")
     return V * np.sqrt(np.clip(w, 0.0, None))
 
@@ -113,6 +115,7 @@ class ChainNoiseSpec:
     step_cov: np.ndarray
     n_steps: int
     rho: float = 0.0
+    _joint: JointPoseBelief = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_steps < 1:
@@ -122,41 +125,34 @@ class ChainNoiseSpec:
         if cov.shape != (m, m):
             raise ValueError(f"step covariance must be {m}x{m}")
         object.__setattr__(self, "step_cov", cov)
-        _chain_cov_checked(self)  # fail fast on a non-PSD implied joint
-
-
-def _chain_cov_checked(spec: ChainNoiseSpec) -> np.ndarray:
-    m = spec.step_mean.twist_dim
-    n = spec.n_steps
-    cov = np.zeros((m * n, m * n))
-    off = spec.rho * spec.step_cov
-    for k in range(n):
-        cov[k * m : (k + 1) * m, k * m : (k + 1) * m] = spec.step_cov
-        if k + 1 < n:
-            cov[k * m : (k + 1) * m, (k + 1) * m : (k + 2) * m] = off
-            cov[(k + 1) * m : (k + 2) * m, k * m : (k + 1) * m] = off.T
-    if cov.any():
         try:
-            # scipy reports the failing pivot (leading minor) in its message.
-            sla.cholesky(cov + 1e-15 * np.trace(cov) * np.eye(m * n), lower=True)
-        except np.linalg.LinAlgError as e:
-            raise InvalidSpecError(
-                f"implied joint covariance is not PSD (rho={spec.rho}, N={n}): {e}"
-            ) from None
-    return cov
+            joint = JointPoseBelief(
+                range(self.n_steps), (self.step_mean,) * self.n_steps, _chain_cov(self)
+            )
+        except ValueError as e:
+            raise InvalidSpecError(f"implied {e} (rho={self.rho}, N={self.n_steps})") from None
+        object.__setattr__(self, "_joint", joint)
+
+
+def _chain_cov(spec: ChainNoiseSpec) -> np.ndarray:
+    m, n, k = spec.step_mean.twist_dim, spec.n_steps, np.arange(spec.n_steps)
+    cov = np.zeros((n, m, n, m))
+    off = spec.rho * spec.step_cov
+    cov[k, :, k] = spec.step_cov
+    cov[k[:-1], :, k[1:]] = off
+    cov[k[1:], :, k[:-1]] = off.T
+    return cov.reshape(n * m, n * m)
 
 
 def build_chain_joint(spec: ChainNoiseSpec) -> JointPoseBelief:
     """Joint belief of the N chained steps implied by a :class:`ChainNoiseSpec`.
 
     Diagonal blocks are the step covariance, lag-1 off-diagonal blocks are
-    ``rho * step_cov``, everything beyond lag 1 is zero.  PSD of the joint is
-    decided by factorization, not by an analytic bound on rho.
+    ``rho * step_cov``, everything beyond lag 1 is zero.  The joint is made
+    and checked once, when the spec is: PSD is decided by the belief checks
+    (:func:`~corrpose.belief.checked_covs`), not by an analytic bound on rho.
     """
-    cov = _chain_cov_checked(spec)
-    keys = tuple(range(spec.n_steps))
-    means = (spec.step_mean,) * spec.n_steps
-    return JointPoseBelief(keys, means, cov)
+    return spec._joint
 
 
 def sample_joint(b, M: int, seed) -> SampleBatch:
@@ -281,24 +277,13 @@ def normalized_cov_error(sigma, sigma_mc) -> float:
 
 
 def chi2_quantile(dof: int, p: float) -> float:
-    """Quantile of the chi-square distribution by bisection on the
+    """Quantile of the chi-square distribution, from the inverse of the
     regularized incomplete gamma function."""
     if not 0.0 < p < 1.0:
         raise ValueError("p must be in (0, 1)")
     if dof < 1:
         raise ValueError("dof must be positive")
-    lo, hi = 0.0, float(dof)
-    while special.gammainc(dof / 2.0, hi / 2.0) < p:
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if special.gammainc(dof / 2.0, mid / 2.0) < p:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-12 * max(1.0, hi):
-            break
-    return 0.5 * (lo + hi)
+    return 2.0 * float(special.gammaincinv(dof / 2.0, p))
 
 
 def containment_fraction(batch, sigma, p: float, dof_mode: str = "full") -> float:

@@ -142,17 +142,34 @@ def test_output_psd_with_default_weights():
 # failure modes
 # ---------------------------------------------------------------------------
 
-def test_rank_deficient_covariance_converts_via_jitter():
+def test_rank_deficient_covariance_converts():
     cov = DEMO_COV.copy()
     cov[2:5, 2:5] = 0.0  # pinned z / roll / pitch
     out = convert.ut_convert(ssc.SscBelief(DEMO_MEAN, cov))
     assert np.abs(np.diag(out.cov)[2:5]).max() < 1e-9
 
 
+def test_converts_every_covariance_the_belief_accepts():
+    # eigenvalues 2e-3 ... 5e-5 and -5e-11, within the belief checks' PSD
+    # tolerance: the sigma points spread along the eigendecomposition square
+    # root, which drops only the clipped eigenvalue (measured 3.2e-11), and
+    # the result stays near the first-order pushforward (measured 1.6e-4)
+    w = np.array([2e-3, 1e-3, 5e-4, 2e-4, 5e-5, -5e-11])
+    Q = np.linalg.qr(np.random.default_rng(3).normal(size=(6, 6)))[0]
+    b = ssc.SscBelief(DEMO_MEAN, (Q * w) @ Q.T)
+    assert np.linalg.eigvalsh(b.cov).min() < 0.0
+    points, _, wc = convert.sigma_points(b.mean, b.cov, convert.UtConfig())
+    d = points - b.mean
+    assert np.abs(np.einsum("k,ki,kj->ij", wc, d, d) - b.cov).max() < 1e-10
+    out = convert.ut_convert(b).cov
+    lin = linearized_conversion(b)
+    assert np.abs(out - lin).max() < 1e-3 * np.abs(lin).max()
+
+
 def test_unfactorizable_covariance_raises():
     bad = np.eye(6)
-    with pytest.raises(convert.ConversionError):
-        convert._jittered_cholesky(bad - 2 * np.eye(6))
+    with pytest.raises(convert.ConversionError, match="indefinite"):
+        convert.sigma_points(DEMO_MEAN, bad - 2 * np.eye(6), convert.UtConfig())
 
 
 def _singularity(f, b):

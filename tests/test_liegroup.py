@@ -566,7 +566,6 @@ def test_stack_kernels_take_no_sine_or_cosine(monkeypatch):
         lg.log_many_masked(M)
         lg.log_between_many(xi, xi[::-1])
     gr._inv_right_jacobian_many(xi2)
-    gr._renormalized(mats[0])
 
 
 # ---------------------------------------------------------------------------

@@ -34,14 +34,52 @@ def test_chain_joint_lag_structure():
     assert not joint.block(0, 2).any()  # zero beyond lag 1
 
 
-def test_chain_joint_psd_boundary_by_factorization():
+def test_chain_joint_psd_boundary_by_belief_checks():
     # For equal marginals with lag-1 blocks rho*Sigma the joint is a Kronecker
     # product with the tridiagonal Toeplitz(1, rho); rho >= 1/2 loses PSD as N
-    # grows.  The factorization places the rho = 0.6 boundary at N = 5.
+    # grows.  The belief checks place the rho = 0.6 boundary at N = 5.
     cp.build_chain_joint(cp.ChainNoiseSpec(STEP, STEP_SIG, 10, rho=0.4))
     cp.build_chain_joint(cp.ChainNoiseSpec(STEP, STEP_SIG, 3, rho=0.6))
-    with pytest.raises(cp.InvalidSpecError, match="leading minor"):
+    with pytest.raises(cp.InvalidSpecError,
+                       match=r"not positive semi-definite .*\(rho=0.6, N=5\)"):
         cp.ChainNoiseSpec(STEP, STEP_SIG, 5, rho=0.6)
+
+
+@pytest.mark.parametrize("rho,N,accepted", [(1 + 1e-8, 2, True), (0.6, 5, False)])
+def test_chain_spec_and_joint_belief_agree(rho, N, accepted):
+    # the compose-sweep step covariance: at rho = 1 + 1e-8 the joint's least
+    # eigenvalue is -1e-8 times the largest step variance, inside the belief
+    # checks' tolerance; at rho = 0.6, N = 5 it is -0.039 times it
+    from corrpose.experiments import _STEP_MEAN, _step_cov
+
+    sig = _step_cov(3.0, 3.0)
+    cov = np.kron(np.eye(N), sig) + np.kron(np.eye(N, k=1) + np.eye(N, k=-1), rho * sig)
+    verdicts = []
+    for make in (lambda: cp.JointPoseBelief(range(N), (_STEP_MEAN,) * N, cov),
+                 lambda: cp.ChainNoiseSpec(_STEP_MEAN, sig, N, rho)):
+        try:
+            make()
+            verdicts.append(True)
+        except ValueError:
+            verdicts.append(False)
+    assert verdicts == [accepted, accepted]
+    if accepted:
+        joint = cp.build_chain_joint(cp.ChainNoiseSpec(_STEP_MEAN, sig, N, rho))
+        assert np.array_equal(joint.cov, cov)
+
+
+def test_one_psd_square_root():
+    # mc._sqrt_factor is the package's only Cholesky; the chain joint is
+    # checked by the belief checks, and no module imports scipy.linalg
+    import inspect
+    import re
+    from pathlib import Path
+
+    for path in Path(cp.__file__).parent.glob("*.py"):
+        source = path.read_text()
+        assert not re.search(r"scipy\.linalg|from scipy import\s[^\n]*\blinalg\b", source)
+        assert source.count("cholesky(") == (path.stem == "mc"), path.name
+    assert "np.linalg.cholesky(" in inspect.getsource(cp.mc._sqrt_factor)
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +338,24 @@ def test_chi2_quantiles_match_oracle():
         npt.assert_allclose(
             cp.chi2_quantile(dof, p), stats.chi2.ppf(p, dof), rtol=1e-9
         )
+
+
+def test_chi2_quantile_against_mpmath():
+    # the quantile x solves P(dof / 2, x / 2) = p for the regularized lower
+    # incomplete gamma function P, here to 40 digits
+    import mpmath as mp
+
+    worst = 0.0
+    with mp.workdps(40):
+        for dof in range(1, 13):
+            for p in (0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 0.999, 0.9999):
+                a, target = mp.mpf(dof) / 2, mp.mpf(p)
+                want = 2 * mp.findroot(
+                    lambda y: mp.gammainc(a, 0, y, regularized=True) - target,
+                    mp.mpf(stats.chi2.ppf(p, dof)) / 2)
+                got = cp.chi2_quantile(dof, p)
+                worst = max(worst, float(abs((got - want) / want)))
+    assert worst <= 1e-14
 
 
 def test_containment_calibration():
