@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .belief import JointPoseBelief
-from .liegroup import SingularLogError, compose_blocks, invert_blocks, log_many
+from .liegroup import SingularLogError, compose_blocks, homogeneous, invert_blocks, log_many
 from .mc import _sqrt_factor
 from .ssc import SscBelief, _pose_blocks, ssc_to_pose
 
@@ -118,12 +118,8 @@ def _centered_logs(b: SscBelief, points: np.ndarray, rows: np.ndarray) -> np.nda
         np.tile(R_mean, (rows.size, 1, 1)), np.tile(t_mean, (rows.size, 1))
     )
     R, t = compose_blocks(*_pose_blocks(points[rows].reshape(-1, 6)), R_inv, t_inv)
-    mats = np.zeros((R.shape[0], 4, 4))
-    mats[:, :3, :3] = R
-    mats[:, :3, 3] = t
-    mats[:, 3, 3] = 1.0
     try:
-        logs = log_many(mats)
+        logs = log_many(homogeneous(R, t))
     except SingularLogError as e:
         k, i = divmod(e.row, n)
         raise SigmaPointSingularityError(int(rows[k]), i, e.angle) from None

@@ -48,7 +48,7 @@ from .belief import (
     compose_chain,
 )
 from .convert import UtConfig, ut_convert
-from .liegroup import Pose
+from .liegroup import Pose, homogeneous
 from .mc import (
     ChainNoiseSpec,
     InvalidSpecError,
@@ -127,7 +127,8 @@ def _one_of(*options):
 
 
 def _list_of(rule, length=None):
-    """A rule: a non-empty list (of ``length`` items if given), each obeying ``rule``."""
+    """A rule: a vector of ``length`` items if given, else a non-empty list of
+    distinct items (each keys its own output rows), each obeying ``rule``."""
 
     def check(key, value):
         if not isinstance(value, (list, tuple)):  # a string would split into characters
@@ -135,7 +136,11 @@ def _list_of(rule, length=None):
         if not value or length not in (None, len(value)):
             want = length or "one or more"
             raise ConfigError(f"config key {key!r} must hold {want} items, got {len(value)}")
-        return tuple(rule(key, v) for v in value)
+        items = tuple(rule(key, v) for v in value)
+        if length is None and len(set(items)) < len(items):
+            repeat = next(v for k, v in enumerate(items) if v in items[:k])
+            raise ConfigError(f"config key {key!r} repeats {repeat!r}")
+        return items
 
     return check
 
@@ -208,19 +213,16 @@ def _log(msg: str) -> None:
 # twist <-> Euler bridging (planar poses embed as z = roll = pitch = 0)
 # ---------------------------------------------------------------------------
 
-def _embed3_many(R: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Homogeneous SE(3) stack of (M, d, d) rotations and (M, d) translations.
-
-    Planar blocks embed with z = roll = pitch = 0.
-    """
+def _embed3(R: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """SE(3) blocks of (M, d, d) rotations and (M, d) translations; planar
+    blocks embed with z = roll = pitch = 0."""
     m, d = t.shape
-    out = np.zeros((m, 4, 4))
-    out[:, :d, :d] = R
-    out[:, :d, 3] = t
-    if d == 2:
-        out[:, 2, 2] = 1.0
-    out[:, 3, 3] = 1.0
-    return out
+    if d == 3:
+        return R, t
+    R3 = np.zeros((m, 3, 3))
+    R3[:, :2, :2] = R
+    R3[:, 2, 2] = 1.0
+    return R3, np.column_stack([t, np.zeros(m)])
 
 
 # Euler-parameter channels (x, y, yaw) a planar pose can move, and their
@@ -233,9 +235,8 @@ def _ssc_linearization(means) -> tuple[np.ndarray, np.ndarray]:
     """(n, 6) Euler parameters of n means and (n, 6, m) Jacobians
     d params(exp(hat(xi)) T_bar) / d xi at 0: D(x_bar)^-1, whose x, y and yaw
     columns a planar twist (rho_x, rho_y, phi) moves."""
-    R = np.stack([T.R for T in means])
-    t = np.stack([T.t for T in means])
-    P = params_many(_embed3_many(R, t))
+    R, t = _embed3(np.stack([T.R for T in means]), np.stack([T.t for T in means]))
+    P = params_many(homogeneous(R, t))
     J = _euler_rates(P, inverse=True)
     return P, J[:, :, _PLANAR_PARAMS] if means[0].dim == 2 else J
 
@@ -646,11 +647,17 @@ def _ellipse_locus(mean, cov, p=0.95, n_points=128):
 
 
 def _fraction_inside(points, mean, cov, thr):
+    """Share of ``points`` within squared Mahalanobis distance ``thr`` of
+    ``mean`` under the PSD ``cov``, by its pseudo-inverse on its range (the
+    eigenvalues above n eps times the largest); a point off the range by more
+    than the rounding's standard deviation is outside."""
     d = points - np.asarray(mean)
-    if not np.asarray(cov).any():
-        return float(np.mean(~d.any(axis=1)))
-    sol = np.linalg.solve(cov, d.T).T
-    return float(np.mean(np.einsum("mi,mi->m", d, sol) <= thr))
+    w, V = np.linalg.eigh(cov)
+    cut = w.shape[0] * np.finfo(float).eps * w.max()
+    y = d @ V
+    on = w > cut
+    inside = (y[:, on] ** 2 / w[on]).sum(axis=1) <= thr
+    return float(np.mean(inside & (np.abs(y[:, ~on]) <= np.sqrt(cut)).all(axis=1)))
 
 
 def run_convert_demo(cfg) -> list[Path]:

@@ -41,9 +41,11 @@ from .liegroup import (
     checked_pose_blocks,
     compose_blocks,
     exp_many,
+    homogeneous,
     inv_many,
     invert_blocks,
     log_many,
+    planar_blocks,
 )
 
 # Gauss-Newton stops once chi2 falls by less than this fraction, or after
@@ -302,17 +304,6 @@ _EDGE_TAGS = ("EDGE_SE2", "EDGE2")
 _UPPER = [0, 1, 2, 1, 3, 4, 2, 4, 5]
 
 
-def _planar_blocks(x, y, theta) -> tuple[np.ndarray, np.ndarray]:
-    """(M, 2, 2) rotations and (M, 2) translations of ``Pose.planar`` rows."""
-    c, s = np.cos(theta), np.sin(theta)
-    R = np.empty((c.shape[0], 2, 2))
-    R[:, 0, 0] = c
-    R[:, 0, 1] = -s
-    R[:, 1, 0] = s
-    R[:, 1, 1] = c
-    return R, np.column_stack([x, y])
-
-
 def load_graph(path) -> PoseGraph:
     """Parse a planar g2o/TORO text file.
 
@@ -362,7 +353,7 @@ def load_graph(path) -> PoseGraph:
                 raise GraphParseError(line_no, str(e)) from None
     keys = sorted(vertices)
     pose = np.array([vertices[k] for k in keys], dtype=float).reshape(-1, 3)
-    R, t = _planar_blocks(*pose.T)
+    R, t = planar_blocks(*pose.T)
     return PoseGraph._of_arrays(np.array(keys, dtype=np.int64), R, t, *_edge_arrays(ends, edges),
                                 skipped_lines=skipped)
 
@@ -371,21 +362,12 @@ def _edge_arrays(ends, edges):
     """Endpoint, measurement and (unchecked) information stacks of parsed edge lines."""
     ends = np.array(ends, dtype=np.int64).reshape(-1, 2)
     values = np.array(edges, dtype=float).reshape(-1, 9)
-    return (ends, *_planar_blocks(*values[:, :3].T), values[:, 3:][:, _UPPER].reshape(-1, 3, 3))
+    return (ends, *planar_blocks(*values[:, :3].T), values[:, 3:][:, _UPPER].reshape(-1, 3, 3))
 
 
 # ---------------------------------------------------------------------------
 # linearization machinery shared by the solver and the marginal extraction
 # ---------------------------------------------------------------------------
-
-def _homogeneous(R: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """(M, 3, 3) homogeneous matrices of (M, 2, 2) rotations and (M, 2) translations."""
-    out = np.zeros((t.shape[0], 3, 3))
-    out[:, :2, :2] = R
-    out[:, :2, 2] = t
-    out[:, 2, 2] = 1.0
-    return out
-
 
 class _System:
     """Residuals, Jacobians and information matrix in per-vertex twist
@@ -397,7 +379,7 @@ class _System:
         self.index = graph._rows
         self.n = graph.n_vertices
         self.ii, self.jj = graph._edge_rows.T
-        self.Zinv = _homogeneous(*invert_blocks(graph.Z_R, graph.Z_t))
+        self.Zinv = homogeneous(*invert_blocks(graph.Z_R, graph.Z_t))
         # symmetric whitener W with r' info r == ||W r||^2; the eigh-based
         # square root also accepts PSD-singular information (pinned channels)
         w, V = np.linalg.eigh(graph.information)
@@ -426,9 +408,6 @@ class _System:
         slots[slot == nb] = 9 * nb
         self._slots = slots.ravel()
         self._grad_rows = (3 * np.concatenate([self.ii, self.jj])[:, None] + three).ravel()
-
-    def pose_matrices(self, graph: PoseGraph) -> np.ndarray:
-        return _homogeneous(graph.R, graph.t)
 
     def residuals(self, T: np.ndarray) -> np.ndarray:
         """Raw (unwhitened) edge residuals (E, 3)."""
@@ -525,7 +504,7 @@ def solve(graph: PoseGraph) -> tuple[PoseGraph, SolveReport]:
     if not graph.is_connected():
         raise GraphValidationError("graph is not connected")
     sys_ = _System(graph)
-    T = sys_.pose_matrices(graph)
+    T = homogeneous(graph.R, graph.t)
     r = sys_.residuals(T)
     chi2 = sys_.chi2(r)
     initial = chi2
@@ -577,7 +556,7 @@ class Marginals:
             raise GraphStateError("marginals need a solved graph; call solve() first")
         self._graph = graph
         self._sys = _System(graph)
-        T = self._sys.pose_matrices(graph)
+        T = homogeneous(graph.R, graph.t)
         info, _ = self._sys.assemble(T, self._sys.residuals(T))
         m = info.shape[0]
         # a one-vertex graph has no variables and no pair to query
@@ -726,7 +705,7 @@ def generate_grid_world(n_poses: int = 500, seed=0, *, trans_sigma: float = 0.14
     # ground truth: one turn draw per step, each step a product of the 2x2
     # blocks Pose.planar and Pose.__matmul__ would form
     turn = np.array([0.0, np.pi / 2, -np.pi / 2])
-    R_turn, t_turn = _planar_blocks(step_length * np.cos(turn), step_length * np.sin(turn), turn)
+    R_turn, t_turn = planar_blocks(step_length * np.cos(turn), step_length * np.sin(turn), turn)
     R = np.empty((n_poses, 2, 2))
     t = np.empty((n_poses, 2))
     R[0], t[0] = np.eye(2), 0.0

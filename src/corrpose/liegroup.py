@@ -14,10 +14,12 @@ Conventions used throughout the package:
 Each group has one exponential, :func:`exp_many`, and one logarithm,
 ``_log_stack`` behind :func:`log_many` and :func:`log_many_masked`, all on
 stacks of twists and homogeneous matrices.  The :class:`Pose` entry points
-:func:`exp_map` and :func:`log_map` are one-row calls of them.  The stack
+:func:`exp_map` and :func:`log_map` are one-row calls of them.  These
 kernels take no sine or cosine: every angle coefficient comes from one
 tan(t/2) per angle (:func:`_angle_coeffs`, :func:`_vinv_coeff`), and SE(3)
-rows are formed on columns, without 3x3 matrix products.
+rows are formed on columns, without 3x3 matrix products.  Each pose
+operation likewise has one kernel on rotation and translation stacks, and a
+:class:`Pose` is a one-row view of these checked block kernels.
 """
 
 from __future__ import annotations
@@ -55,8 +57,18 @@ class SingularLogError(ValueError):
 
 def skew(v) -> np.ndarray:
     """3x3 skew-symmetric matrix of a 3-vector: skew(v) @ w == cross(v, w)."""
-    x, y, z = np.asarray(v, dtype=float)
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    return _skew_many(np.asarray(v, dtype=float).reshape(3)[None])[0]
+
+
+def _skew_many(v: np.ndarray) -> np.ndarray:
+    M = np.zeros(v.shape[:-1] + (3, 3))
+    M[..., 0, 1] = -v[..., 2]
+    M[..., 0, 2] = v[..., 1]
+    M[..., 1, 0] = v[..., 2]
+    M[..., 1, 2] = -v[..., 0]
+    M[..., 2, 0] = -v[..., 1]
+    M[..., 2, 1] = v[..., 0]
+    return M
 
 
 def _skew2(w: float) -> np.ndarray:
@@ -78,29 +90,23 @@ def project_rotation(M: np.ndarray) -> np.ndarray:
 class Pose:
     """Element of SE(2) or SE(3): rotation matrix ``R`` plus translation ``t``.
 
-    Immutable value type.  The constructor validates orthonormality of the
-    rotation block and renormalizes (polar projection) when accumulated
-    float drift exceeds ``ORTHONORMALITY_TOL``; genuinely non-rotational
-    input raises ``ValueError``.
+    Immutable value type and a one-row view of the checked block kernels: the
+    constructor runs :func:`checked_pose_blocks` (drift is repaired, other
+    non-rotations raise ``ValueError``), and ``planar``, ``matrix``,
+    ``inverse`` and ``@`` call the matching kernel on one row.
     """
 
     __slots__ = ("R", "t")
 
     def __init__(self, R, t):
+        # the order-'K' copy keeps an inverse's R^T a transposed view, whose
+        # products matmul rounds differently from those of a C-ordered copy
         R = np.array(R, dtype=float)
         t = np.array(t, dtype=float).reshape(-1)
         d = t.shape[0]
         if d not in (2, 3) or R.shape != (d, d):
             raise ValueError(f"expected 2D or 3D rotation+translation, got R{R.shape} t{t.shape}")
-        if not (np.isfinite(R).all() and np.isfinite(t).all()):
-            raise ValueError("pose entries must be finite")
-        residual = np.linalg.norm(R.T @ R - np.eye(d))
-        if residual > ORTHONORMALITY_TOL:
-            if residual > _RENORMALIZABLE_TOL:
-                raise ValueError(f"rotation block is not orthonormal (residual {residual:.3e})")
-            R = project_rotation(R)
-        if np.linalg.det(R) < 0.0:
-            raise ValueError("rotation block has determinant -1")
+        R = checked_pose_blocks(R[None], t[None])[0]
         R.flags.writeable = False
         t.flags.writeable = False
         object.__setattr__(self, "R", R)
@@ -126,8 +132,8 @@ class Pose:
     @classmethod
     def planar(cls, x: float, y: float, theta: float) -> "Pose":
         """SE(2) pose from position and heading."""
-        c, s = np.cos(theta), np.sin(theta)
-        return cls(np.array([[c, -s], [s, c]]), np.array([x, y], dtype=float))
+        R, t = planar_blocks(*np.array([[x], [y], [theta]], dtype=float))
+        return cls(R[0], t[0])
 
     @classmethod
     def from_matrix(cls, M) -> "Pose":
@@ -144,23 +150,19 @@ class Pose:
 
     def matrix(self) -> np.ndarray:
         """Homogeneous (d+1)x(d+1) matrix with exact (0,...,0,1) bottom row."""
-        d = self.dim
-        M = np.zeros((d + 1, d + 1))
-        M[:d, :d] = self.R
-        M[:d, d] = self.t
-        M[d, d] = 1.0
-        return M
+        return homogeneous(self.R[None], self.t[None])[0]
 
     def inverse(self) -> "Pose":
-        Rt = self.R.T
-        return Pose(Rt, -(Rt @ self.t))
+        R, t = invert_blocks(self.R[None], self.t[None])
+        return Pose(R[0], t[0])
 
     def __matmul__(self, other: "Pose") -> "Pose":
         if not isinstance(other, Pose):
             return NotImplemented
         if other.dim != self.dim:
             raise ValueError("cannot compose poses of different dimension")
-        return Pose(self.R @ other.R, self.R @ other.t + self.t)
+        R, t = compose_blocks(self.R[None], self.t[None], other.R[None], other.t[None])
+        return Pose(R[0], t[0])
 
     def apply(self, p) -> np.ndarray:
         """Map a point from the local frame into the parent frame."""
@@ -171,14 +173,12 @@ class Pose:
 
 
 def checked_pose_blocks(R: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Stack version of the :class:`Pose` constructor's checks.
+    """The pose checks, on (M, d, d) rotation and (M, d) translation stacks.
 
-    ``R`` is an (M, d, d) rotation stack and ``t`` the matching (M, d)
-    translations.  The thresholds and exception types are those of
-    ``Pose(R[k], t[k])`` on every row: non-finite entries, residuals beyond
-    ``_RENORMALIZABLE_TOL`` and reflections raise ``ValueError``, and rows
-    drifted beyond ``ORTHONORMALITY_TOL`` are projected back onto the
-    rotations.  Returns the rotation stack, copied only if a row was repaired.
+    Non-finite entries, residuals beyond ``_RENORMALIZABLE_TOL`` and
+    reflections raise ``ValueError``, and rows drifted beyond
+    ``ORTHONORMALITY_TOL`` are projected back onto the rotations.  Returns
+    the rotation stack, copied only if a row was repaired.
     """
     if not (np.isfinite(R).all() and np.isfinite(t).all()):
         raise ValueError("pose entries must be finite")
@@ -197,12 +197,6 @@ def checked_pose_blocks(R: np.ndarray, t: np.ndarray) -> np.ndarray:
     return R
 
 
-# Rotation and translation stacks compose like Pose objects, bit for bit:
-# R1 @ R2 and R1 @ t2 + t1 with stacked matmul, R^T and -(R^T t) for an
-# inverse, and every result checked like a Pose.  An inverse keeps R^T as a
-# transposed view, as Pose.inverse does, because matmul rounds products with
-# R^T differently when R^T is a C-ordered copy.
-
 def compose_blocks(R1, t1, R2, t2) -> tuple[np.ndarray, np.ndarray]:
     """Checked (R, t) stacks of the row-wise products ``T1[k] @ T2[k]``."""
     t = (R1 @ t2[:, :, None])[:, :, 0] + t1
@@ -210,22 +204,38 @@ def compose_blocks(R1, t1, R2, t2) -> tuple[np.ndarray, np.ndarray]:
 
 
 def invert_blocks(R, t) -> tuple[np.ndarray, np.ndarray]:
-    """Checked (R, t) stacks of the row-wise inverses ``T[k]^-1``."""
+    """Checked (R, t) stacks of the row-wise inverses ``T[k]^-1`` (R^T a transposed view)."""
     Rt = np.swapaxes(R, 1, 2)
     t_inv = -(Rt @ t[:, :, None])[:, :, 0]
     return checked_pose_blocks(Rt, t_inv), t_inv
 
 
+def planar_blocks(x, y, theta) -> tuple[np.ndarray, np.ndarray]:
+    """(M, 2, 2) rotations and (M, 2) translations of planar poses (x, y, theta)."""
+    c, s = np.cos(theta), np.sin(theta)
+    R = np.empty((c.shape[0], 2, 2))
+    R[:, 0, 0] = c
+    R[:, 0, 1] = -s
+    R[:, 1, 0] = s
+    R[:, 1, 1] = c
+    return R, np.column_stack([x, y])
+
+
+def homogeneous(R: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """(M, d+1, d+1) homogeneous matrices of (M, d, d) rotations and (M, d) translations."""
+    m, d = t.shape
+    out = np.zeros((m, d + 1, d + 1))
+    out[:, :d, :d] = R
+    out[:, :d, d] = t
+    out[:, d, d] = 1.0
+    return out
+
+
 def adjoint_blocks(R: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Row-wise :func:`adjoint` of (M, d, d) rotation and (M, d) translation stacks."""
     k, d = t.shape
-    if d == 2:
-        Ad = np.zeros((k, 3, 3))
-        Ad[:, :2, :2] = R
-        Ad[:, 0, 2] = t[:, 1]
-        Ad[:, 1, 2] = -t[:, 0]
-        Ad[:, 2, 2] = 1.0
-        return Ad
+    if d == 2:  # [[R, (t_y, -t_x)], [0, 1]], laid out as a homogeneous matrix
+        return homogeneous(R, np.column_stack([t[:, 1], -t[:, 0]]))
     Ad = np.zeros((k, 6, 6))
     Ad[:, :3, :3] = R
     Ad[:, 3:, 3:] = R
@@ -391,17 +401,6 @@ def _se2_log_rows(theta, tx, ty, a, b) -> np.ndarray:
     out[:, 1] = (-b * tx + a * ty) / det
     out[:, 2] = theta
     return out
-
-
-def _skew_many(v: np.ndarray) -> np.ndarray:
-    M = np.zeros(v.shape[:-1] + (3, 3))
-    M[..., 0, 1] = -v[..., 2]
-    M[..., 0, 2] = v[..., 1]
-    M[..., 1, 0] = v[..., 2]
-    M[..., 1, 2] = -v[..., 0]
-    M[..., 2, 0] = -v[..., 1]
-    M[..., 2, 1] = v[..., 0]
-    return M
 
 
 def exp_many(xis: np.ndarray) -> np.ndarray:
@@ -585,12 +584,10 @@ def log_many(mats: np.ndarray) -> np.ndarray:
 
 
 def inv_many(mats: np.ndarray) -> np.ndarray:
-    """Stack inverse of homogeneous transforms (exploits the group structure)."""
+    """Stack inverse of homogeneous transforms, unchecked unlike
+    :func:`invert_blocks`: the solver's Gauss-Newton iterates drift until
+    the solved graph checks them once."""
     mats = np.asarray(mats, dtype=float)
     d = mats.shape[1] - 1
     Rt = np.swapaxes(mats[:, :d, :d], 1, 2)
-    out = np.zeros_like(mats)
-    out[:, :d, :d] = Rt
-    out[:, :d, d] = -np.einsum("mij,mj->mi", Rt, mats[:, :d, d])
-    out[:, d, d] = 1.0
-    return out
+    return homogeneous(Rt, -np.einsum("mij,mj->mi", Rt, mats[:, :d, d]))

@@ -150,8 +150,8 @@ def _euler_rates(x: np.ndarray, inverse: bool = False) -> np.ndarray:
 # ---------------------------------------------------------------------------
 #
 # Each row reproduces the Pose arithmetic of the scalar map bit for bit: the
-# poses go through liegroup.compose_blocks / invert_blocks, which compose
-# rotation and translation blocks like Pose objects and check every result.
+# poses go through liegroup.compose_blocks / invert_blocks, whose one-row
+# calls are Pose's @ and inverse, and every result is checked.
 
 def _pose_blocks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Checked (R, t) stacks of an (M, 6) parameter stack."""

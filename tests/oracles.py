@@ -11,8 +11,8 @@ import numpy as np
 
 from corrpose import Pose, hat
 from corrpose.belief import between, between_ignoring_correlation
-from corrpose.experiments import _PLANAR_BLOCK, _embed3_many, _log, lie_pair_to_ssc
-from corrpose.liegroup import _angle_coeffs, exp_many, inv_many, log_many_masked
+from corrpose.experiments import _PLANAR_BLOCK, _embed3, _log, lie_pair_to_ssc
+from corrpose.liegroup import _angle_coeffs, exp_many, homogeneous, inv_many, log_many_masked
 from corrpose.mc import (
     cov_error,
     normalized_cov_error,
@@ -340,7 +340,7 @@ def ssc_matrices(params):
     """(M, 4, 4) homogeneous matrices of an (M, 6) parameter stack."""
     from corrpose.ssc import _pose_blocks
 
-    return _embed3_many(*_pose_blocks(np.asarray(params, dtype=float)))
+    return homogeneous(*_pose_blocks(np.asarray(params, dtype=float)))
 
 
 def point_compound(x1, x2):
@@ -669,8 +669,8 @@ def matrix_pair_rows(pb, offset, i, j, M, methods, seed):
             # parameter-space ground truth from the same relative samples
             T_ok = samples.mats[samples.kept]
             rel = samples.mean
-            r = params_many(_embed3_many(T_ok[:, :2, :2], T_ok[:, :2, 2]))
-            r -= params_many(_embed3_many(rel.R[None], rel.t[None]))[0]
+            r = params_many(homogeneous(*_embed3(T_ok[:, :2, :2], T_ok[:, :2, 2])))
+            r -= params_many(homogeneous(*_embed3(rel.R[None], rel.t[None])))[0]
             r[:, 3:] = np.arctan2(np.sin(r[:, 3:]), np.cos(r[:, 3:]))
             return r.T @ r / r.shape[0]
 

@@ -158,6 +158,8 @@ def _assert_config_exit_2(tmp_path, monkeypatch, capsys, experiment, payload, me
     ({"dof_mode": "bogus"},
      "config key 'dof_mode' must be one of ['full', 'position_only'], got 'bogus'"),
     ({"methods": []}, "config key 'methods' must hold one or more items, got 0"),
+    # a repeated method used to write its rows twice
+    ({"methods": ["ssc", "lie-correlated", "ssc"]}, "config key 'methods' repeats 'ssc'"),
 ])
 def test_compose_sweep_m_and_p_checked_before_sampling(tmp_path, monkeypatch, capsys, payload,
                                                        message):
@@ -197,6 +199,7 @@ def test_relpose_alpha_sweep_m_checked_before_sampling(tmp_path, monkeypatch, ca
     ({"sweep": "sigma_t", "values": [1.0, None]},
      "config key 'values': expected float, got None"),
     ({"sweep": "sigma_t", "values": [-1.0]}, "config key 'values' must be positive, got -1.0"),
+    ({"sweep": "N", "values": [5, 2, 5.0]}, "config key 'values' repeats 5"),
 ])
 def test_compose_sweep_values_checked_before_sampling(tmp_path, monkeypatch, capsys, payload,
                                                       message):
@@ -208,6 +211,7 @@ def test_compose_sweep_values_checked_before_sampling(tmp_path, monkeypatch, cap
     ([1.0, "x"], "config key 'alphas': expected float, got 'x'"),
     ([[0.5]], "config key 'alphas': expected float, got [0.5]"),
     ([], "config key 'alphas' must hold one or more items, got 0"),
+    ([1.0, 2, 1], "config key 'alphas' repeats 1.0"),
 ])
 def test_relpose_alpha_sweep_alphas_checked_before_sampling(tmp_path, monkeypatch, capsys,
                                                             alphas, message):
@@ -238,6 +242,21 @@ def test_slam_relpose_m_checked_before_graph_work(tmp_path, monkeypatch, capsys)
                           {"generate": {"n_poses": 30}, "M": 1},
                           "'M' must be at least 2, got 1", "generate_grid_world",
                           owner=experiments.graphmod)
+
+
+# a repeated offset used to write each (offset, i, j) key twice, with
+# different Monte-Carlo values, and a repeated method every row twice, which
+# doubled the summary's n_pairs
+@pytest.mark.parametrize("payload,message", [
+    ({"offsets": [10, 50, 10]}, "config key 'offsets' repeats 10"),
+    ({"offsets": [5, 5.0]}, "config key 'offsets' repeats 5"),
+    ({"methods": ["ssc", "ssc"]}, "config key 'methods' repeats 'ssc'"),
+])
+def test_slam_relpose_repeats_checked_before_graph_work(tmp_path, monkeypatch, capsys, payload,
+                                                        message):
+    _assert_config_exit_2(tmp_path, monkeypatch, capsys, "slam-relpose",
+                          {"generate": {"n_poses": 30}, **payload}, message,
+                          "generate_grid_world", owner=experiments.graphmod)
 
 
 @pytest.mark.parametrize("payload,flags", [({"seed": -1}, ()), ({}, ("--seed", "-1"))])
@@ -957,6 +976,21 @@ def test_convert_demo_zero_covariance_collapses(tmp_path):
     for locus, uniq in xs.items():
         assert len(uniq) == 1  # collapsed to a point
     assert len({next(iter(v)) for v in xs.values()}) == 1  # same location
+
+
+def test_convert_demo_singular_covariance_counts_containment(tmp_path):
+    # one noisy channel makes every position covariance singular; the
+    # containment count used to exit 1 on a singular solve.  Samples lie on
+    # the covariances' ranges, where the chi2(2) 95% threshold holds about
+    # 98.5% of a one-dimensional Gaussian
+    cfg = _write_cfg(tmp_path, {"cov_lie_diag": [0.005, 0, 0, 0, 0, 0], "M": 2000})
+    assert run_cli("convert-demo", "--config", str(cfg), "--out", str(tmp_path),
+                   "--seed", "0") == 0
+    counts = {r["locus"]: float(r["fraction_true_inside"])
+              for r in read_csv(tmp_path / "containment.csv")}
+    assert set(counts) == {"true", "ssc", "converted"}
+    for fraction in counts.values():
+        assert abs(fraction - 0.9856) < 0.01
 
 
 @pytest.mark.parametrize("seed", [0, 9])

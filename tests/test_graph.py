@@ -11,6 +11,7 @@ import scipy.linalg
 
 import corrpose as cp
 from corrpose import graph as gr
+from corrpose.liegroup import homogeneous
 from oracles import (
     dense_covariance,
     dense_information,
@@ -312,7 +313,7 @@ def test_analytic_jacobians_match_numeric():
     g = gr.generate_grid_world(60, seed=5)
     solved, _ = gr.solve(g)
     sys_ = gr._System(solved)
-    T = sys_.pose_matrices(solved)
+    T = homogeneous(solved.R, solved.t)
     Ji_n, Jj_n = numeric_edge_jacobians(sys_, T)
     Jj_a = sys_.jacobians(T, sys_.residuals(T))
     assert np.abs(Ji_n + Jj_a).max() < 1e-6
@@ -326,7 +327,7 @@ def test_analytic_jacobians_match_numeric_at_large_residual_angles():
     # rounds to eps |t| / h, 5.9e-8 absolute at translations of 186 m
     g = gr.generate_grid_world(3500, seed=0)
     sys_ = gr._System(g)
-    T = sys_.pose_matrices(g)
+    T = homogeneous(g.R, g.t)
     r = sys_.residuals(T)
     assert np.abs(r[:, 2]).max() > 3.1
     Jj = sys_.jacobians(T, r)
@@ -368,7 +369,7 @@ def _assembled(graph, sys_=None):
     """Information matrix and gradient of ``sys_`` (by default the graph's
     own) at the graph's vertex poses."""
     sys_ = sys_ or gr._System(graph)
-    T = sys_.pose_matrices(graph)
+    T = homogeneous(graph.R, graph.t)
     return sys_.assemble(T, sys_.residuals(T))
 
 
@@ -620,7 +621,7 @@ def test_factor_refuses_off_diagonal_pivots(monkeypatch):
     import scipy.sparse.linalg
 
     marg = _solved_marginals(120, 12)
-    T = marg._sys.pose_matrices(marg._graph)
+    T = homogeneous(marg._graph.R, marg._graph.t)
     info, _ = marg._sys.assemble(T, marg._sys.residuals(T))
     real = scipy.sparse.linalg.splu
 
@@ -788,7 +789,7 @@ def test_extraction_step_halving_stable(monkeypatch):
     g = gr.generate_grid_world(30, seed=4)
     solved, _ = gr.solve(g)
     sys_ = gr._System(solved)
-    T = sys_.pose_matrices(solved)
+    T = homogeneous(solved.R, solved.t)
     r = sys_.residuals(T)
     H, _ = sys_.assemble(T, r)
     i1 = np.linalg.inv(H.toarray())

@@ -368,10 +368,47 @@ def test_log_many_reports_offending_angle(dim, sign):
 # stacked Pose checks
 # ---------------------------------------------------------------------------
 
-def test_checked_pose_blocks_follow_pose_constructor():
+def test_checked_pose_blocks_follow_pose_constructor(monkeypatch):
+    import sys
+
+    import corrpose.liegroup as lg
     from corrpose.liegroup import checked_pose_blocks
 
+    # Pose is a one-row view of the block kernels, bit for bit
     rng = np.random.default_rng(16)
+    for _ in range(50):
+        x, y, theta = rng.normal(0.0, 3.0, size=3)
+        P = Pose.planar(x, y, theta)
+        R, t = lg.planar_blocks(np.array([x]), np.array([y]), np.array([theta]))
+        npt.assert_array_equal(P.R, R[0])
+        npt.assert_array_equal(P.t, t[0])
+        for A, B in ((P, Pose.planar(*rng.normal(size=3))),
+                     (exp_map(rng.normal(size=6)), exp_map(rng.normal(size=6)))):
+            for got, (R, t) in ((A.inverse(), lg.invert_blocks(A.R[None], A.t[None])),
+                                (A @ B, lg.compose_blocks(A.R[None], A.t[None],
+                                                          B.R[None], B.t[None])),
+                                (A.inverse() @ B, lg.compose_blocks(
+                                    *lg.invert_blocks(A.R[None], A.t[None]),
+                                    B.R[None], B.t[None]))):
+                npt.assert_array_equal(got.R, R[0])
+                npt.assert_array_equal(got.t, t[0])
+            npt.assert_array_equal(A.matrix(), lg.homogeneous(A.R[None], A.t[None])[0])
+        v = rng.normal(size=3)
+        npt.assert_array_equal(lg.skew(v), lg._skew_many(v[None])[0])
+
+    # a drifted Pose is repaired once, by checked_pose_blocks
+    R0 = rotation(rng.normal(size=3))
+    checks, repairs = [], []
+    real_check, real_project = lg.checked_pose_blocks, lg.project_rotation
+    monkeypatch.setattr(lg, "checked_pose_blocks",
+                        lambda R, t: checks.append(R.shape) or real_check(R, t))
+    monkeypatch.setattr(lg, "project_rotation", lambda R: repairs.append(
+        sys._getframe(1).f_code.co_name) or real_project(R))
+    P = Pose(R0 * (1.0 + 1e-6), [1.0, 2.0, 3.0])
+    assert checks == [(1, 3, 3)] and repairs == ["checked_pose_blocks"]
+    assert np.linalg.norm(P.R.T @ P.R - np.eye(3)) < 1e-14
+    monkeypatch.undo()
+
     R = np.stack([rotation(rng.normal(size=3)) for _ in range(4)])
     t = rng.normal(size=(4, 3))
     assert checked_pose_blocks(R, t) is R  # nothing to repair: no copy
