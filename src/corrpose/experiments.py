@@ -13,18 +13,21 @@ any work (:func:`resolve_config`).  ``jobs`` must be a positive integer but
 has no effect: per-item work is small numpy calls holding the interpreter
 lock, so every experiment runs on one thread.
 
-``slam-relpose`` works on blocks of ``_PAIR_BLOCK`` = 16 pairs.  Each block
-is one stacked evaluation of the first-order predictions (``between``,
-``between_ignoring_correlation`` and the SSC baseline) and one call of the
+``slam-relpose`` works on blocks of ``_PAIR_BLOCK`` = 16 pairs, each one
+stacked pass under one fallback (:func:`_block_rows`): one call of the
 Monte-Carlo oracle :func:`~corrpose.mc.relative_samples`, each pair still
-drawing from its own seed.  Both are identical bit for bit to one pair at a
-time.  A block that raises is evaluated again one pair at a time through
-the same code, so a failing pair still flags only its own rows.  The SSC
-baseline's parameter-space truth comes in closed form from the oracle's
-twists and the coefficients the oracle's kernel took of their angles, one
-stacked expression per block (:func:`_ssc_relative_covs`).  The block size
-is a constant, not a config key: it trades per-call overhead against peak
-memory (``_PAIR_BLOCK``).
+drawing from its own seed; one stacked evaluation of each first-order
+prediction (``between``, ``between_ignoring_correlation`` and the SSC
+baseline); and every pair and method graded at once by the stacked
+:func:`~corrpose.mc.cov_error` and :func:`~corrpose.mc.normalized_cov_error`.
+All of it is identical bit for bit to one pair at a time.  A block that
+raises is evaluated again one pair at a time through the same code, so a
+failing pair still flags only its own rows.  The SSC baseline's
+parameter-space truth comes in closed form from the oracle's twists and the
+coefficients the oracle's kernel took of their angles, one stacked
+expression per block (:func:`_ssc_relative_covs`).  The block size is a
+constant, not a config key: it trades per-call overhead against peak memory
+(``_PAIR_BLOCK``).
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ from .liegroup import Pose, homogeneous
 from .mc import (
     ChainNoiseSpec,
     InvalidSpecError,
+    _sample_covs,
     _sqrt_factor,
     build_chain_joint,
     chi2_quantile,
@@ -76,8 +80,8 @@ from .ssc import (
 
 KNOWN_METHODS = ("lie-correlated", "lie-independent", "ssc")
 
-# Pairs per block of slam-relpose, for the predictions and the Monte-Carlo
-# oracle alike (module docstring).  It bounds peak memory, which the oracle
+# Pairs per block of slam-relpose, for the oracle, the predictions and the
+# grades alike (module docstring).  It bounds peak memory, which the oracle
 # sets: about 165 bytes per draw, 2.6 MB for 16 pairs at M = 1000.  On a
 # 500-pose run (600 pairs, M = 1000, two x86_64 cores, one BLAS thread) the
 # predictions took 0.21 / 0.16 / 0.12 / 0.10 s with 8 / 16 / 32 / 64-pair
@@ -449,28 +453,28 @@ def _by_pair(evaluate, items) -> list:
         return [out for item in items for out in _by_pair(evaluate, [item])]
 
 
-def _block_predictions(block, methods) -> list:
-    """Each pair's {method: predicted covariance}, or the error that stopped it."""
-
-    def evaluate(pairs):
-        covs = {method: _predict(pairs, method) for method in dict.fromkeys(methods)}
-        return [{method: c[r] for method, c in covs.items()} for r in range(len(pairs))]
-
-    return _by_pair(evaluate, block)
-
-
-def _block_oracles(block, M, seeds, ssc: bool) -> list:
-    """Each pair's Monte-Carlo covariances ``(twist, parameter)`` from one
-    :func:`relative_samples` call, or the error that stopped the pair.  The
-    parameter-space one, the SSC baseline's truth, is None unless ``ssc``."""
-
-    def evaluate(items):
-        s = relative_samples([pb for pb, _ in items], M, [seed for _, seed in items])
-        params = _ssc_relative_covs(s) if ssc else [None] * len(items)
-        twists = [_kept_rows(xis, kept) for xis, kept in zip(s.twists, s.kept)]
-        return [(xis.T @ xis / xis.shape[0], p) for xis, p in zip(twists, params)]
-
-    return _by_pair(evaluate, list(zip(block, seeds)))
+def _block_rows(items, M: int, methods) -> list:
+    """CSV rows of a block of ``(pair belief, seed, (offset, i, j))`` items,
+    one list per pair, in one stacked evaluation: the Monte-Carlo oracle
+    first, so that its error is the one a failing pair reports, then each
+    method's predictions, graded against the oracle's covariances (the SSC
+    baseline in parameter space, from the same samples)."""
+    pairs = [pb for pb, _, _ in items]
+    s = relative_samples(pairs, M, [seed for _, seed, _ in items])
+    mc_twist = _sample_covs(s.twists, s.kept)
+    mc_params = _ssc_relative_covs(s) if "ssc" in methods else None
+    graded = []
+    for method in methods:
+        pred, mc = _predict(pairs, method), mc_params if method == "ssc" else mc_twist
+        graded.append((method, cov_error(pred, mc).tolist(),
+                       normalized_cov_error(pred, mc).tolist()))
+    # correlation coefficients of the x, y and heading channels
+    cov, m, c = np.stack([pb.cov for pb in pairs]), pairs[0].block_dim, np.arange(3)
+    var = cov[:, c, c] * cov[:, m + c, m + c]
+    on = var > 0
+    corr = np.where(on, cov[:, c, m + c] / np.sqrt(np.where(on, var, 1.0)), 0.0).tolist()
+    return [[(*key, method, err[r], nerr[r], *corr[r], 0) for method, err, nerr in graded]
+            for r, (_, _, key) in enumerate(items)]
 
 
 def _ssc_relative_covs(s) -> np.ndarray:
@@ -493,51 +497,16 @@ def _ssc_relative_covs(s) -> np.ndarray:
     r[..., 1] = sn * t0 + c * t1 + (b * rx + a * ry)
     r[..., 2] = s.twists[..., 2]
     mc = np.zeros((r.shape[0], 6, 6))
-    for out, rows, kept in zip(mc, r, s.kept):
-        rows = _kept_rows(rows, kept)
-        out[_PLANAR_BLOCK] = rows.T @ rows / rows.shape[0]
+    mc[(slice(None), *_PLANAR_BLOCK)] = _sample_covs(r, s.kept)
     return mc
-
-
-def _kept_rows(rows: np.ndarray, kept: np.ndarray) -> np.ndarray:
-    """The kept rows of a C-ordered (M, m) sample stack, itself if all are kept."""
-    return rows if kept.all() else rows[kept]
-
-
-def _pair_rows(pb, pred, samples, offset, i, j, methods):
-    """CSV rows of one pair: its predictions against its own Monte-Carlo
-    covariances, or error rows naming the oracle's error, else the first
-    failing method's."""
-    try:
-        for outcome in (samples, pred):
-            if isinstance(outcome, Exception):
-                raise outcome
-        mc_twist, mc_params = samples
-
-        s1, s2, cross = pb.sigma1, pb.sigma2, pb.cross
-        corr = [
-            cross[c, c] / np.sqrt(s1[c, c] * s2[c, c]) if s1[c, c] * s2[c, c] > 0 else 0.0
-            for c in range(3)
-        ]
-        rows = []
-        for method in methods:
-            # the SSC baseline is graded in parameter space, from the same samples
-            mc = mc_params if method == "ssc" else mc_twist
-            err = cov_error(pred[method], mc)
-            nerr = normalized_cov_error(pred[method], mc)
-            rows.append((offset, i, j, method, err, nerr, *corr, 0))
-        return rows
-    except _PAIR_ERRORS as e:
-        _log(f"slam-relpose pair ({i},{j}) failed: {e}")
-        return [(offset, i, j, m, "", "", "", "", "", 1) for m in methods]
 
 
 def run_slam_relpose(cfg) -> list[Path]:
     """Relative-pose covariance accuracy on marginals of a solved pose graph.
 
     Keys: ``TABLES["slam-relpose"]``.  All pair marginals come from one
-    :meth:`Marginals.pair_beliefs` call; the predictions and the Monte-Carlo
-    oracle run per block of ``_PAIR_BLOCK`` pairs.
+    :meth:`Marginals.pair_beliefs` call; the oracle, predictions and grades
+    run per block of ``_PAIR_BLOCK`` pairs (:func:`_block_rows`).
     """
     methods, cap = cfg["methods"], cfg["pairs_per_offset"]
     t0 = time.perf_counter()
@@ -553,25 +522,27 @@ def run_slam_relpose(cfg) -> list[Path]:
     keys = solved.keys.tolist()
     keyset = set(keys)
 
-    pairs, keyed, seeds = [], [], []
+    keyed, seeds = [], []
     for oidx, offset in enumerate(cfg["offsets"]):
         starts = [k for k in keys if k + offset in keyset]
         if len(starts) > cap:
             sel = np.linspace(0, len(starts) - 1, cap).round().astype(int)
             starts = [starts[s] for s in dict.fromkeys(sel)]
         for pidx, i in enumerate(starts):
-            pairs.append((i, i + offset))
             keyed.append((offset, i, i + offset))
             seeds.append([cfg["seed"], oidx, pidx])
 
-    beliefs = marg.pair_beliefs(pairs)
+    beliefs = marg.pair_beliefs([key[1:] for key in keyed])
+    items = list(zip(beliefs, seeds, keyed))
     rows = []
-    for start in range(0, len(beliefs), _PAIR_BLOCK):
-        block = slice(start, start + _PAIR_BLOCK)
-        preds = _block_predictions(beliefs[block], methods)
-        oracles = _block_oracles(beliefs[block], cfg["M"], seeds[block], "ssc" in methods)
-        for pb, pred, samples, key in zip(beliefs[block], preds, oracles, keyed[block]):
-            rows += _pair_rows(pb, pred, samples, *key, methods)
+    for start in range(0, len(items), _PAIR_BLOCK):
+        block = items[start : start + _PAIR_BLOCK]
+        outcomes = _by_pair(lambda b: _block_rows(b, cfg["M"], methods), block)
+        for (_, _, (offset, i, j)), out in zip(block, outcomes):
+            if isinstance(out, Exception):
+                _log(f"slam-relpose pair ({i},{j}) failed: {out}")
+                out = [(offset, i, j, m, "", "", "", "", "", 1) for m in methods]
+            rows += out
     header = [
         "offset", "i", "j", "method", "cov_error", "normalized_cov_error",
         "corr_coeff_x", "corr_coeff_y", "corr_coeff_theta", "error",
@@ -646,18 +617,22 @@ def _ellipse_locus(mean, cov, p=0.95, n_points=128):
     return (mean[:, None] + radius * (L @ circle)).T
 
 
-def _fraction_inside(points, mean, cov, thr):
-    """Share of ``points`` within squared Mahalanobis distance ``thr`` of
-    ``mean`` under the PSD ``cov``, by its pseudo-inverse on its range (the
-    eigenvalues above n eps times the largest); a point off the range by more
-    than the rounding's standard deviation is outside."""
+def _fraction_inside(points, mean, cov, p):
+    """Share of ``points`` inside the p-ellipsoid of ``mean`` and the PSD
+    ``cov``: squared Mahalanobis distance, by the pseudo-inverse on its range
+    (the eigenvalues above n eps times the largest), within the chi-square
+    p-quantile of as many degrees of freedom as that range has dimensions.
+    A point off the range by more than the rounding's standard deviation is
+    outside; a zero ``cov`` holds only the points at ``mean``."""
     d = points - np.asarray(mean)
     w, V = np.linalg.eigh(cov)
     cut = w.shape[0] * np.finfo(float).eps * w.max()
     y = d @ V
     on = w > cut
-    inside = (y[:, on] ** 2 / w[on]).sum(axis=1) <= thr
-    return float(np.mean(inside & (np.abs(y[:, ~on]) <= np.sqrt(cut)).all(axis=1)))
+    inside = (np.abs(y[:, ~on]) <= np.sqrt(cut)).all(axis=1)
+    if on.any():
+        inside &= (y[:, on] ** 2 / w[on]).sum(axis=1) <= chi2_quantile(int(on.sum()), p)
+    return float(np.mean(inside))
 
 
 def run_convert_demo(cfg) -> list[Path]:
@@ -665,7 +640,8 @@ def run_convert_demo(cfg) -> list[Path]:
 
     Keys: ``TABLES["convert-demo"]``.  Emits 95% position-ellipse loci for
     the true / coordinate / converted representations, a capped sample
-    cloud, containment counts and a plot script.
+    cloud, containment counts (the chi-square p-quantile takes its degrees
+    of freedom from each locus covariance's rank) and a plot script.
     """
     M, p, seed, out = cfg["M"], cfg["p"], cfg["seed"], cfg["out"]
     diag = np.asarray(cfg["cov_lie_diag"], dtype=float)
@@ -690,13 +666,12 @@ def run_convert_demo(cfg) -> list[Path]:
             np.cov(conv_pos.T) if diag.any() else np.zeros((2, 2)),
         ),
     }
-    thr = chi2_quantile(2, p)
     ellipse_rows = []
     count_rows = []
     for name, (mean2, cov2) in loci.items():
         for k, (x, y) in enumerate(_ellipse_locus(mean2, cov2, p)):
             ellipse_rows.append((name, k, x, y))
-        count_rows.append((name, _fraction_inside(pos, mean2, cov2, thr)))
+        count_rows.append((name, _fraction_inside(pos, mean2, cov2, p)))
 
     paths = [
         _write_csv(out / "ellipses.csv", ["locus", "point_index", "x", "y"], ellipse_rows),

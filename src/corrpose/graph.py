@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
+import scipy.sparse.csgraph
 import scipy.sparse.linalg
 
 from .belief import PosePairBelief, checked_covs
@@ -177,7 +178,7 @@ class _VertexView(Mapping):
         pose = self._poses.get(key)
         if pose is None:
             row = self._graph._rows[key]
-            pose = self._poses[key] = Pose(self._graph.R[row], self._graph.t[row])
+            pose = self._poses[key] = Pose._of_checked(self._graph.R[row], self._graph.t[row])
         return pose
 
     def __contains__(self, key) -> bool:
@@ -283,19 +284,13 @@ class PoseGraph:
         return self.ends.shape[0]
 
     def is_connected(self) -> bool:
-        n = self.n_vertices
+        """Whether the edges join every vertex; an empty graph is not connected."""
+        n, (i, j) = self.n_vertices, self._edge_rows.T
         if not n:
             return False
-        parent = list(range(n))
-
-        def root(v):
-            while parent[v] != v:
-                parent[v] = v = parent[parent[v]]
-            return v
-
-        for i, j in self._edge_rows.tolist():
-            parent[root(i)] = root(j)
-        return all(root(v) == root(0) for v in range(n))
+        adjacency = scipy.sparse.coo_array((np.ones(i.shape[0]), (i, j)), shape=(n, n))
+        return scipy.sparse.csgraph.connected_components(
+            adjacency, directed=False, return_labels=False) == 1
 
 
 _VERTEX_TAGS = ("VERTEX_SE2", "VERTEX2")

@@ -93,7 +93,8 @@ class Pose:
     Immutable value type and a one-row view of the checked block kernels: the
     constructor runs :func:`checked_pose_blocks` (drift is repaired, other
     non-rotations raise ``ValueError``), and ``planar``, ``matrix``,
-    ``inverse`` and ``@`` call the matching kernel on one row.
+    ``inverse`` and ``@`` call the matching kernel on one row.  Rows a
+    kernel has already checked are held by :meth:`_of_checked` unchecked.
     """
 
     __slots__ = ("R", "t")
@@ -106,9 +107,18 @@ class Pose:
         d = t.shape[0]
         if d not in (2, 3) or R.shape != (d, d):
             raise ValueError(f"expected 2D or 3D rotation+translation, got R{R.shape} t{t.shape}")
-        R = checked_pose_blocks(R[None], t[None])[0]
-        R.flags.writeable = False
-        t.flags.writeable = False
+        self._hold(checked_pose_blocks(R[None], t[None])[0], t)
+
+    @classmethod
+    def _of_checked(cls, R: np.ndarray, t: np.ndarray) -> "Pose":
+        """The pose of a row that :func:`checked_pose_blocks` has already
+        returned, copied as the constructor copies and not checked again."""
+        pose = object.__new__(cls)
+        pose._hold(np.array(R, dtype=float), np.array(t, dtype=float))
+        return pose
+
+    def _hold(self, R: np.ndarray, t: np.ndarray) -> None:
+        R.flags.writeable = t.flags.writeable = False
         object.__setattr__(self, "R", R)
         object.__setattr__(self, "t", t)
 
@@ -154,7 +164,7 @@ class Pose:
 
     def inverse(self) -> "Pose":
         R, t = invert_blocks(self.R[None], self.t[None])
-        return Pose(R[0], t[0])
+        return Pose._of_checked(R[0], t[0])
 
     def __matmul__(self, other: "Pose") -> "Pose":
         if not isinstance(other, Pose):
@@ -162,7 +172,7 @@ class Pose:
         if other.dim != self.dim:
             raise ValueError("cannot compose poses of different dimension")
         R, t = compose_blocks(self.R[None], self.t[None], other.R[None], other.t[None])
-        return Pose(R[0], t[0])
+        return Pose._of_checked(R[0], t[0])
 
     def apply(self, p) -> np.ndarray:
         """Map a point from the local frame into the parent frame."""

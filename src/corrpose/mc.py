@@ -254,25 +254,43 @@ def mc_relative_cov(b: PosePairBelief, M: int, seed) -> np.ndarray:
     :func:`relative_samples` call.
     """
     s = relative_samples([b], M, [seed])
-    kept = s.twists[0][s.kept[0]]
-    return (kept.T @ kept) / kept.shape[0]
+    return _sample_covs(s.twists, s.kept)[0]
 
 
-def cov_error(sigma, sigma_mc) -> float:
-    """Frobenius norm of the difference between two covariance matrices."""
+def _sample_covs(rows: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    """(k, w, w) mean outer products ``x^T x / n`` of the n kept rows x of
+    each of k C-ordered (M, w) sample stacks."""
+    covs = np.empty(rows.shape[:1] + rows.shape[2:] * 2)
+    for out, x, ok in zip(covs, rows, kept):
+        x = x if ok.all() else x[ok]
+        out[...] = x.T @ x / x.shape[0]
+    return covs
+
+
+def cov_error(sigma, sigma_mc):
+    """Frobenius norm of the difference between two covariance matrices, or
+    the (k,) norms of two (k, m, m) stacks, each the bits of its one-matrix
+    call: the square root of the difference's own dot product, as
+    ``np.linalg.norm(., 'fro')`` rounds it."""
     sigma = np.asarray(sigma, dtype=float)
     sigma_mc = np.asarray(sigma_mc, dtype=float)
-    if sigma.shape != sigma_mc.shape or sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
-        raise ValueError(f"shape mismatch: {sigma.shape} vs {sigma_mc.shape}")
-    return float(np.linalg.norm(sigma - sigma_mc, "fro"))
+    shape = sigma.shape
+    if shape != sigma_mc.shape or len(shape) not in (2, 3) or shape[-1] != shape[-2]:
+        raise ValueError(f"shape mismatch: {shape} vs {sigma_mc.shape}")
+    d = (sigma - sigma_mc).reshape(-1, shape[-1] ** 2)
+    err = np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
+    return float(err[0]) if len(shape) == 2 else err
 
 
-def normalized_cov_error(sigma, sigma_mc) -> float:
-    """Covariance error after scaling both matrices by ||Sigma_mc||_F."""
+def normalized_cov_error(sigma, sigma_mc):
+    """Covariance error after scaling both matrices by ||Sigma_mc||_F, its
+    distance from zero; on stacks as :func:`cov_error`, where any zero
+    Sigma_mc raises."""
     sigma_mc = np.asarray(sigma_mc, dtype=float)
-    nrm = float(np.linalg.norm(sigma_mc, "fro"))
-    if nrm == 0.0:
+    nrm = cov_error(sigma_mc, np.zeros_like(sigma_mc))
+    if not np.all(nrm):
         raise ValueError("Monte-Carlo covariance is zero; normalization undefined")
+    nrm = np.reshape(nrm, sigma_mc.shape[:-2] + (1, 1))
     return cov_error(np.asarray(sigma, dtype=float) / nrm, sigma_mc / nrm)
 
 

@@ -689,15 +689,10 @@ def patch_point_pair_rows(monkeypatch, pair_rows=point_pair_rows):
     from corrpose.belief import UncertainPose
 
     oracles = sys.modules[__name__]
-    monkeypatch.setattr(experiments, "_block_predictions", lambda block, methods: block)
     monkeypatch.setattr(
-        experiments, "_block_oracles", lambda block, M, seeds, ssc: [(M, s) for s in seeds]
-    )
-    monkeypatch.setattr(
-        experiments, "_pair_rows",
-        lambda pb, pred, drawn, offset, i, j, methods: pair_rows(
-            pb, offset, i, j, drawn[0], methods, drawn[1]
-        ),
+        experiments, "_block_rows",
+        lambda items, M, methods: [pair_rows(pb, *key, M, methods, seed)
+                                   for pb, seed, key in items],
     )
     monkeypatch.setattr(oracles, "between", lambda p: UncertainPose(*point_between(p)))
     monkeypatch.setattr(

@@ -301,6 +301,18 @@ def test_solve_rejects_disconnected():
         gr.solve(gr.PoseGraph(verts, edges))
 
 
+def test_is_connected_edge_cases():
+    gt, edges = triangle_ground_truth()
+    verts = {k: T for k, T in enumerate(gt)}
+    assert not gr.PoseGraph({}, []).is_connected()
+    assert gr.PoseGraph({7: gt[0]}, []).is_connected()
+    # a repeated edge and a reversed one join nothing new
+    more = edges[:2] + [edges[0], gr.Edge(2, 1, gt[2].inverse() @ gt[1], INFO)]
+    assert gr.PoseGraph(verts, more).is_connected()
+    assert not gr.PoseGraph(verts, edges[:1] + [edges[0]]).is_connected()
+    assert not gr.PoseGraph({**verts, 9: cp.Pose.planar(5, 5, 0)}, more).is_connected()
+
+
 def test_solve_grid_world_converges():
     g = gr.generate_grid_world(120, seed=3)
     solved, rep = gr.solve(g)

@@ -326,6 +326,32 @@ def test_normalized_cov_error():
         cp.normalized_cov_error(sig, np.zeros((6, 6)))
 
 
+@pytest.mark.parametrize("m", [3, 6])
+def test_stacked_cov_errors_bit_identical_to_one_matrix_calls(m):
+    rng = np.random.default_rng(m)
+    a, b = (rng.standard_normal((2000, m, m)) * rng.uniform(1e-3, 1e2, (2000, 1, 1))
+            for _ in range(2))
+    for metric in (cp.cov_error, cp.normalized_cov_error):
+        stacked = metric(a, b)
+        assert stacked.shape == (2000,)
+        assert np.array_equal(stacked, [metric(x, y) for x, y in zip(a, b)])
+    # the one-matrix call keeps the rounding of np.linalg.norm
+    assert all(cp.cov_error(x, y) == np.linalg.norm(x - y, "fro") for x, y in zip(a, b))
+    with pytest.raises(ValueError, match="shape mismatch"):
+        cp.cov_error(a, b[:, :2, :2])
+
+
+def test_stacked_normalized_cov_error_raises_like_one_matrix():
+    rng = np.random.default_rng(6)
+    a, b = (np.stack([random_psd(rng, 6) for _ in range(5)]) for _ in range(2))
+    b[3] = 0.0
+    with pytest.raises(ValueError, match="Monte-Carlo covariance is zero") as one:
+        cp.normalized_cov_error(a[3], b[3])
+    with pytest.raises(ValueError) as stacked:
+        cp.normalized_cov_error(a, b)
+    assert str(stacked.value) == str(one.value)
+
+
 # ---------------------------------------------------------------------------
 # chi-square containment
 # ---------------------------------------------------------------------------
