@@ -91,8 +91,10 @@ class UtConfig:
 
 def sigma_points(mean: np.ndarray, cov: np.ndarray, cfg: UtConfig):
     """Sigma point set and (mean, covariance) weights for a Gaussian, spread
-    along the columns of :func:`~corrpose.mc._sqrt_factor` of ``cov`` (an
-    indefinite ``cov`` raises :class:`ConversionError`)."""
+    along the columns of the principal square root of ``cov``
+    (:func:`~corrpose.mc._sqrt_factor`), so the points and the result are
+    continuous in ``cov``, singular ``cov`` included (an indefinite one
+    raises :class:`ConversionError`)."""
     dim = mean.shape[0]
     spread, wm, wc = cfg.spread_and_weights(dim)
     L = _sqrt_factor(cov, err=ConversionError)

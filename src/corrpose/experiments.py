@@ -332,8 +332,8 @@ def _chain_point(cfg, value, seed):
     for k in range(1, n_steps):
         acc = acc @ batch.pose_matrices(k)
     xis, ok = twists_about(acc, mean_final)
+    mc_twist = _sample_covs(xis[None], ok[None])[0]
     xis = xis[ok]
-    mc_twist = xis.T @ xis / xis.shape[0]
 
     rows = []
     for method in methods:
@@ -341,7 +341,7 @@ def _chain_point(cfg, value, seed):
             step_ssc = lie_to_ssc(UncertainPose(_STEP_MEAN, cov))
             pred = _ssc_chain_cov(step_ssc, n_steps)
             r = param_residuals(acc[ok], pose_to_ssc(mean_final))
-            mc = r.T @ r / r.shape[0]
+            mc = _sample_covs(r[None], np.ones((1, r.shape[0]), dtype=bool))[0]
             containment = containment_fraction(r, pred.cov, p, dof_mode)
             err = cov_error(pred.cov, mc)
         else:
@@ -421,9 +421,13 @@ def run_relpose_alpha_sweep(cfg) -> list[Path]:
 # ---------------------------------------------------------------------------
 
 def _load_graph(cfg) -> graphmod.PoseGraph:
-    if cfg["graph"] is not None:
+    """The ``graph`` file, or a ``generate`` graph; a bad file is a config error."""
+    if cfg["graph"] is None:
+        return graphmod.generate_grid_world(**cfg["generate"])
+    try:
         return graphmod.load_graph(cfg["graph"])
-    return graphmod.generate_grid_world(**cfg["generate"])
+    except (graphmod.GraphParseError, graphmod.GraphValidationError) as e:
+        raise ConfigError(f"config key 'graph': {cfg['graph']}: {e}") from None
 
 
 # Errors that fail one pair's rows (error=1) instead of the whole run.
@@ -607,32 +611,27 @@ print(f"wrote {base}/ellipses.png")
 """
 
 
-def _ellipse_locus(mean, cov, p=0.95, n_points=128):
-    mean = np.asarray(mean, dtype=float)
-    cov = np.asarray(cov, dtype=float)
-    t = np.linspace(0.0, 2 * np.pi, n_points + 1)
-    circle = np.stack([np.cos(t), np.sin(t)])
-    L = _sqrt_factor(cov)
-    radius = np.sqrt(chi2_quantile(2, p))
-    return (mean[:, None] + radius * (L @ circle)).T
-
-
-def _fraction_inside(points, mean, cov, p):
-    """Share of ``points`` inside the p-ellipsoid of ``mean`` and the PSD
-    ``cov``: squared Mahalanobis distance, by the pseudo-inverse on its range
-    (the eigenvalues above n eps times the largest), within the chi-square
-    p-quantile of as many degrees of freedom as that range has dimensions.
-    A point off the range by more than the rounding's standard deviation is
-    outside; a zero ``cov`` holds only the points at ``mean``."""
-    d = points - np.asarray(mean)
+def _ellipse(points, mean, cov, p, n_points=128):
+    """The p-ellipse of ``mean`` and the PSD 2x2 ``cov``: its locus, the
+    unit circle through the :func:`~corrpose.mc._sqrt_factor` of ``cov``,
+    and the share of ``points`` inside it.  Both take the chi-square
+    p-quantile of as many degrees of freedom as the range of ``cov`` (its
+    eigenvalues above n eps times the largest) has dimensions, so a rank-1
+    locus is the segment counted.  A point is inside when its squared
+    Mahalanobis distance, by the pseudo-inverse on the range, is within the
+    quantile and it is off the range by at most the rounding's standard
+    deviation; a zero ``cov`` holds only the points at ``mean``."""
+    mean, cov = np.asarray(mean, dtype=float), np.asarray(cov, dtype=float)
     w, V = np.linalg.eigh(cov)
     cut = w.shape[0] * np.finfo(float).eps * w.max()
-    y = d @ V
     on = w > cut
+    q = chi2_quantile(max(1, int(on.sum())), p)
+    t = np.linspace(0.0, 2 * np.pi, n_points + 1)
+    locus = mean + np.sqrt(q) * (_sqrt_factor(cov) @ np.stack([np.cos(t), np.sin(t)])).T
+    y = (points - mean) @ V
     inside = (np.abs(y[:, ~on]) <= np.sqrt(cut)).all(axis=1)
-    if on.any():
-        inside &= (y[:, on] ** 2 / w[on]).sum(axis=1) <= chi2_quantile(int(on.sum()), p)
-    return float(np.mean(inside))
+    inside &= (y[:, on] ** 2 / w[on]).sum(axis=1) <= q
+    return locus, float(np.mean(inside))
 
 
 def run_convert_demo(cfg) -> list[Path]:
@@ -651,7 +650,7 @@ def run_convert_demo(cfg) -> list[Path]:
     pos = mats[:, :2, 3]
     x_hat = pose_to_ssc(T_bar)
     r = param_residuals(mats, x_hat)
-    coord_cov = r.T @ r / M
+    coord_cov = _sample_covs(r[None], np.ones((1, M), dtype=bool))[0]
     coord_belief = SscBelief(x_hat, coord_cov)
 
     converted = ut_convert(coord_belief, UtConfig(kappa=cfg["kappa"]))
@@ -669,9 +668,9 @@ def run_convert_demo(cfg) -> list[Path]:
     ellipse_rows = []
     count_rows = []
     for name, (mean2, cov2) in loci.items():
-        for k, (x, y) in enumerate(_ellipse_locus(mean2, cov2, p)):
-            ellipse_rows.append((name, k, x, y))
-        count_rows.append((name, _fraction_inside(pos, mean2, cov2, p)))
+        locus, inside = _ellipse(pos, mean2, cov2, p)
+        ellipse_rows += [(name, k, x, y) for k, (x, y) in enumerate(locus)]
+        count_rows.append((name, inside))
 
     paths = [
         _write_csv(out / "ellipses.csv", ["locus", "point_index", "x", "y"], ellipse_rows),

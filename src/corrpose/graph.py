@@ -34,7 +34,7 @@ import scipy.sparse
 import scipy.sparse.csgraph
 import scipy.sparse.linalg
 
-from .belief import PosePairBelief, checked_covs
+from .belief import _PSD_TOL, PosePairBelief, checked_covs
 from .liegroup import (
     Pose,
     _vinv_coeff,
@@ -48,6 +48,7 @@ from .liegroup import (
     log_many,
     planar_blocks,
 )
+from .mc import _sqrt_factor
 
 # Gauss-Newton stops once chi2 falls by less than this fraction, or after
 # this many iterations.
@@ -96,8 +97,9 @@ def _checked_information(ends: np.ndarray, info: np.ndarray) -> np.ndarray:
     """Symmetrized (E, 3, 3) information stack of edges with (E, 2) endpoint keys.
 
     Each matrix must have finite entries, be symmetric within 1e-9 and PSD
-    within -1e-9 times ``max(1, max |entry|)``.  The first edge that does not
-    raises :class:`GraphValidationError` naming it, the tests in that order.
+    within ``belief._PSD_TOL`` times ``max(1, max |entry|)``, the tolerance
+    of the whitener's root.  The first edge that does not raises
+    :class:`GraphValidationError` naming it, the tests in that order.
     """
     finite = np.isfinite(info).all(axis=(1, 2))
     info = np.where(finite[:, None, None], info, 0.0)
@@ -106,7 +108,7 @@ def _checked_information(ends: np.ndarray, info: np.ndarray) -> np.ndarray:
     asym = np.abs(info - info_t).max(axis=(1, 2)) > 1e-9 * scale
     info = 0.5 * (info + info_t)
     scale = np.maximum(1.0, np.abs(info).max(axis=(1, 2)))
-    indefinite = np.linalg.eigvalsh(info).min(axis=1) < -1e-9 * scale
+    indefinite = np.linalg.eigvalsh(info).min(axis=1) < _PSD_TOL * scale
     bad = np.flatnonzero(~finite | asym | indefinite)
     if bad.size:
         k = bad[0]
@@ -375,11 +377,9 @@ class _System:
         self.n = graph.n_vertices
         self.ii, self.jj = graph._edge_rows.T
         self.Zinv = homogeneous(*invert_blocks(graph.Z_R, graph.Z_t))
-        # symmetric whitener W with r' info r == ||W r||^2; the eigh-based
-        # square root also accepts PSD-singular information (pinned channels)
-        w, V = np.linalg.eigh(graph.information)
-        w = np.clip(w, 0.0, None)
-        self.W = (V * np.sqrt(w)[:, None, :]) @ np.swapaxes(V, 1, 2)
+        # symmetric whitener W with r' info r == ||W r||^2: the principal
+        # root, which also takes PSD-singular information (pinned channels)
+        self.W = _sqrt_factor(graph.information, err=GraphValidationError)
         # the pattern's 3x3 blocks, keyed v n + u for block row u and column v,
         # from each edge's (i, i), (j, j), (i, j) and (j, i) blocks: repeated
         # edges share theirs, vertex 0's sort last.  Column b of block column

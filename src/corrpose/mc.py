@@ -5,6 +5,10 @@ estimator used as ground truth for the relative-pose operation, the
 (normalized) Frobenius covariance-error metric, and chi-square ellipsoid
 containment counting.  Everything is deterministic per seed.
 
+Every draw is one step, :func:`_draws`: seeded standard normals times the
+principal square root of the covariance, :func:`_sqrt_factor`, which is also
+the package's root for sigma points, ellipse loci and the solver's whitener.
+
 The relative-pose oracle, :func:`relative_samples`, takes a list of pairs:
 their draws go through one conjugated relative-twist kernel,
 ``Ad(T_bar_1^-1) log(exp(xi_1)^-1 exp(xi_2))``, with no pose matrix per
@@ -36,38 +40,36 @@ class SamplingError(RuntimeError):
 
 
 def _sqrt_factor(cov: np.ndarray, *, err=SamplingError) -> np.ndarray:
-    """Factor L with L @ L.T == cov: the package's one PSD square root, for
-    sampling, unscented sigma points and ellipse loci.
+    """Principal square root ``V sqrt(max(w, 0)) V^T`` of each PSD matrix of
+    an (..., n, n) stack, from one ``eigh`` (Higham, *Functions of
+    Matrices*, ch. 6): the package's one PSD square root, for draws, sigma
+    points, ellipse loci and the solver's edge whitener.
 
-    Cholesky where it succeeds; otherwise (PSD-singular input: pinned
-    channels, perfectly correlated blocks) the eigendecomposition square
-    root ``V sqrt(max(w, 0))``, without diagonal jitter.  A zero covariance
-    gives a zero factor.  Input that :func:`~corrpose.belief.checked_covs`
+    The root S is symmetric and S @ S.T == cov, both up to rounding.  It is
+    continuous in ``cov``, singular input included (pinned channels,
+    perfectly correlated blocks), and one matrix of a stack gets the bits of
+    its one-matrix call.  Input that :func:`~corrpose.belief.checked_covs`
     would call indefinite (an eigenvalue below ``_PSD_TOL`` times
-    ``max(1, max |entry|)``) raises ``err``.
-
-    Singular directions get rounding-level noise, not none.  Cholesky often
-    succeeds on a singular matrix, with pivots that are rounding residue of
-    order sqrt(eps |cov|), and ``eigh`` leaves eigenvalues of order
-    eps |cov|.  For ``[[S, S], [S, S]]`` with entries of S of order 0.1-1,
-    diagonal or not, draws of xi_1 - xi_2 then have a std of up to 4.5e-8,
-    median 1.5e-8 (200 random S).  They are exactly zero only where the
-    factor's two halves come out equal: when Cholesky meets an exact zero
-    pivot on a diagonal S and the eigendecomposition is taken instead, as
-    for S = diag(0.25, 0.0625, 0.015625), where (s / sqrt(s))^2 == s
-    (9 of 200 random diagonal S).
+    ``max(1, max |entry|)`` of its own matrix) raises ``err``.
     """
     cov = np.asarray(cov, dtype=float)
-    if not cov.any():
-        return np.zeros_like(cov)
-    try:
-        return np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        pass
     w, V = np.linalg.eigh(cov)
-    if w.min() < _PSD_TOL * max(1.0, np.abs(cov).max()):
-        raise err(f"covariance is indefinite (eigenvalue {w.min():.3e})")
-    return V * np.sqrt(np.clip(w, 0.0, None))
+    w_min = w.min(axis=-1)
+    bad = w_min < _PSD_TOL * np.maximum(1.0, np.abs(cov).max(axis=(-2, -1)))
+    if bad.any():
+        raise err(f"covariance is indefinite (eigenvalue {w_min[bad].flat[0]:.3e})")
+    return (V * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ np.swapaxes(V, -1, -2)
+
+
+def _draws(covs: np.ndarray, M: int, seeds) -> np.ndarray:
+    """(k, M, n) draws ``z @ S_r^T`` of N(0, covs[r]) for a (k, n, n) stack,
+    z from ``default_rng(seeds[r])`` and S_r the :func:`_sqrt_factor` of
+    the stack; row r depends on covs[r] and seeds[r] alone."""
+    S = _sqrt_factor(covs)
+    draws = np.empty((S.shape[0], M, S.shape[-1]))
+    for S_r, seed, out in zip(S, seeds, draws, strict=True):
+        np.matmul(np.random.default_rng(seed).standard_normal((M, S.shape[-1])), S_r.T, out=out)
+    return draws
 
 
 @dataclass(frozen=True)
@@ -169,10 +171,7 @@ def sample_joint(b, M: int, seed) -> SampleBatch:
         raise TypeError(f"cannot sample from {type(b).__name__}")
     if M < 2:
         raise ValueError("M must be at least 2")
-    L = _sqrt_factor(cov)
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((int(M), cov.shape[0]))
-    return SampleBatch(z @ L.T, means[0].twist_dim, means, seed)
+    return SampleBatch(_draws(cov[None], int(M), [seed])[0], means[0].twist_dim, means, seed)
 
 
 class RelativeSamples(NamedTuple):
@@ -195,7 +194,8 @@ def relative_samples(pairs: Sequence[PosePairBelief], M: int, seeds) -> Relative
     """Relative poses of M correlated draws per pair, the ground-truth oracle's samples.
 
     Pair r draws its M joint twists (xi_1, xi_2) as :func:`sample_joint`
-    does, from its own ``_sqrt_factor`` and ``default_rng(seeds[r])``.  Its
+    does, from ``default_rng(seeds[r])`` and its principal root, which one
+    :func:`_sqrt_factor` call takes for every pair of the block.  Its
     relative poses ``T_m = (exp(xi_1) T_bar_1)^-1 exp(xi_2) T_bar_2`` are
     mapped about the predicted mean through the identity
 
@@ -213,10 +213,7 @@ def relative_samples(pairs: Sequence[PosePairBelief], M: int, seeds) -> Relative
         raise ValueError("M must be at least 2")
     M = int(M)
     m = pairs[0].block_dim
-    draws = np.empty((len(pairs) * M, 2 * m))
-    for r, (p, seed) in enumerate(zip(pairs, seeds, strict=True)):
-        z = np.random.default_rng(seed).standard_normal((M, 2 * m))
-        np.matmul(z, _sqrt_factor(p.cov).T, out=draws[r * M : (r + 1) * M])
+    draws = _draws(np.array([p.cov for p in pairs]), M, seeds).reshape(-1, 2 * m)
     xis, ok, coeffs = log_between_many(draws[:, :m], draws[:, m:])
     ok = ok.reshape(len(pairs), M)
     for row in ok:

@@ -41,6 +41,24 @@ def test_missing_graph_file_exits_2(tmp_path, capsys):
     assert "absent.g2o" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("experiment", ["solve-graph", "slam-relpose"])
+@pytest.mark.parametrize("body, message", [
+    ("VERTEX_SE2 0 0 0 0\nVERTEX_SE2 1 1 0 0\nEDGE_SE2 0 1 1 0 0 1 0 0 1 0 1\n"
+     "VERTEX_SE2 x 0 0\n", "line 4: "),
+    ("VERTEX_SE2 0 0 0 0\nEDGE_SE2 0 1 1 0 0 1 0 0 1 0 1\n", "missing vertex 1"),
+], ids=["malformed-line", "dangling-edge"])
+def test_malformed_graph_file_exits_2(tmp_path, capsys, experiment, body, message):
+    # a file that does not parse or validate is a config error, like a
+    # missing one; a graph that only fails to solve exits 1 (below)
+    g2o = tmp_path / "bad.g2o"
+    g2o.write_text(body)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"graph": str(g2o)}))
+    assert run_cli(experiment, "--config", str(cfg), "--out", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert "config key 'graph'" in err and "bad.g2o" in err and message in err
+
+
 def test_invalid_method_exits_2(tmp_path, capsys):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"methods": ["lie-correlated", "bogus"]}))
@@ -1002,6 +1020,24 @@ def test_convert_demo_singular_covariance_counts_containment(tmp_path):
     assert set(counts) == {"true", "ssc", "converted"}
     for fraction in counts.values():
         assert abs(fraction - 0.95) < 0.01
+
+
+def test_convert_demo_singular_locus_is_the_counted_region(tmp_path):
+    # rank-1 position covariances: each locus is a segment along x, drawn at
+    # the chi2 quantile of the rank that the count uses (chi2(2) drew it
+    # sqrt(q2 / q1) = 1.25 times too long), so the samples on the segment
+    # are the samples counted inside (all M = 2000 are in samples.csv)
+    cfg = _write_cfg(tmp_path, {"cov_lie_diag": [0.005, 0, 0, 0, 0, 0], "M": 2000})
+    assert run_cli("convert-demo", "--config", str(cfg), "--out", str(tmp_path),
+                   "--seed", "0") == 0
+    x = np.array([float(r["x"]) for r in read_csv(tmp_path / "samples.csv")])
+    assert x.size == 2000
+    counts = {r["locus"]: float(r["fraction_true_inside"])
+              for r in read_csv(tmp_path / "containment.csv")}
+    for locus, count in counts.items():
+        ends = [float(r["x"]) for r in read_csv(tmp_path / "ellipses.csv") if r["locus"] == locus]
+        on_segment = np.mean((x >= min(ends)) & (x <= max(ends)))
+        assert abs(on_segment - count) <= 1 / x.size, locus
 
 
 @pytest.mark.parametrize("seed", [0, 9])

@@ -151,9 +151,9 @@ def test_rank_deficient_covariance_converts():
 
 def test_converts_every_covariance_the_belief_accepts():
     # eigenvalues 2e-3 ... 5e-5 and -5e-11, within the belief checks' PSD
-    # tolerance: the sigma points spread along the eigendecomposition square
-    # root, which drops only the clipped eigenvalue (measured 3.2e-11), and
-    # the result stays near the first-order pushforward (measured 1.6e-4)
+    # tolerance: the sigma points spread along the principal square root,
+    # which drops only the clipped eigenvalue (measured 2.0e-11), and the
+    # result stays near the first-order pushforward (measured 1.2e-4)
     w = np.array([2e-3, 1e-3, 5e-4, 2e-4, 5e-5, -5e-11])
     Q = np.linalg.qr(np.random.default_rng(3).normal(size=(6, 6)))[0]
     b = ssc.SscBelief(DEMO_MEAN, (Q * w) @ Q.T)
@@ -164,6 +164,20 @@ def test_converts_every_covariance_the_belief_accepts():
     out = convert.ut_convert(b).cov
     lin = linearized_conversion(b)
     assert np.abs(out - lin).max() < 1e-3 * np.abs(lin).max()
+
+
+def test_ut_convert_continuous_across_a_clipped_eigenvalue():
+    # the covariance above and the same one with its -5e-11 eigenvalue set
+    # to 0 differ by 2.5e-8 of their largest entry; both sigma point sets
+    # spread along the principal root, continuous in the covariance, so the
+    # results agree to rounding (a Cholesky factor of the PSD one put them
+    # 1.3e-4 apart, about the UT's whole distance from first order)
+    Q = np.linalg.qr(np.random.default_rng(3).normal(size=(6, 6)))[0]
+    outs = []
+    for least in (-5e-11, 0.0):
+        w = np.array([2e-3, 1e-3, 5e-4, 2e-4, 5e-5, least])
+        outs.append(convert.ut_convert(ssc.SscBelief(DEMO_MEAN, (Q * w) @ Q.T)).cov)
+    assert np.abs(outs[0] - outs[1]).max() < 1e-9 * np.abs(outs[1]).max()
 
 
 def test_unfactorizable_covariance_raises():

@@ -168,6 +168,21 @@ def test_graph_errors_name_the_first_bad_edge():
         gr.Edge(1, 2, T, INFO + np.triu(np.ones((3, 3)), 1))
 
 
+def test_information_psd_tolerance_is_the_whiteners():
+    # the edge check refuses an information matrix below belief._PSD_TOL of
+    # its scale, where the whitener's root would: an accepted edge (here a
+    # heading eigenvalue 0.75 of the way to the bound) gets its whitener
+    from corrpose.belief import _PSD_TOL
+
+    T = cp.Pose.planar(0, 0, 0)
+    bound = _PSD_TOL * 400.0
+    edge = gr.Edge(0, 1, T, np.diag([400.0, 100.0, 0.75 * bound]))
+    W = gr._System(gr.PoseGraph({0: T, 1: T}, [edge])).W[0]
+    npt.assert_allclose(W @ W.T, np.diag([400.0, 100.0, 0.0]), atol=1e-12)
+    with pytest.raises(gr.GraphValidationError, match=r"^edge \(0,1\): information not PSD$"):
+        gr.Edge(0, 1, T, np.diag([400.0, 100.0, 1.25 * bound]))
+
+
 def test_graph_views_are_read_only_and_built_when_read():
     g = gr.generate_grid_world(30, seed=2)
     assert g.vertices._poses == {} and g._edges is None

@@ -69,8 +69,9 @@ def test_chain_spec_and_joint_belief_agree(rho, N, accepted):
 
 
 def test_one_psd_square_root():
-    # mc._sqrt_factor is the package's only Cholesky; the chain joint is
-    # checked by the belief checks, and no module imports scipy.linalg
+    # mc._sqrt_factor is the package's only PSD square root: no module takes
+    # a Cholesky factor, the solver's whitener is not an eigh root of its
+    # own, and no module imports scipy.linalg
     import inspect
     import re
     from pathlib import Path
@@ -78,8 +79,31 @@ def test_one_psd_square_root():
     for path in Path(cp.__file__).parent.glob("*.py"):
         source = path.read_text()
         assert not re.search(r"scipy\.linalg|from scipy import\s[^\n]*\blinalg\b", source)
-        assert source.count("cholesky(") == (path.stem == "mc"), path.name
-    assert "np.linalg.cholesky(" in inspect.getsource(cp.mc._sqrt_factor)
+        assert "cholesky(" not in source, path.name
+    assert "eigh(" not in inspect.getsource(cp.graph)
+    assert "_sqrt_factor(graph.information" in inspect.getsource(cp.graph._System)
+
+
+def test_sqrt_factor_stack_is_per_matrix_bits():
+    # each matrix of a stack gets its one-matrix root bit for bit, singular
+    # and zero members included, and is tested for PSD on its own scale
+    from corrpose.mc import _sqrt_factor
+
+    rng = np.random.default_rng(8)
+    sig = np.diag([0.25, 0.0625, 0.015625])
+    covs = np.array(
+        [random_psd(rng, 6, s) for s in (1e-4, 1e-2, 1.0, 1e3)]
+        + [np.block([[sig, sig], [sig, sig]]), np.zeros((6, 6))]
+    )
+    S = _sqrt_factor(covs)
+    for S_r, cov in zip(S, covs):
+        assert np.array_equal(S_r, _sqrt_factor(cov))
+        npt.assert_allclose(S_r @ S_r.T, cov, atol=1e-12 * max(1.0, np.abs(cov).max()))
+    # -5e-9 is inside the tolerance of a matrix of scale 1e3, not of scale 1
+    big, small = np.diag([1e3, -5e-9]), np.diag([1.0, -5e-9])
+    _sqrt_factor(np.array([big, big]))
+    with pytest.raises(cp.SamplingError, match="indefinite"):
+        _sqrt_factor(np.array([big, small, big]))
 
 
 # ---------------------------------------------------------------------------
