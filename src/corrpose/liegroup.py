@@ -17,7 +17,7 @@ stacks of twists and homogeneous matrices.  The :class:`Pose` entry points
 :func:`exp_map` and :func:`log_map` are one-row calls of them.  These
 kernels take no sine or cosine: every angle coefficient comes from one
 tan(t/2) per angle (:func:`_angle_coeffs`, :func:`_vinv_coeff`), and SE(3)
-rows are formed on columns, without 3x3 matrix products.  Each pose
+rows are formed entry by entry, without 3x3 matrix products.  Each pose
 operation likewise has one kernel on rotation and translation stacks, and a
 :class:`Pose` is a one-row view of these checked block kernels.
 """
@@ -419,9 +419,18 @@ def exp_many(xis: np.ndarray) -> np.ndarray:
     The one exponential of the package (:func:`exp_map` is a one-row call),
     in the closed forms of Sola et al. (arXiv 1812.01537) with the Taylor
     branches below ``_COEFF_CUTOFF``; every angle coefficient comes from
-    tan(t/2) (:func:`_angle_coeffs`).  SE(3) rows are formed on columns, with
-    K = skew(phi): R = cI + (s/t) K + ((1-c)/t^2) phi phi^T and
+    tan(t/2) (:func:`_angle_coeffs`).  SE(3) rows are formed entry by entry,
+    with K = skew(phi): R = cI + (s/t) K + ((1-c)/t^2) phi phi^T and
     V rho = (s/t) rho + ((1-c)/t^2) phi x rho + ((t-s)/t^3) phi (phi . rho).
+
+    The SE(3) stack is computed on component rows: the twists are copied
+    once into six contiguous (M,) rows, each of the 16 entries is filled as
+    one contiguous row of a (4, 4, M) buffer, and ``b phi_i phi_j`` is
+    formed once for both R[i, j] and R[j, i].  The buffer is returned as a
+    C-contiguous (M, 4, 4) copy, the layout the stacked ``@`` of the callers
+    rounds in.  Every entry is the same elementwise expression, evaluated in
+    the same order, as an entry-by-entry fill of the (M, 4, 4) stack, so a
+    strided view, its contiguous copy and one-row calls give the same bits.
     """
     xis = np.asarray(xis, dtype=float)
     if xis.ndim != 2 or xis.shape[1] not in (3, 6):
@@ -438,8 +447,9 @@ def exp_many(xis: np.ndarray) -> np.ndarray:
         out[:, 1, 2] = b * xis[:, 0] + a * xis[:, 1]
         out[:, 2, 2] = 1.0
         return out
-    rho, phi = xis[:, :3], xis[:, 3:]
-    theta = np.sqrt(phi[:, 0] ** 2 + phi[:, 1] ** 2 + phi[:, 2] ** 2)
+    rho_phi = xis.T.copy()
+    rho, phi = rho_phi[:3], rho_phi[3:]
+    theta = np.sqrt(phi[0] ** 2 + phi[1] ** 2 + phi[2] ** 2)
     c, s, a, b = _angle_coeffs(theta)
     t2 = theta * theta
     with np.errstate(divide="ignore", invalid="ignore"):  # t = 0 takes the series
@@ -449,16 +459,19 @@ def exp_many(xis: np.ndarray) -> np.ndarray:
     t2 = t2[small]
     b[small] = 0.5 - t2 / 24.0 + t2 * t2 / 720.0
     cc[small] = 1.0 / 6.0 - t2 / 120.0 + t2 * t2 / 5040.0
-    cc *= phi[:, 0] * rho[:, 0] + phi[:, 1] * rho[:, 1] + phi[:, 2] * rho[:, 2]
-    out = np.zeros((m, 4, 4))
+    cc *= phi[0] * rho[0] + phi[1] * rho[1] + phi[2] * rho[2]
+    out = np.empty((4, 4, m))
     for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):  # cyclic: K[j, i] = phi_k
-        out[:, i, i] = b * phi[:, i] * phi[:, i] + c
-        out[:, i, j] = b * phi[:, i] * phi[:, j] - a * phi[:, k]
-        out[:, j, i] = b * phi[:, i] * phi[:, j] + a * phi[:, k]
-        out[:, i, 3] = (a * rho[:, i] + b * (phi[:, j] * rho[:, k] - phi[:, k] * rho[:, j])
-                        + cc * phi[:, i])
-    out[:, 3, 3] = 1.0
-    return out
+        bi = b * phi[i]
+        np.add(bi * phi[i], c, out=out[i, i])
+        bij = bi * phi[j]
+        ak = a * phi[k]
+        np.subtract(bij, ak, out=out[i, j])
+        np.add(bij, ak, out=out[j, i])
+        np.add(a * rho[i] + b * (phi[j] * rho[k] - phi[k] * rho[j]), cc * phi[i], out=out[i, 3])
+    out[3, :3] = 0.0
+    out[3, 3] = 1.0
+    return np.ascontiguousarray(out.transpose(2, 0, 1))
 
 
 def log_many_masked(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

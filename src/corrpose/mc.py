@@ -5,6 +5,11 @@ estimator used as ground truth for the relative-pose operation, the
 (normalized) Frobenius covariance-error metric, and chi-square ellipsoid
 containment counting.  Everything is deterministic per seed.
 
+Containment, :func:`containment_fraction`, counts the samples x whose
+squared Mahalanobis distance ``x^T Sigma^-1 x``, taken for the whole stack
+as one product ``X @ Sigma^-1`` and the row sums of its elementwise product
+with X, is at most the chi-square(p) quantile of the channels counted.
+
 Every draw is one step, :func:`_draws`: seeded standard normals times the
 principal square root of the covariance, :func:`_sqrt_factor`, which is also
 the package's root for sigma points, ellipse loci and the solver's whitener.
@@ -327,5 +332,5 @@ def containment_fraction(batch, sigma, p: float, dof_mode: str = "full") -> floa
         Si = np.linalg.inv(S)
     except np.linalg.LinAlgError:
         raise ValueError("covariance is singular on the selected channels") from None
-    d2 = np.einsum("mi,ij,mj->m", x, Si, x)
+    d2 = np.einsum("mi,mi->m", x @ Si, x)
     return float(np.mean(d2 <= chi2_quantile(dof, p)))

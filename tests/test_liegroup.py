@@ -581,6 +581,46 @@ def test_exp_many_se3_against_mpmath():
         assert not err[:, 3].any()
 
 
+# exp_many computes SE(3) rows on contiguous component rows; neither the
+# layout of its input nor the row count may move a bit, and the bits are
+# those of the entry-by-entry fill on the twist columns.  The (M, 4, 4)
+# result must be C-contiguous float64, the layout the callers' stacked @
+# rounds in.
+def test_exp_many_se3_bits_do_not_depend_on_layout():
+    from oracles import entrywise_se3_exp
+
+    from corrpose import SampleBatch
+    from corrpose.liegroup import _COEFF_CUTOFF as c
+
+    rng = np.random.default_rng(43)
+    # zero angles, angles around the Taylor switch and random angles up to 20
+    angles = np.concatenate([
+        [0.0, 0.0],
+        c * np.array([1e-6, 0.01, 0.5, 1 - 1e-12, 1.0, 1 + 1e-12, 2.0]),
+        np.exp(rng.uniform(np.log(1e-9), np.log(20.0), 500)),
+    ])
+    axes = rng.normal(size=(angles.size, 3))
+    axes /= np.linalg.norm(axes, axis=1)[:, None]
+    xis = np.column_stack([rng.normal(0, 3.0, (angles.size, 3)), angles[:, None] * axes])
+    xis[0, :3] = 0.0  # the identity
+    draws = rng.normal(size=(xis.shape[0], 18))
+    draws[:, 6:12] = xis
+    view = draws[:, 6:12]
+    assert not view.flags.c_contiguous
+    got = exp_many(view)
+    assert got.dtype == np.float64 and got.shape == (xis.shape[0], 4, 4)
+    assert got.flags.c_contiguous
+    assert got.tobytes() == exp_many(xis).tobytes()
+    assert got.tobytes() == entrywise_se3_exp(view).tobytes()
+    rows = np.array([exp_map(xi).matrix() for xi in xis])
+    assert got.tobytes() == rows.tobytes()
+    assert not (got[0] - np.eye(4)).any()
+    # a batch's realized poses are this stack times the block's mean
+    means = tuple(random_pose(rng, 3) for _ in range(3))
+    poses = SampleBatch(draws, 6, means).pose_matrices(1)
+    assert poses.tobytes() == (exp_many(xis) @ means[1].matrix()).tobytes()
+
+
 def test_stack_kernels_take_no_sine_or_cosine(monkeypatch):
     # every angle coefficient of the stack kernels comes from tan(t/2)
     import corrpose.graph as gr

@@ -419,6 +419,26 @@ def test_containment_calibration():
     assert abs(frac3 - 0.95) <= 0.01
 
 
+@pytest.mark.parametrize("width", [3, 6])
+@pytest.mark.parametrize("dof_mode", ["full", "position_only"])
+def test_containment_is_a_per_row_mahalanobis_count(width, dof_mode):
+    # the stacked form against one np.dot per sample, graded by half the
+    # covariance drawn from so that the count is not near M.  The two forms
+    # round d2 differently, so a sample within 1e-12 of q (relative) may be
+    # counted on either side.
+    rng = np.random.default_rng(46 + width)
+    u = cp.UncertainPose(cp.Pose.identity(width // 3 + 1), random_psd(rng, width, 0.01))
+    batch = cp.sample_joint(u, 2000, 12)
+    sig = 0.5 * u.cov
+    dof = width if dof_mode == "full" else width // 3 + 1
+    S, q = sig[:dof, :dof], cp.chi2_quantile(dof, 0.9)
+    d2 = np.array([np.dot(x, np.linalg.solve(S, x)) for x in batch.twists[:, :dof]])
+    inside, ties = np.sum(d2 <= q), np.sum(np.abs(d2 - q) <= 1e-12 * q)
+    assert 0.2 < inside / 2000 < 0.8
+    got = round(cp.containment_fraction(batch, sig, 0.9, dof_mode) * 2000)
+    assert abs(got - inside) <= ties
+
+
 def test_containment_shrinks_for_underestimated_covariance():
     sig = np.eye(6) * 0.01
     u = cp.UncertainPose(cp.Pose.identity(3), sig)
