@@ -10,8 +10,7 @@ inputs is carried into the result instead of being silently dropped.
 :func:`between_covs` gives the ``between`` covariances of many pairs in one
 stacked evaluation, and :func:`between` is a one-pair call of the same code,
 so both agree bit for bit.  The stack is as large as the caller makes it;
-``slam-relpose`` passes blocks of 16 pairs (``experiments._PAIR_BLOCK``,
-where that size is measured).
+``slam-relpose`` passes all its pairs at once.
 """
 
 from __future__ import annotations

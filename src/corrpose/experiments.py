@@ -13,21 +13,19 @@ any work (:func:`resolve_config`).  ``jobs`` must be a positive integer but
 has no effect: per-item work is small numpy calls holding the interpreter
 lock, so every experiment runs on one thread.
 
-``slam-relpose`` works on blocks of ``_PAIR_BLOCK`` = 16 pairs, each one
-stacked pass under one fallback (:func:`_block_rows`): one call of the
-Monte-Carlo oracle :func:`~corrpose.mc.relative_samples`, each pair still
-drawing from its own seed; one stacked evaluation of each first-order
-prediction (``between``, ``between_ignoring_correlation`` and the SSC
-baseline); and every pair and method graded at once by the stacked
-:func:`~corrpose.mc.cov_error` and :func:`~corrpose.mc.normalized_cov_error`.
-All of it is identical bit for bit to one pair at a time.  A block that
-raises is evaluated again one pair at a time through the same code, so a
-failing pair still flags only its own rows.  The SSC baseline's
-parameter-space truth comes in closed form from the oracle's twists and the
-coefficients the oracle's kernel took of their angles, one stacked
-expression per block (:func:`_ssc_relative_covs`).  The block size is a
-constant, not a config key: it trades per-call overhead against peak memory
-(``_PAIR_BLOCK``).
+``slam-relpose`` grades its pairs in two passes.  The Monte-Carlo oracle
+:func:`~corrpose.mc.relative_samples` runs on blocks of ``_PAIR_BLOCK`` = 16
+pairs, each drawing from its own seed, and keeps only each pair's twist
+and, for the SSC baseline, parameter-space sample covariances, the latter
+in closed form from the oracle's twists and the coefficients its kernel
+took of their angles (:func:`_oracle_moments`, :func:`_ssc_relative_covs`).
+Then each first-order prediction runs once over every pair, and every pair
+and method is graded at once by the stacked :func:`~corrpose.mc.cov_error`
+and :func:`~corrpose.mc.normalized_cov_error` (:func:`_pair_rows`).  All of
+it is identical bit for bit to one pair at a time.  A stack that raises is
+evaluated again by halves, down to single pairs (:func:`_by_pair`), so a
+failing pair still flags only its own rows.  The block size is a constant,
+not a config key: it bounds the oracle's peak memory (``_PAIR_BLOCK``).
 """
 
 from __future__ import annotations
@@ -80,15 +78,12 @@ from .ssc import (
 
 KNOWN_METHODS = ("lie-correlated", "lie-independent", "ssc")
 
-# Pairs per block of slam-relpose, for the oracle, the predictions and the
-# grades alike (module docstring).  It bounds peak memory, which the oracle
-# sets: about 165 bytes per draw, 2.6 MB for 16 pairs at M = 1000.  On a
-# 500-pose run (600 pairs, M = 1000, two x86_64 cores, one BLAS thread) the
-# predictions took 0.21 / 0.16 / 0.12 / 0.10 s with 8 / 16 / 32 / 64-pair
-# blocks and the oracle 0.25 / 0.24 / 0.23 / 0.25 s, while the benchmark's
-# peak RSS rose by 0.4 / 2.0 / 5.3 / 10.9 MB over the pair-at-a-time
-# oracle.  16 is the largest block that stays within 2 MB; it is 0.05 s
-# slower than the fastest.
+# Pairs per call of the slam-relpose Monte-Carlo oracle (module docstring).
+# It bounds the peak memory of the oracle's samples: about 165 bytes per
+# draw, 2.6 MB for 16 pairs at M = 1000.  On a 500-pose run (600 pairs,
+# M = 1000, two x86_64 cores, one BLAS thread) the oracle took 0.25 / 0.24 /
+# 0.23 / 0.25 s with 8 / 16 / 32 / 64-pair blocks, while the benchmark's
+# peak RSS rose by 0.4 / 2.0 / 5.3 / 10.9 MB over one pair at a time.
 _PAIR_BLOCK = 16
 
 
@@ -191,21 +186,21 @@ def resolve_config(name: str, cfg) -> MappingProxyType:
     return resolved
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return str(value)
+def _cells(column) -> list[str]:
+    """One CSV column's cells in one format: decimal if all its numbers are
+    integers or booleans (1 and 0), else 17 significant digits.  Strings,
+    such as the empty numeric cells of a failed row, stay as they are."""
+    numbers = {type(v) for v in column if not isinstance(v, str)}
+    integral = all(issubclass(k, (int, np.integer, np.bool_)) for k in numbers)
+    fmt = ("{:d}" if integral else "{:.17g}").format
+    return [v if isinstance(v, str) else fmt(v) for v in column]
 
 
 def _write_csv(path: Path, header, rows) -> Path:
+    columns = [_cells(column) for column in zip(*rows)]
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*columns))
     return path
 
 
@@ -434,51 +429,77 @@ def _load_graph(cfg) -> graphmod.PoseGraph:
 _PAIR_ERRORS = (ArithmeticError, ValueError, RuntimeError)
 
 
-def _predict(block, method: str) -> np.ndarray:
+def _predict(pairs, method: str) -> np.ndarray:
     """(k, m, m) predicted relative-pose covariances of one method for k pairs."""
     if method == "lie-correlated":
-        return between_covs(block, use_cross=True)
+        return between_covs(pairs, use_cross=True)
     if method == "lie-independent":
-        return between_covs(block, use_cross=False)
-    return tail_to_tail_many(*_lie_pairs_to_ssc(block))[1]
+        return between_covs(pairs, use_cross=False)
+    return tail_to_tail_many(*_lie_pairs_to_ssc(pairs))[1]
 
 
 def _by_pair(evaluate, items) -> list:
-    """``evaluate(items)``: one stacked evaluation of a block, one result per pair.
+    """``evaluate(items)``: one stacked evaluation, one result per item.
 
-    If it raises, each pair runs again alone through the same code, so only
-    a failing pair is lost: its entry is the error that stopped it.
+    If it raises, each half is evaluated again the same way, down to single
+    items, so only a failing item is lost: its entry is the error that
+    stopped it.  A failing item of k costs O(log k) re-evaluations.
     """
     try:
         return evaluate(items)
     except _PAIR_ERRORS as e:
         if len(items) == 1:
             return [e]
-        return [out for item in items for out in _by_pair(evaluate, [item])]
+        half = len(items) // 2
+        return _by_pair(evaluate, items[:half]) + _by_pair(evaluate, items[half:])
 
 
-def _block_rows(items, M: int, methods) -> list:
-    """CSV rows of a block of ``(pair belief, seed, (offset, i, j))`` items,
-    one list per pair, in one stacked evaluation: the Monte-Carlo oracle
-    first, so that its error is the one a failing pair reports, then each
-    method's predictions, graded against the oracle's covariances (the SSC
-    baseline in parameter space, from the same samples)."""
-    pairs = [pb for pb, _, _ in items]
-    s = relative_samples(pairs, M, [seed for _, seed, _ in items])
-    mc_twist = _sample_covs(s.twists, s.kept)
-    mc_params = _ssc_relative_covs(s) if "ssc" in methods else None
-    graded = []
-    for method in methods:
-        pred, mc = _predict(pairs, method), mc_params if method == "ssc" else mc_twist
-        graded.append((method, cov_error(pred, mc).tolist(),
-                       normalized_cov_error(pred, mc).tolist()))
-    # correlation coefficients of the x, y and heading channels
-    cov, m, c = np.stack([pb.cov for pb in pairs]), pairs[0].block_dim, np.arange(3)
-    var = cov[:, c, c] * cov[:, m + c, m + c]
-    on = var > 0
-    corr = np.where(on, cov[:, c, m + c] / np.sqrt(np.where(on, var, 1.0)), 0.0).tolist()
-    return [[(*key, method, err[r], nerr[r], *corr[r], 0) for method, err, nerr in graded]
-            for r, (_, _, key) in enumerate(items)]
+def _oracle_moments(items, M: int, methods) -> list:
+    """Per ``(pair belief, seed, (offset, i, j))`` item, the oracle's twist and
+    parameter-space (None without ``ssc``) sample covariances, or the error
+    that stopped it; one oracle call per ``_PAIR_BLOCK`` pairs."""
+
+    def moments(block):
+        s = relative_samples([pb for pb, _, _ in block], M, [seed for _, seed, _ in block])
+        params = _ssc_relative_covs(s) if "ssc" in methods else [None] * len(block)
+        return list(zip(_sample_covs(s.twists, s.kept), params))
+
+    return [out for start in range(0, len(items), _PAIR_BLOCK)
+            for out in _by_pair(moments, items[start : start + _PAIR_BLOCK])]
+
+
+def _pair_rows(items, moments, methods) -> list:
+    """CSV rows of the items of :func:`_oracle_moments`, one list per pair,
+    each method predicted once over every pair the oracle served.  A failing
+    pair logs the oracle's error, else its first failing method's, and gets
+    ``error=1`` rows."""
+
+    def grade(block):
+        pairs, grades = [pb for pb, _ in block], []
+        for method in methods:
+            pred = _predict(pairs, method)
+            mc = np.stack([params if method == "ssc" else twist for _, (twist, params) in block])
+            grades.append(zip(cov_error(pred, mc).tolist(), normalized_cov_error(pred, mc).tolist()))
+        # correlation coefficients of the x, y and heading channels
+        cov, m, c = np.stack([pb.cov for pb in pairs]), pairs[0].block_dim, np.arange(3)
+        var = cov[:, c, c] * cov[:, m + c, m + c]
+        on = var > 0
+        corr = np.where(on, cov[:, c, m + c] / np.sqrt(np.where(on, var, 1.0)), 0.0).tolist()
+        return list(zip(zip(*grades), corr))
+
+    served = [(pb, mc) for (pb, _, _), mc in zip(items, moments) if not isinstance(mc, Exception)]
+    graded = iter(_by_pair(grade, served) if served else [])
+    rows = []
+    for (_, _, (offset, i, j)), mc in zip(items, moments):
+        out = mc if isinstance(mc, Exception) else next(graded)
+        if isinstance(out, Exception):
+            _log(f"slam-relpose pair ({i},{j}) failed: {out}")
+            rows.append([(offset, i, j, m, "", "", "", "", "", 1) for m in methods])
+            continue
+        grades, corr = out
+        rows.append([(offset, i, j, method, err, nerr, *corr, 0)
+                     for method, (err, nerr) in zip(methods, grades)])
+    return rows
 
 
 def _ssc_relative_covs(s) -> np.ndarray:
@@ -509,19 +530,14 @@ def run_slam_relpose(cfg) -> list[Path]:
     """Relative-pose covariance accuracy on marginals of a solved pose graph.
 
     Keys: ``TABLES["slam-relpose"]``.  All pair marginals come from one
-    :meth:`Marginals.pair_beliefs` call; the oracle, predictions and grades
-    run per block of ``_PAIR_BLOCK`` pairs (:func:`_block_rows`).
+    :meth:`Marginals.pair_beliefs` call, then the oracle and the predictions
+    (module docstring); the stage times go to stderr.
     """
     methods, cap = cfg["methods"], cfg["pairs_per_offset"]
     t0 = time.perf_counter()
     g = _load_graph(cfg)
     solved, report = graphmod.solve(g)
-    _log(
-        f"slam-relpose: solved {g.n_vertices} poses / {g.n_edges} edges "
-        f"in {report.iterations} iterations "
-        f"(chi2 {report.initial_chi2:.4g} -> {report.final_chi2:.4g}, "
-        f"{time.perf_counter() - t0:.1f} s)"
-    )
+    solve_s = time.perf_counter() - t0
     marg = graphmod.Marginals(solved)
     keys = solved.keys.tolist()
     keyset = set(keys)
@@ -538,15 +554,11 @@ def run_slam_relpose(cfg) -> list[Path]:
 
     beliefs = marg.pair_beliefs([key[1:] for key in keyed])
     items = list(zip(beliefs, seeds, keyed))
-    rows = []
-    for start in range(0, len(items), _PAIR_BLOCK):
-        block = items[start : start + _PAIR_BLOCK]
-        outcomes = _by_pair(lambda b: _block_rows(b, cfg["M"], methods), block)
-        for (_, _, (offset, i, j)), out in zip(block, outcomes):
-            if isinstance(out, Exception):
-                _log(f"slam-relpose pair ({i},{j}) failed: {out}")
-                out = [(offset, i, j, m, "", "", "", "", "", 1) for m in methods]
-            rows += out
+    t1 = time.perf_counter()
+    moments = _oracle_moments(items, cfg["M"], methods)
+    t2 = time.perf_counter()
+    rows = [row for out in _pair_rows(items, moments, methods) for row in out]
+    t3 = time.perf_counter()
     header = [
         "offset", "i", "j", "method", "cov_error", "normalized_cov_error",
         "corr_coeff_x", "corr_coeff_y", "corr_coeff_theta", "error",
@@ -568,6 +580,11 @@ def run_slam_relpose(cfg) -> list[Path]:
             ["method", "metric", "mean", "standard_error", "std_dev", "n_pairs"],
             summary,
         )
+    )
+    _log(
+        f"slam-relpose: solved {g.n_vertices} poses / {g.n_edges} edges in {report.iterations} "
+        f"iterations (chi2 {report.initial_chi2:.4g} -> {report.final_chi2:.4g}, {solve_s:.1f} s); "
+        f"oracle {t2 - t1:.3f} s, predictions {t3 - t2:.3f} s, CSV {time.perf_counter() - t3:.3f} s"
     )
     return paths
 

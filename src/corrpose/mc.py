@@ -66,14 +66,25 @@ def _sqrt_factor(cov: np.ndarray, *, err=SamplingError) -> np.ndarray:
     return (V * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ np.swapaxes(V, -1, -2)
 
 
+# Rows of normals per product in :func:`_draws` (an (M, n) temporary held
+# 9.6 MB at M = 10,000, n = 120).  The last product takes the rest: fewer rows
+# go to gemv or edge kernels, which can round unlike the one-shot product.
+_DRAW_ROWS = 1024
+
+
 def _draws(covs: np.ndarray, M: int, seeds) -> np.ndarray:
     """(k, M, n) draws ``z @ S_r^T`` of N(0, covs[r]) for a (k, n, n) stack,
-    z from ``default_rng(seeds[r])`` and S_r the :func:`_sqrt_factor` of
-    the stack; row r depends on covs[r] and seeds[r] alone."""
+    z from ``default_rng(seeds[r])`` in chunks of ``_DRAW_ROWS`` rows and S_r
+    the :func:`_sqrt_factor` of the stack; row r depends on covs[r] and
+    seeds[r] alone."""
     S = _sqrt_factor(covs)
-    draws = np.empty((S.shape[0], M, S.shape[-1]))
+    k, n = S.shape[:2]
+    edges = [a * _DRAW_ROWS for a in range(max(1, M // _DRAW_ROWS))] + [M]
+    draws = np.empty((k, M, n))
     for S_r, seed, out in zip(S, seeds, draws, strict=True):
-        np.matmul(np.random.default_rng(seed).standard_normal((M, S.shape[-1])), S_r.T, out=out)
+        rng = np.random.default_rng(seed)
+        for a, b in zip(edges, edges[1:]):
+            np.matmul(rng.standard_normal((b - a, n)), S_r.T, out=out[a:b])
     return draws
 
 

@@ -682,17 +682,21 @@ def matrix_pair_rows(pb, offset, i, j, M, methods, seed):
 def patch_point_pair_rows(monkeypatch, pair_rows=point_pair_rows):
     """Make slam-relpose compute every pair alone through ``pair_rows``
     (point_pair_rows or matrix_pair_rows), with the per-point twist-space
-    predictions above and the package's one-pair SSC prediction."""
+    predictions above and the package's one-pair SSC prediction.  The
+    oracle pass only hands each pair's draw count to the row pass, which
+    runs ``pair_rows``, oracle included, on one pair at a time."""
     import sys
 
     from corrpose import experiments
     from corrpose.belief import UncertainPose
 
     oracles = sys.modules[__name__]
+    monkeypatch.setattr(experiments, "_oracle_moments",
+                        lambda items, M, methods: [M] * len(items))
     monkeypatch.setattr(
-        experiments, "_block_rows",
-        lambda items, M, methods: [pair_rows(pb, *key, M, methods, seed)
-                                   for pb, seed, key in items],
+        experiments, "_pair_rows",
+        lambda items, draws, methods: [pair_rows(pb, *key, M, methods, seed)
+                                       for (pb, seed, key), M in zip(items, draws)],
     )
     monkeypatch.setattr(oracles, "between", lambda p: UncertainPose(*point_between(p)))
     monkeypatch.setattr(

@@ -806,15 +806,15 @@ def test_slam_relpose_rows_match_point_pair_rows(tmp_path, monkeypatch, generate
     seed = generate["seed"]
 
     def collect(rows):
-        # each pair's rows, as the block function returns them
-        real = experiments._block_rows
+        # each pair's rows, as the row pass returns them
+        real = experiments._pair_rows
 
-        def block_rows(*args):
+        def pair_rows(*args):
             out = real(*args)
             rows.extend(out)
             return out
 
-        monkeypatch.setattr(experiments, "_block_rows", block_rows)
+        monkeypatch.setattr(experiments, "_pair_rows", pair_rows)
 
     rows, oracle_rows = [], []
     collect(rows)
@@ -878,12 +878,13 @@ def _pair_key(line):
     return tuple(line.split(",")[:3])
 
 
-def _assert_only_pair_failed(good, got, key):
-    """Rows of pair ``key`` (offset, i, j) carry error=1, all others are unchanged."""
+def _assert_only_pair_failed(good, got, *keys):
+    """Rows of the pairs ``keys`` (offset, i, j) carry error=1, all others are unchanged."""
     assert len(got) == len(good)
     flagged = [line for line in got if line.endswith(",,,,,,1")]
-    assert len(flagged) == 3 and {_pair_key(line) for line in flagged} == {key}
-    assert [g for g in good if _pair_key(g) != key] == [b for b in got if _pair_key(b) != key]
+    assert len(flagged) == 3 * len(keys) and {_pair_key(line) for line in flagged} == set(keys)
+    assert ([g for g in good if _pair_key(g) not in keys]
+            == [b for b in got if _pair_key(b) not in keys])
 
 
 def test_slam_relpose_failing_pair_flags_only_its_rows(tmp_path, monkeypatch, capsys):
@@ -923,8 +924,9 @@ def test_slam_relpose_failing_pair_flags_only_its_rows(tmp_path, monkeypatch, ca
     err = capsys.readouterr().err
     assert err.count("failed") == 1
     assert f"slam-relpose pair ({bad[0]},{bad[1]}) failed: injected" in err
-    B = experiments._PAIR_BLOCK
-    assert calls[:2] == [B, B] and calls.count(1) == 2 * B  # then one pair at a time
+    # all 80 pairs at once, then halves down to the pair: each size twice,
+    # once per lie method
+    assert calls == [n for n in (80, 40, 40, 20, 10, 10, 5, 2, 1, 1, 3, 5, 20) for _ in range(2)]
     _assert_only_pair_failed(good, got, ("10", str(bad[0]), str(bad[1])))
 
 
@@ -941,11 +943,10 @@ def test_slam_relpose_branch_cut_budget_fails_one_pair(tmp_path, monkeypatch, ca
     good = _slam_csvs(cfg, tmp_path / "good", 5)[0].decode().splitlines()
     real = mcmod.log_between_many
     B, M, bad = experiments._PAIR_BLOCK, 1000, 15  # pair 15: the fourth one of offset 10
-    blocks = [min(B, 24 - start) * M for start in range(0, 24, B)]
-    k = bad // B
-    # the block holding the pair raises, then runs again one pair at a time
-    expected = blocks[: k + 1] + [M] * (blocks[k] // M) + blocks[k + 1 :]
-    flagged_rows = {k + 1: (bad % B) * M, k + 2 + bad % B: 0}  # call number -> pair's first row
+    # the block of pairs 0-15 raises, then runs again by halves: 0-7, 8-15,
+    # 8-11, 12-15, 12-13, 14-15, 14 and 15; then the block of pairs 16-23
+    expected = [n * M for n in (B, 8, 8, 4, 4, 2, 2, 1, 1, 24 - B)]
+    flagged_rows = {1: 15 * M, 3: 7 * M, 5: 3 * M, 7: M, 9: 0}  # call number -> pair's first row
     calls = []
 
     def lossy(xi1, xi2):
@@ -963,6 +964,135 @@ def test_slam_relpose_branch_cut_budget_fails_one_pair(tmp_path, monkeypatch, ca
     assert calls == expected
     assert err.count("failed") == 1 and "2 of 1000 samples" in err
     _assert_only_pair_failed(good, got, _pair_key(good[1 + 3 * 15]))
+
+
+def _failing_pairs_setup(tmp_path, monkeypatch):
+    """The 80-pair failure config, its good CSV lines, and a map from each
+    pair belief the run makes to its (i, j)."""
+    cfg = _write_cfg(
+        tmp_path,
+        {"generate": {"n_poses": 120, "seed": 5}, "offsets": [3, 10],
+         "pairs_per_offset": 40, "M": 100},
+    )
+    good = _slam_csvs(cfg, tmp_path / "good", 5)[0].decode().splitlines()
+    real_beliefs = experiments.graphmod.Marginals.pair_beliefs
+    pair_of = {}
+
+    def pair_beliefs(self, pairs):
+        beliefs = real_beliefs(self, pairs)
+        pair_of.update((id(pb), ij) for pb, ij in zip(beliefs, pairs))
+        return beliefs
+
+    monkeypatch.setattr(experiments.graphmod.Marginals, "pair_beliefs", pair_beliefs)
+    return cfg, good, pair_of
+
+
+def test_slam_relpose_bisection_flags_two_failing_pairs(tmp_path, monkeypatch, capsys):
+    from corrpose import NumericalDegeneracyError
+
+    cfg, good, pair_of = _failing_pairs_setup(tmp_path, monkeypatch)
+    keys = [_pair_key(good[1 + 3 * r]) for r in (10, 50)]  # one in each half
+    bad = {(int(i), int(j)) for _, i, j in keys}
+    real_covs = experiments.between_covs
+    calls = []
+
+    def between_covs(pairs, *, use_cross=True):
+        if not use_cross:
+            calls.append(len(pairs))
+            if any(pair_of[id(pb)] in bad for pb in pairs):
+                raise NumericalDegeneracyError("injected")
+        return real_covs(pairs, use_cross=use_cross)
+
+    monkeypatch.setattr(experiments, "between_covs", between_covs)
+    capsys.readouterr()
+    got = _slam_csvs(cfg, tmp_path / "bad", 5)[0].decode().splitlines()
+    err = capsys.readouterr().err
+    # each half bisected down to its failing pair: 22 re-evaluations of the
+    # stack, where one pair at a time took 80
+    half = [40, 20, 10, 10, 5, 2, 1, 1, 3, 5, 20]
+    assert calls == [80] + half + half and len(calls) - 1 == 22
+    assert err.count("failed: injected") == 2
+    _assert_only_pair_failed(good, got, *keys)
+
+
+def test_slam_relpose_oracle_error_reported_before_method_error(tmp_path, monkeypatch, capsys):
+    # a pair whose oracle and lie-independent prediction both fail reports
+    # the oracle's error, and the prediction pass never sees it
+    from corrpose import NumericalDegeneracyError, SamplingError
+
+    cfg, good, pair_of = _failing_pairs_setup(tmp_path, monkeypatch)
+    key = _pair_key(good[1 + 3 * 50])
+    bad = (int(key[1]), int(key[2]))
+    real_samples, real_covs = experiments.relative_samples, experiments.between_covs
+    predicted = set()
+
+    def relative_samples(pairs, M, seeds):
+        if any(pair_of[id(pb)] == bad for pb in pairs):
+            raise SamplingError("injected oracle")
+        return real_samples(pairs, M, seeds)
+
+    def between_covs(pairs, *, use_cross=True):
+        predicted.update(pair_of[id(pb)] for pb in pairs)
+        if not use_cross and any(pair_of[id(pb)] == bad for pb in pairs):
+            raise NumericalDegeneracyError("injected method")
+        return real_covs(pairs, use_cross=use_cross)
+
+    monkeypatch.setattr(experiments, "relative_samples", relative_samples)
+    monkeypatch.setattr(experiments, "between_covs", between_covs)
+    capsys.readouterr()
+    got = _slam_csvs(cfg, tmp_path / "bad", 5)[0].decode().splitlines()
+    err = capsys.readouterr().err
+    assert err.count("failed") == 1
+    assert f"slam-relpose pair ({bad[0]},{bad[1]}) failed: injected oracle" in err
+    assert bad not in predicted and len(predicted) == 79
+    _assert_only_pair_failed(good, got, key)
+
+
+def test_slam_relpose_predicts_each_method_once_over_all_pairs(tmp_path, monkeypatch):
+    # a healthy 500-pose run: the oracle in 16-pair blocks, each method's
+    # prediction in one stack of all 600 pairs
+    real_predict, real_samples = experiments._predict, experiments.relative_samples
+    predictions, blocks = [], []
+
+    def predict(pairs, method):
+        predictions.append((len(pairs), method))
+        return real_predict(pairs, method)
+
+    def relative_samples(pairs, M, seeds):
+        blocks.append(len(pairs))
+        return real_samples(pairs, M, seeds)
+
+    monkeypatch.setattr(experiments, "_predict", predict)
+    monkeypatch.setattr(experiments, "relative_samples", relative_samples)
+    cfg = _write_cfg(tmp_path, {"generate": {"n_poses": 500, "seed": 0}})
+    _slam_csvs(cfg, tmp_path / "out", 0)
+    assert predictions == [(600, method) for method in experiments.KNOWN_METHODS]
+    assert blocks == [experiments._PAIR_BLOCK] * 37 + [8]
+
+
+def test_slam_relpose_prediction_pass_peak_memory(tmp_path, monkeypatch):
+    # the prediction and grading pass over the 600 pairs of a 500-pose run,
+    # every method at once: its stacks and the 1,800 rows
+    import tracemalloc
+
+    real = experiments._pair_rows
+    peaks = []
+
+    def pair_rows(items, moments, methods):
+        tracemalloc.start()
+        try:
+            out = real(items, moments, methods)
+            peaks.append((len(items), tracemalloc.get_traced_memory()[1]))
+        finally:
+            tracemalloc.stop()
+        return out
+
+    monkeypatch.setattr(experiments, "_pair_rows", pair_rows)
+    cfg = _write_cfg(tmp_path, {"generate": {"n_poses": 500, "seed": 0}})
+    _slam_csvs(cfg, tmp_path / "out", 0)
+    [(n_pairs, peak)] = peaks
+    assert n_pairs == 600
+    assert peak < 4e6  # measured 3.4 MB (seeds 0-5)
 
 
 def test_slam_relpose_csv_bytes_match_one_pair_calls(tmp_path, monkeypatch):

@@ -135,6 +135,34 @@ def test_sample_determinism_bitwise():
     assert not np.array_equal(a.twists, c.twists)
 
 
+@pytest.mark.parametrize("n", [6, 12, 18, 30, 60, 90, 120])
+def test_chunked_draws_equal_one_shot_draws(n):
+    # normals drawn and multiplied _DRAW_ROWS rows at a time, the last chunk
+    # taking the rest, against one (M, n) draw and one product: one chunk,
+    # a chunk and one row, two chunks and one row, four chunks and 7 rows,
+    # and the compose-sweep's M
+    from corrpose.mc import _DRAW_ROWS, _draws, _sqrt_factor
+
+    cov = random_psd(np.random.default_rng(n), n, 0.01)
+    for M in (2, _DRAW_ROWS + 1, 2 * _DRAW_ROWS + 1, 4 * _DRAW_ROWS + 7, 10_000):
+        got = _draws(cov[None], M, [[n, M]])[0]
+        want = np.random.default_rng([n, M]).standard_normal((M, n)) @ _sqrt_factor(cov).T
+        assert np.array_equal(got, want), M
+
+
+def test_pair_block_draws_equal_one_shot_draws():
+    # a 16-pair oracle block of 1000 draws each, every pair with its own seed
+    from corrpose.mc import _draws, _sqrt_factor
+
+    rng = np.random.default_rng(3)
+    covs = np.array([random_psd(rng, 6, 0.01) for _ in range(16)])
+    seeds = [[0, 1, r] for r in range(16)]
+    got = _draws(covs, 1000, seeds)
+    for cov, seed, row in zip(covs, seeds, got):
+        want = np.random.default_rng(seed).standard_normal((1000, 6)) @ _sqrt_factor(cov).T
+        assert np.array_equal(row, want)
+
+
 def test_sample_rank_deficient_covariance_ok():
     # pinned channels (zero rows/columns) must factor via the jitter policy
     sig = np.diag([0.01, 0.01, 0.0, 0.0, 0.0, 0.02])
