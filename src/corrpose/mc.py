@@ -67,8 +67,8 @@ def _sqrt_factor(cov: np.ndarray, *, err=SamplingError) -> np.ndarray:
 
 
 # Rows of normals per product in :func:`_draws` (an (M, n) temporary held
-# 9.6 MB at M = 10,000, n = 120).  The last product takes the rest: fewer rows
-# go to gemv or edge kernels, which can round unlike the one-shot product.
+# 9.6 MB at M = 10,000, n = 120).  The last product takes the rest, since a
+# product of a few rows goes to gemv or other kernels that round differently.
 _DRAW_ROWS = 1024
 
 
