@@ -162,7 +162,7 @@ class JointPoseBelief:
 class PosePairBelief:
     """Two poses with a full 2m x 2m joint covariance (named blocks)."""
 
-    __slots__ = ("means", "cov", "_inv_adjoint")
+    __slots__ = ("means", "cov")
 
     def __init__(self, means: Sequence[Pose], cov):
         means = tuple(means)
@@ -197,10 +197,6 @@ class PosePairBelief:
             cov[:m, m:] = cross
             cov[m:, :m] = np.asarray(cross, dtype=float).T
         return cls((mean1, mean2), cov)
-
-    @classmethod
-    def independent(cls, u1: UncertainPose, u2: UncertainPose) -> "PosePairBelief":
-        return cls.from_blocks(u1.mean, u2.mean, u1.cov, u2.cov)
 
     @property
     def block_dim(self) -> int:
@@ -292,29 +288,20 @@ def _inverse_first_means(pairs) -> tuple[np.ndarray, np.ndarray]:
                          np.stack([p.means[0].t for p in pairs]))
 
 
-def _inverse_adjoints(pairs) -> np.ndarray:
-    """(k, m, m) ``Ad(T_ij^-1)`` of k pairs, each formed once and kept on its
-    pair for every later between covariance and oracle call."""
-    todo = [p for p in pairs if getattr(p, "_inv_adjoint", None) is None]
-    if todo:
-        for p, Ad in zip(todo, adjoint_blocks(*_inverse_first_means(todo))):
-            object.__setattr__(p, "_inv_adjoint", Ad)
-    return np.stack([p._inv_adjoint for p in pairs])
-
-
 def relative_mean_blocks(pairs: Sequence[PosePairBelief]):
     """Adjoints ``Ad(T_ij^-1)`` (k, m, m) and checked (R, t) stacks of the
     relative means ``T_ij^-1 T_ik`` of k pairs sharing a group."""
+    R_inv, t_inv = _inverse_first_means(pairs)
     R, t = compose_blocks(
-        *_inverse_first_means(pairs),
+        R_inv, t_inv,
         np.stack([p.means[1].R for p in pairs]), np.stack([p.means[1].t for p in pairs]),
     )
-    return _inverse_adjoints(pairs), R, t
+    return adjoint_blocks(R_inv, t_inv), R, t
 
 
 def _between_covs(pairs, *, use_cross: bool) -> np.ndarray:
     """Unfinalized (k, m, m) between covariances of k pairs."""
-    Ad = _inverse_adjoints(pairs)
+    Ad = adjoint_blocks(*_inverse_first_means(pairs))
     cov = np.stack([p.cov for p in pairs])
     m = pairs[0].block_dim
     inner = cov[:, :m, :m] + cov[:, m:, m:]

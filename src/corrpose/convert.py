@@ -49,61 +49,42 @@ class SigmaPointSingularityError(RuntimeError):
 
 @dataclass(frozen=True)
 class UtConfig:
-    """Unscented-transform weighting.
+    """Julier's unscented-transform weights, which need ``dim + kappa > 0``.
 
-    ``standard`` follows Julier's original weights and needs ``dim + kappa >
-    0``.  The default ``kappa = 0`` keeps every weight nonnegative for any
-    stacked dimension (the classical ``kappa = 3 - dim`` choice goes negative
-    for dim >= 3 and can produce indefinite outputs).  ``scaled`` uses the
-    scaled-transform weights driven by ``alpha``/``beta`` on top of kappa.
+    The default ``kappa = 0`` keeps every weight nonnegative for any stacked
+    dimension (``kappa = 3 - dim`` goes negative for dim >= 3 and can produce
+    indefinite outputs).  The scaled transform at ``(alpha, kappa)`` is
+    ``kappa' = alpha^2 (dim + kappa) - dim`` here, but for the centre point's
+    covariance weight, which :func:`ut_convert` drops.
     """
 
     kappa: float = 0.0
-    mode: str = "standard"
-    alpha: float = 1.0
-    beta: float = 2.0
 
-    def __post_init__(self):
-        if self.mode not in ("standard", "scaled"):
-            raise ValueError(f"unknown UT mode {self.mode!r}")
-        if self.mode == "scaled" and self.alpha <= 0:
-            raise ValueError("scaled mode needs alpha > 0")
-
-    def spread_and_weights(self, dim: int) -> tuple[float, np.ndarray, np.ndarray]:
-        """(squared point spread, mean weights, covariance weights) for ``dim``."""
-        if self.mode == "standard":
-            denom = dim + self.kappa
-            if denom <= 0:
-                raise ValueError(f"dim + kappa must be positive, got {denom}")
-            w = np.full(2 * dim + 1, 1.0 / (2.0 * denom))
-            w[0] = self.kappa / denom
-            return denom, w, w.copy()
-        lam = self.alpha ** 2 * (dim + self.kappa) - dim
-        denom = dim + lam
+    def spread_and_weights(self, dim: int) -> tuple[float, np.ndarray]:
+        """(squared point spread, weights) for ``dim``."""
+        denom = dim + self.kappa
         if denom <= 0:
-            raise ValueError("alpha/kappa leave a non-positive point spread")
-        wm = np.full(2 * dim + 1, 1.0 / (2.0 * denom))
-        wc = wm.copy()
-        wm[0] = lam / denom
-        wc[0] = lam / denom + (1.0 - self.alpha ** 2 + self.beta)
-        return denom, wm, wc
+            raise ValueError(f"dim + kappa must be positive, got {denom}")
+        w = np.full(2 * dim + 1, 1.0 / (2.0 * denom))
+        w[0] = self.kappa / denom
+        return denom, w
 
 
 def sigma_points(mean: np.ndarray, cov: np.ndarray, cfg: UtConfig):
-    """Sigma point set and (mean, covariance) weights for a Gaussian, spread
-    along the columns of the principal square root of ``cov``
+    """Sigma point set and weights for a Gaussian, spread along the columns
+    of the principal square root of ``cov``
     (:func:`~corrpose.mc._sqrt_factor`), so the points and the result are
     continuous in ``cov``, singular ``cov`` included (an indefinite one
     raises :class:`ConversionError`)."""
     dim = mean.shape[0]
-    spread, wm, wc = cfg.spread_and_weights(dim)
+    spread, w = cfg.spread_and_weights(dim)
     L = _sqrt_factor(cov, err=ConversionError)
     offsets = np.sqrt(spread) * L
     points = np.empty((2 * dim + 1, dim))
     points[0] = mean
     points[1 : dim + 1] = mean[None, :] + offsets.T
     points[dim + 1 :] = mean[None, :] - offsets.T
-    return points, wm, wc
+    return points, w
 
 
 def _centered_logs(b: SscBelief, points: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -133,18 +114,18 @@ def ut_convert(b: SscBelief, cfg: UtConfig = UtConfig()) -> JointPoseBelief:
 
     Means map pose-wise through the coordinate-to-group function; the stacked
     covariance is the weighted outer-product sum of the identity-centered
-    logs of all 12n + 1 sigma points.  The covariance sum is taken about zero
-    (the central point maps to zero exactly); use :func:`ut_residual_mean` to
-    inspect the size of the neglected weighted mean.
+    logs of the sigma points, taken about zero.  It drops the central point,
+    whose log is zero but for rounding; :func:`ut_residual_mean` keeps it
+    when ``kappa != 0`` and gives the size of the neglected weighted mean.
     """
-    points, _, wc = sigma_points(b.mean, b.cov, cfg)
+    points, w = sigma_points(b.mean, b.cov, cfg)
     means = [ssc_to_pose(b.pose_mean(i)) for i in range(b.n)]
-    # l of the central point (and of any copy of it) is zero by construction
-    rows = np.flatnonzero((wc != 0.0) & (points != points[0]).any(axis=1))
+    # l of the central point is zero but for rounding, and it is dropped
+    rows = np.flatnonzero((w != 0.0) & (points != points[0]).any(axis=1))
     dim = 6 * b.n
     cov = np.zeros((dim, dim))
-    for w, ell in zip(wc[rows], _centered_logs(b, points, rows)):
-        cov += w * np.outer(ell, ell)
+    for wk, ell in zip(w[rows], _centered_logs(b, points, rows)):
+        cov += wk * np.outer(ell, ell)
     cov = 0.5 * (cov + cov.T)
     return JointPoseBelief(tuple(range(b.n)), means, cov)
 
@@ -155,9 +136,9 @@ def ut_residual_mean(b: SscBelief, cfg: UtConfig = UtConfig()) -> np.ndarray:
     The covariance formula does not subtract this residual; its norm bounds
     the resulting bias and shrinks with the input covariance.
     """
-    points, wm, _ = sigma_points(b.mean, b.cov, cfg)
-    rows = np.flatnonzero(wm != 0.0)
+    points, w = sigma_points(b.mean, b.cov, cfg)
+    rows = np.flatnonzero(w != 0.0)
     out = np.zeros(6 * b.n)
-    for w, ell in zip(wm[rows], _centered_logs(b, points, rows)):
-        out += w * ell
+    for wk, ell in zip(w[rows], _centered_logs(b, points, rows)):
+        out += wk * ell
     return out

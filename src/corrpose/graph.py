@@ -18,9 +18,8 @@ matrices, checked when the graph is made (a solved copy checks only its
 new vertex stacks).  The generator, the loader, :func:`solve` and
 :class:`Marginals` make and read these arrays with no :class:`Pose` or
 :class:`Edge` per vertex or edge; ``vertices`` and ``edges`` are read-only
-views built when read, and :meth:`Marginals.pair_beliefs` builds a Pose
-only for each vertex its pairs touch.  The stacked products are those a
-Pose would form, so the arrays equal the per-object results bit for bit.
+views built whole on first read.  The stacked products are those a Pose
+would form, so the arrays equal the per-object results bit for bit.
 """
 
 from __future__ import annotations
@@ -28,6 +27,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 import scipy.sparse
@@ -67,6 +67,8 @@ _MIN_PIVOT_RATIO = 1e-10
 # and with it the peak RSS of later work (slam-500 +1.9% with one array of
 # all path rows).
 _WORK_BYTES = 1 << 19
+# Fewest steps between two visits of a grid cell that close a loop.
+_MIN_LOOP_GAP = 20
 
 
 class GraphParseError(ValueError):
@@ -168,31 +170,6 @@ def _endpoint_rows(keys: np.ndarray, ends: np.ndarray) -> np.ndarray:
     return rows
 
 
-class _VertexView(Mapping):
-    """Read-only key -> :class:`Pose` view of a graph's vertex stacks, in key
-    order; each Pose is built on its first read and then kept."""
-
-    def __init__(self, graph: "PoseGraph"):
-        self._graph = graph
-        self._poses: dict[int, Pose] = {}
-
-    def __getitem__(self, key) -> Pose:
-        pose = self._poses.get(key)
-        if pose is None:
-            row = self._graph._rows[key]
-            pose = self._poses[key] = Pose._of_checked(self._graph.R[row], self._graph.t[row])
-        return pose
-
-    def __contains__(self, key) -> bool:
-        return key in self._graph._rows
-
-    def __iter__(self):
-        return iter(self._graph._rows)
-
-    def __len__(self) -> int:
-        return len(self._graph._rows)
-
-
 class PoseGraph:
     """Keyed SE(2) vertices plus relative-pose edges with information matrices.
 
@@ -201,8 +178,8 @@ class PoseGraph:
     ``t`` (n, 2), and per edge its endpoint keys ``ends`` (E, 2), its
     measurement's rotation ``Z_R`` (E, 2, 2) and translation ``Z_t``
     (E, 2), and its symmetrized ``information`` (E, 3, 3).  ``vertices``
-    (key -> :class:`Pose`) and ``edges`` (:class:`Edge` tuple) are
-    read-only views of them, built only when read.
+    (key -> :class:`Pose`, in key order) and ``edges`` (:class:`Edge`
+    tuple) are read-only views of them, each built whole on first read.
     """
 
     def __init__(self, vertices: Mapping[int, Pose], edges: Sequence[Edge], *,
@@ -261,11 +238,14 @@ class PoseGraph:
         self.information = _frozen(information)
         self.skipped_lines = int(skipped_lines)
         self.solved = bool(solved)
-        self._vertices = _VertexView(self)
-        self._edges = None
+        self._vertices = self._edges = None
 
     @property
     def vertices(self) -> Mapping[int, Pose]:
+        if self._vertices is None:
+            self._vertices = MappingProxyType({
+                k: Pose._of_checked(R, t) for k, R, t in zip(self.keys.tolist(), self.R, self.t)
+            })
         return self._vertices
 
     @property
@@ -295,18 +275,20 @@ class PoseGraph:
             adjacency, directed=False, return_labels=False) == 1
 
 
-_VERTEX_TAGS = ("VERTEX_SE2", "VERTEX2")
-_EDGE_TAGS = ("EDGE_SE2", "EDGE2")
+# TORO writes EDGE2 information as I11 I12 I22 I33 I13 I23, not in g2o's
+# order; with no TORO file to test its edge direction on, its records are
+# refused rather than read
+_TORO_TAGS = ("VERTEX2", "EDGE2")
 # information entries in the upper-triangular, row-major order of the file
 _UPPER = [0, 1, 2, 1, 3, 4, 2, 4, 5]
 
 
 def load_graph(path) -> PoseGraph:
-    """Parse a planar g2o/TORO text file.
+    """Parse a planar g2o text file.
 
     ``VERTEX_SE2 id x y theta`` and ``EDGE_SE2 i j dx dy dtheta I11 I12 I13
-    I22 I23 I33`` (upper-triangular information, row-major), with ``VERTEX2``
-    / ``EDGE2`` accepted as aliases carrying the same payload order.  Lines
+    I22 I23 I33`` (upper-triangular information, row-major).  A TORO
+    ``VERTEX2`` or ``EDGE2`` line raises :class:`GraphParseError`.  Lines
     starting with ``#`` are comments; unknown record types are skipped and
     counted on the returned graph.  A repeated vertex id keeps its last line.
     The lines are read into lists and the graph is made from their arrays;
@@ -325,7 +307,10 @@ def load_graph(path) -> PoseGraph:
             tok = line.split()
             tag = tok[0]
             try:
-                if tag in _VERTEX_TAGS:
+                if tag in _TORO_TAGS:
+                    raise ValueError(f"{tag} is a TORO record, which is not read; "
+                                     "write the graph as g2o VERTEX_SE2/EDGE_SE2")
+                if tag == "VERTEX_SE2":
                     if len(tok) != 5:
                         raise ValueError(f"expected 4 fields after {tag}, got {len(tok) - 1}")
                     key = int(tok[1])
@@ -333,7 +318,7 @@ def load_graph(path) -> PoseGraph:
                     if not all(map(math.isfinite, pose)):
                         raise ValueError("pose entries must be finite")
                     vertices[key] = pose
-                elif tag in _EDGE_TAGS:
+                elif tag == "EDGE_SE2":
                     if len(tok) != 12:
                         raise ValueError(f"expected 11 fields after {tag}, got {len(tok) - 1}")
                     i, j = int(tok[1]), int(tok[2])
@@ -674,7 +659,7 @@ class Marginals:
                 X = _segment_products(A, B, n)
                 cov[p, :3, 3:], cov[p, 3:, :3] = X, np.swapaxes(X, 1, 2)
         cov = checked_covs(cov, what="pair covariance")
-        vertices = self._graph.vertices  # a Pose for each vertex read, built once
+        vertices = self._graph.vertices
         return [PosePairBelief._of_checked((vertices[i], vertices[j]), c)
                 for (i, j), c in zip(pairs, cov)]
 
@@ -684,11 +669,12 @@ class Marginals:
 # ---------------------------------------------------------------------------
 
 def generate_grid_world(n_poses: int = 500, seed=0, *, trans_sigma: float = 0.14,
-                        rot_sigma: float = 0.1, loop_prob: float = 0.5,
-                        min_loop_gap: int = 20, step_length: float = 1.0) -> PoseGraph:
+                        rot_sigma: float = 0.1, loop_prob: float = 0.5) -> PoseGraph:
     """Manhattan-style random-walk pose graph with odometry and loop closures.
 
-    Ground-truth motion lives on an integer grid with 90-degree turns.  Every
+    Ground-truth motion takes unit steps on an integer grid with 90-degree
+    turns; a revisited cell closes a loop with probability ``loop_prob`` if
+    the earlier visit is at least ``_MIN_LOOP_GAP`` steps back.  Every
     measurement is the true relative pose left-perturbed by Gaussian noise
     drawn from the edge's noise model (default sigmas match the public
     Manhattan benchmark's information matrices); vertex initial values
@@ -700,7 +686,7 @@ def generate_grid_world(n_poses: int = 500, seed=0, *, trans_sigma: float = 0.14
     # ground truth: one turn draw per step, each step a product of the 2x2
     # blocks Pose.planar and Pose.__matmul__ would form
     turn = np.array([0.0, np.pi / 2, -np.pi / 2])
-    R_turn, t_turn = planar_blocks(step_length * np.cos(turn), step_length * np.sin(turn), turn)
+    R_turn, t_turn = planar_blocks(np.cos(turn), np.sin(turn), turn)
     R = np.empty((n_poses, 2, 2))
     t = np.empty((n_poses, 2))
     R[0], t[0] = np.eye(2), 0.0
@@ -713,7 +699,7 @@ def generate_grid_world(n_poses: int = 500, seed=0, *, trans_sigma: float = 0.14
         x, y = t[k].tolist()
         cell = (round(x), round(y))
         for prev in cells.get(cell, []):
-            if k - prev >= min_loop_gap and rng.uniform() < loop_prob:
+            if k - prev >= _MIN_LOOP_GAP and rng.uniform() < loop_prob:
                 loops.append((prev, k))
                 break
         cells.setdefault(cell, []).append(k)

@@ -174,10 +174,6 @@ class Pose:
         R, t = compose_blocks(self.R[None], self.t[None], other.R[None], other.t[None])
         return Pose._of_checked(R[0], t[0])
 
-    def apply(self, p) -> np.ndarray:
-        """Map a point from the local frame into the parent frame."""
-        return self.R @ np.asarray(p, dtype=float) + self.t
-
     def __repr__(self) -> str:
         return f"Pose(R={self.R.tolist()}, t={self.t.tolist()})"
 

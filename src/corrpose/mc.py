@@ -95,7 +95,6 @@ class SampleBatch:
     twists: np.ndarray  # (M, block_dim * n)
     block_dim: int
     means: tuple[Pose, ...] = field(default=())
-    seed: object = None
 
     def __post_init__(self):
         t = np.asarray(self.twists, dtype=float)
@@ -187,7 +186,7 @@ def sample_joint(b, M: int, seed) -> SampleBatch:
         raise TypeError(f"cannot sample from {type(b).__name__}")
     if M < 2:
         raise ValueError("M must be at least 2")
-    return SampleBatch(_draws(cov[None], int(M), [seed])[0], means[0].twist_dim, means, seed)
+    return SampleBatch(_draws(cov[None], int(M), [seed])[0], means[0].twist_dim, means)
 
 
 class RelativeSamples(NamedTuple):
@@ -197,8 +196,7 @@ class RelativeSamples(NamedTuple):
     sample m of pair r is ``exp(hat(twists[r, m])) @ T_bar_12``.
     """
 
-    R: np.ndarray  # (k, d, d) rotations of the predicted means T_bar_12 = T_bar_1^-1 T_bar_2
-    t: np.ndarray  # (k, d) their translations
+    t: np.ndarray  # (k, d) translations of the predicted means T_bar_12 = T_bar_1^-1 T_bar_2
     twists: np.ndarray  # (k, M, m) log(T_m T_bar_12^-1), unspecified where not kept
     kept: np.ndarray  # (k, M) False where the logarithm hit its branch boundary
     # (k, 4, M) cos t, sin t, sin(t)/t and (1 - cos t)/t of each SE(2) twist's
@@ -234,10 +232,10 @@ def relative_samples(pairs: Sequence[PosePairBelief], M: int, seeds) -> Relative
     ok = ok.reshape(len(pairs), M)
     for row in ok:
         _check_branch_budget(row)
-    Ad, R, t = relative_mean_blocks(pairs)
+    Ad, _, t = relative_mean_blocks(pairs)
     twists = xis.reshape(len(pairs), M, m) @ np.swapaxes(Ad, 1, 2)
     coeffs = coeffs.reshape(-1, len(pairs), M).swapaxes(0, 1)
-    return RelativeSamples(R, t, twists, ok, coeffs)
+    return RelativeSamples(t, twists, ok, coeffs)
 
 
 def _check_branch_budget(ok: np.ndarray) -> None:

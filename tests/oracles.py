@@ -151,7 +151,7 @@ def six_column_pair_belief(marg, i, j):
 
 
 def point_generate_grid_world(n_poses=500, seed=0, *, trans_sigma=0.14, rot_sigma=0.1,
-                              loop_prob=0.5, min_loop_gap=20, step_length=1.0):
+                              loop_prob=0.5):
     """``graph.generate_grid_world`` with one noise draw and one exp_map per
     edge, as it was first written: the reference for the one-call edge noise."""
     from corrpose import exp_map
@@ -166,14 +166,12 @@ def point_generate_grid_world(n_poses=500, seed=0, *, trans_sigma=0.14, rot_sigm
     loops = []
     for k in range(1, n_poses):
         turn = rng.choice([0.0, np.pi / 2, -np.pi / 2], p=[0.6, 0.2, 0.2])
-        motion = Pose.planar(
-            step_length * np.cos(turn), step_length * np.sin(turn), turn
-        )
+        motion = Pose.planar(np.cos(turn), np.sin(turn), turn)
         pose = gt[-1] @ motion
         gt.append(pose)
         cell = (int(round(pose.t[0])), int(round(pose.t[1])))
         for prev in cells.get(cell, []):
-            if k - prev >= min_loop_gap and rng.uniform() < loop_prob:
+            if k - prev >= 20 and rng.uniform() < loop_prob:
                 loops.append((prev, k))
                 break
         cells.setdefault(cell, []).append(k)
@@ -199,14 +197,7 @@ def point_generate_grid_world(n_poses=500, seed=0, *, trans_sigma=0.14, rot_sigm
 def point_load_graph(path):
     """``graph.load_graph`` one line at a time, a ``Pose`` and an ``Edge`` per
     record, as it was first written: the reference for the array loader."""
-    from corrpose.graph import (
-        _EDGE_TAGS,
-        _VERTEX_TAGS,
-        Edge,
-        GraphParseError,
-        GraphValidationError,
-        PoseGraph,
-    )
+    from corrpose.graph import Edge, GraphParseError, GraphValidationError, PoseGraph
 
     vertices = {}
     edges = []
@@ -219,13 +210,13 @@ def point_load_graph(path):
             tok = line.split()
             tag = tok[0]
             try:
-                if tag in _VERTEX_TAGS:
+                if tag == "VERTEX_SE2":
                     if len(tok) != 5:
                         raise ValueError(f"expected 4 fields after {tag}, got {len(tok) - 1}")
                     key = int(tok[1])
                     x, y, th = (float(v) for v in tok[2:5])
                     vertices[key] = Pose.planar(x, y, th)
-                elif tag in _EDGE_TAGS:
+                elif tag == "EDGE_SE2":
                     if len(tok) != 12:
                         raise ValueError(f"expected 11 fields after {tag}, got {len(tok) - 1}")
                     i, j = int(tok[1]), int(tok[2])
@@ -464,38 +455,61 @@ def _point_stacked_log(point, mean_inverses, k):
     return out
 
 
-def point_ut_convert(b, cfg=None):
+def point_ut_convert(b, cfg=None, *, sigma=None):
+    """``ut_convert`` one point at a time, with the points and covariance
+    weights ``sigma`` if given, else those of ``cfg``."""
     from corrpose.belief import JointPoseBelief
     from corrpose.convert import UtConfig, sigma_points
     from corrpose.ssc import ssc_to_pose
 
-    points, _, wc = sigma_points(b.mean, b.cov, cfg or UtConfig())
+    points, w = sigma or sigma_points(b.mean, b.cov, cfg or UtConfig())
     means = [ssc_to_pose(b.pose_mean(i)) for i in range(b.n)]
     mean_inverses = [T.inverse() for T in means]
     dim = 6 * b.n
     cov = np.zeros((dim, dim))
-    for k, (w, point) in enumerate(zip(wc, points)):
-        if w == 0.0 or np.array_equal(point, points[0]):
-            continue  # l of the central point is zero by construction
+    for k, (wk, point) in enumerate(zip(w, points)):
+        if wk == 0.0 or np.array_equal(point, points[0]):
+            continue  # l of the central point is zero but for rounding, and dropped
         ell = _point_stacked_log(point, mean_inverses, k)
-        cov += w * np.outer(ell, ell)
+        cov += wk * np.outer(ell, ell)
     cov = 0.5 * (cov + cov.T)
     return JointPoseBelief(tuple(range(b.n)), means, cov)
 
 
-def point_ut_residual_mean(b, cfg=None):
+def point_ut_residual_mean(b, cfg=None, *, sigma=None):
+    """``ut_residual_mean`` one point at a time, with the points and mean
+    weights ``sigma`` if given, else those of ``cfg``."""
     from corrpose.convert import UtConfig, sigma_points
     from corrpose.ssc import ssc_to_pose
 
-    points, wm, _ = sigma_points(b.mean, b.cov, cfg or UtConfig())
+    points, w = sigma or sigma_points(b.mean, b.cov, cfg or UtConfig())
     means = [ssc_to_pose(b.pose_mean(i)) for i in range(b.n)]
     mean_inverses = [T.inverse() for T in means]
     out = np.zeros(6 * b.n)
-    for k, (w, point) in enumerate(zip(wm, points)):
-        if w == 0.0:
+    for k, (wk, point) in enumerate(zip(w, points)):
+        if wk == 0.0:
             continue
-        out += w * _point_stacked_log(point, mean_inverses, k)
+        out += wk * _point_stacked_log(point, mean_inverses, k)
     return out
+
+
+def scaled_sigma_points(mean, cov, alpha, kappa, beta=2.0):
+    """The scaled unscented transform's points, mean weights and covariance
+    weights (Julier, 2002), one point at a time, with the spread taken as
+    ``dim + lam`` as the package's scaled mode once took it."""
+    from corrpose.convert import ConversionError
+    from corrpose.mc import _sqrt_factor
+
+    dim = mean.shape[0]
+    lam = alpha ** 2 * (dim + kappa) - dim
+    spread = dim + lam
+    offsets = np.sqrt(spread) * _sqrt_factor(cov, err=ConversionError)
+    points = np.array([mean] + [mean + offsets[:, i] for i in range(dim)]
+                      + [mean - offsets[:, i] for i in range(dim)])
+    wm = np.array([lam / spread] + [1.0 / (2.0 * spread)] * (2 * dim))
+    wc = wm.copy()
+    wc[0] = lam / spread + (1.0 - alpha ** 2 + beta)
+    return points, wm, wc
 
 
 # ---------------------------------------------------------------------------

@@ -401,8 +401,8 @@ def test_between_covs_bit_identical_to_one_pair_calls(dim):
 
 
 def test_between_covs_form_each_adjoint_once_and_no_means(monkeypatch):
-    # the two predictions and the oracle of a block share each pair's
-    # Ad(T_ij^-1); between_covs never composes the relative means
+    # each call forms every pair's Ad(T_ij^-1) in one stack; between_covs
+    # never composes the relative means
     import corrpose.belief as bel
 
     pairs = _random_pairs(np.random.default_rng(12), 2, 20)
@@ -412,10 +412,10 @@ def test_between_covs_form_each_adjoint_once_and_no_means(monkeypatch):
     monkeypatch.setattr(bel, "compose_blocks", None)  # any call raises TypeError
     bel.between_covs(pairs[:16], use_cross=True)
     bel.between_covs(pairs, use_cross=False)
-    assert calls == [16, 4]
+    assert calls == [16, 20]
     monkeypatch.setattr(bel, "compose_blocks", cp.liegroup.compose_blocks)
     assert bel.relative_mean_blocks(pairs)[0].shape == (20, 3, 3)
-    assert calls == [16, 4]
+    assert calls == [16, 20, 20]
 
 
 def test_stacked_cov_checks_raise_like_one_matrix():

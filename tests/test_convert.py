@@ -7,7 +7,13 @@ import pytest
 import corrpose as cp
 from corrpose import convert, ssc
 from corrpose.liegroup import log_many_masked
-from oracles import point_ut_convert, point_ut_residual_mean, random_psd, ssc_matrices
+from oracles import (
+    point_ut_convert,
+    point_ut_residual_mean,
+    random_psd,
+    scaled_sigma_points,
+    ssc_matrices,
+)
 
 DEMO_MEAN = np.array([3.0, 3.0, 0.0, 0.0, 0.0, np.pi / 4])
 DEMO_COV = np.diag([0.005, 0.005, 1e-5, 1e-5, 1e-5, 0.006])
@@ -48,23 +54,21 @@ def test_sigma_point_count_and_weight_sum():
         mean = np.tile(DEMO_MEAN, n)
         cov = np.kron(np.eye(n), DEMO_COV)
         b = ssc.SscBelief(mean, cov)
-        points, wm, wc = convert.sigma_points(b.mean, b.cov, convert.UtConfig())
+        points, w = convert.sigma_points(b.mean, b.cov, convert.UtConfig())
         assert points.shape == (12 * n + 1, 6 * n)
-        npt.assert_allclose(wm.sum(), 1.0, atol=1e-12)
-        npt.assert_allclose(wc.sum(), 1.0, atol=1e-12)
-        assert (wm >= 0).all()
+        npt.assert_allclose(w.sum(), 1.0, atol=1e-12)
+        assert (w >= 0).all()
 
 
 def test_scaled_mode_mean_weights_sum_to_one():
-    cfg = convert.UtConfig(kappa=0.0, mode="scaled", alpha=0.5, beta=2.0)
-    spread, wm, wc = cfg.spread_and_weights(6)
-    npt.assert_allclose(wm.sum(), 1.0, atol=1e-12)
-    assert spread > 0
+    # the scaled transform's alpha = 0.5, kappa = 0 is kappa' = -4.5 at dim 6,
+    # whose centre weight is negative
+    spread, w = convert.UtConfig(kappa=0.5 ** 2 * 6 - 6).spread_and_weights(6)
+    npt.assert_allclose(w.sum(), 1.0, atol=1e-12)
+    assert spread > 0 and w[0] < 0
 
 
 def test_bad_configs_rejected():
-    with pytest.raises(ValueError):
-        convert.UtConfig(mode="cubature")
     with pytest.raises(ValueError):
         convert.UtConfig(kappa=-6.0).spread_and_weights(6)
 
@@ -158,9 +162,9 @@ def test_converts_every_covariance_the_belief_accepts():
     Q = np.linalg.qr(np.random.default_rng(3).normal(size=(6, 6)))[0]
     b = ssc.SscBelief(DEMO_MEAN, (Q * w) @ Q.T)
     assert np.linalg.eigvalsh(b.cov).min() < 0.0
-    points, _, wc = convert.sigma_points(b.mean, b.cov, convert.UtConfig())
+    points, w = convert.sigma_points(b.mean, b.cov, convert.UtConfig())
     d = points - b.mean
-    assert np.abs(np.einsum("k,ki,kj->ij", wc, d, d) - b.cov).max() < 1e-10
+    assert np.abs(np.einsum("k,ki,kj->ij", w, d, d) - b.cov).max() < 1e-10
     out = convert.ut_convert(b).cov
     lin = linearized_conversion(b)
     assert np.abs(out - lin).max() < 1e-3 * np.abs(lin).max()
@@ -223,10 +227,12 @@ def test_sigma_point_singularity_in_second_pose_block():
 # bit identity with the per-point conversion
 # ---------------------------------------------------------------------------
 
+# each a function of the stacked dimension; "scaled" is the scaled
+# transform's alpha = 0.5, kappa = 0 (see the shifted-kappa test below)
 UT_CONFIGS = {
-    "standard": convert.UtConfig(),
-    "kappa1": convert.UtConfig(kappa=1.0),
-    "scaled": convert.UtConfig(mode="scaled", alpha=0.5, beta=2.0),
+    "standard": lambda dim: convert.UtConfig(),
+    "kappa1": lambda dim: convert.UtConfig(kappa=1.0),
+    "scaled": lambda dim: convert.UtConfig(kappa=0.5 ** 2 * dim - dim),
 }
 
 
@@ -254,13 +260,14 @@ def assert_matches_point_oracle(b, cfg):
 @pytest.mark.parametrize("n", [1, 2, 3, 20])
 def test_bit_identical_to_point_oracle(n, cfg):
     for seed in range(3 if n < 20 else 1):
-        assert_matches_point_oracle(joint_belief(n, seed), cfg)
+        assert_matches_point_oracle(joint_belief(n, seed), cfg(6 * n))
 
 
 @pytest.mark.parametrize("cfg", UT_CONFIGS.values(), ids=UT_CONFIGS.keys())
 def test_bit_identical_near_branch_cut(cfg):
     # yaw spreads put sigma-point rotations near 3 rad in block 0 and within
     # the log's near-pi axis branch in block 1
+    cfg = cfg(12)
     spread = cfg.spread_and_weights(12)[0]
     rng = np.random.default_rng(21)
     cov = np.zeros((12, 12))
@@ -271,4 +278,23 @@ def test_bit_identical_near_branch_cut(cfg):
     cov[11, 11] = (np.pi - 5e-5) ** 2 / spread
     mean = np.concatenate([DEMO_MEAN, DEMO_MEAN + [1.0, 0.5, 0, 0.1, -0.2, 0.2]])
     assert_matches_point_oracle(ssc.SscBelief(mean, cov), cfg)
+
+
+@pytest.mark.parametrize("alpha,kappa", [(0.5, 0.0), (1.3, 2.0)])
+@pytest.mark.parametrize("n", [1, 3])
+def test_scaled_weights_equal_standard_weights_at_shifted_kappa(n, alpha, kappa):
+    # the scaled transform at (alpha, kappa) is the standard one at
+    # kappa' = alpha^2 (dim + kappa) - dim: the same points and mean weights,
+    # and covariance weights that differ only at the dropped centre point
+    dim = 6 * n
+    cfg = convert.UtConfig(kappa=alpha ** 2 * (dim + kappa) - dim)
+    for seed in range(3):
+        b = joint_belief(n, seed)
+        points, wm, wc = scaled_sigma_points(b.mean, b.cov, alpha, kappa)
+        got, w = convert.sigma_points(b.mean, b.cov, cfg)
+        assert np.array_equal(got, points) and np.array_equal(w, wm)
+        assert np.array_equal(convert.ut_convert(b, cfg).cov,
+                              point_ut_convert(b, sigma=(points, wc)).cov)
+        assert np.array_equal(convert.ut_residual_mean(b, cfg),
+                              point_ut_residual_mean(b, sigma=(points, wm)))
 

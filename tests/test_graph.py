@@ -61,17 +61,24 @@ def test_load_minimal_graph(tmp_path):
 
 
 def test_load_toro_aliases_and_unknown_lines(tmp_path):
-    p = tmp_path / "g.toro"
+    p = tmp_path / "g.g2o"
     p.write_text(
-        "VERTEX2 0 0 0 0\n"
-        "VERTEX2 1 2 0 0\n"
-        "EDGE2 0 1 2 0 0 1 0 0 1 0 1\n"
+        "VERTEX_SE2 0 0 0 0\n"
+        "VERTEX_SE2 1 2 0 0\n"
+        "EDGE_SE2 0 1 2 0 0 1 0 0 1 0 1\n"
         "EDGE_SE3:QUAT 0 1 0 0 0 0 0 0 1\n"  # unknown type, skipped
     )
     g = gr.load_graph(p)
     assert g.n_vertices == 2 and g.n_edges == 1
     assert g.skipped_lines == 1
     npt.assert_allclose(g.edges[0].measurement.t, [2.0, 0.0])
+    # TORO's EDGE2 information is I11 I12 I22 I33 I13 I23, not g2o's order:
+    # read as g2o, this PSD one would be refused as not PSD
+    for line in ("VERTEX2 1 2 0 0", "EDGE2 0 1 1 0 0 100 0 100 400 0 0"):
+        p.write_text("VERTEX_SE2 0 0 0 0\n# TORO\n" + line + "\n")
+        with pytest.raises(gr.GraphParseError, match=r"^line 3: .* is a TORO record") as exc:
+            gr.load_graph(p)
+        assert exc.value.line_no == 3
 
 
 def test_load_information_upper_triangular_order(tmp_path):
@@ -116,8 +123,7 @@ def _write_g2o(path, g, bad_info_edge=None, tail="", bad_upper=_INDEFINITE):
         if e == bad_info_edge:
             upper = np.array(bad_upper)
         theta = float(np.arctan2(R[1, 0], R[0, 0]))
-        tag = "EDGE2" if e % 7 == 3 else "EDGE_SE2"
-        lines.append(f"{tag} {i} {j} {float(t[0])!r} {float(t[1])!r} {theta!r} "
+        lines.append(f"EDGE_SE2 {i} {j} {float(t[0])!r} {float(t[1])!r} {theta!r} "
                      + " ".join(repr(float(v)) for v in upper))
     path.write_text("\n".join(lines) + "\n" + tail)
 
@@ -185,9 +191,9 @@ def test_information_psd_tolerance_is_the_whiteners():
 
 def test_graph_views_are_read_only_and_built_when_read():
     g = gr.generate_grid_world(30, seed=2)
-    assert g.vertices._poses == {} and g._edges is None
+    assert g._vertices is None and g._edges is None
     T = g.vertices[7]
-    assert g.vertices[7] is T and list(g.vertices._poses) == [7]
+    assert g.vertices[7] is T and len(g._vertices) == 30
     assert np.array_equal(T.R, g.R[7]) and np.array_equal(T.t, g.t[7])
     assert list(g.vertices) == list(range(30)) and 7 in g.vertices and 30 not in g.vertices
     with pytest.raises(KeyError):
