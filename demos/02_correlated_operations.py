@@ -57,6 +57,5 @@ print("\ninverse twice returns the original trace:",
       np.trace(cp.inverse(cp.inverse(u)).cov), "vs", np.trace(u.cov))
 
 # Long chains keep every lag-1 correlation via one joint belief.
-spec = cp.ChainNoiseSpec(step, sigma, n_steps=10, rho=0.4)
-joint = cp.build_chain_joint(spec)
+joint = cp.chain_joint(step, sigma, n_steps=10, rho=0.4)
 print("\n10-step chain mean translation:", cp.compose_chain(joint).mean.t)

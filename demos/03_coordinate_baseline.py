@@ -20,11 +20,9 @@ step_mean = cp.Pose(np.eye(3), [1.0, 0.0, 0.0])
 step_cov = np.diag([3e-3, 3e-5, 1e-5, 1e-5, 1e-5, 9e-3])  # sigma_t = sigma_r = 3
 N, RHO, M, P = 10, 0.4, 10_000, 0.999
 
-joint = cp.build_chain_joint(cp.ChainNoiseSpec(step_mean, step_cov, N, RHO))
+joint = cp.chain_joint(step_mean, step_cov, N, RHO)
 aware = cp.compose_chain(joint)
-independent = cp.compose_chain(
-    cp.build_chain_joint(cp.ChainNoiseSpec(step_mean, step_cov, N, 0.0))
-)
+independent = cp.compose_chain(cp.chain_joint(step_mean, step_cov, N))
 
 # coordinate baseline: convert the step belief once, then fold N times
 step_ssc = lie_to_ssc(cp.UncertainPose(step_mean, step_cov))

@@ -30,7 +30,7 @@ coord = SscBelief(mean_params, res.T @ res / res.shape[0])
 
 # unscented conversion back to twist space: 12n+1 sigma points, each run
 # through log(f(x) f(x_hat)^-1)
-converted = cp.ut_convert(coord, cp.UtConfig(kappa=0.0))
+converted = cp.ut_convert(coord, kappa=0.0)
 print("converted twist covariance diagonal:", np.diag(converted.cov).round(4))
 
 # compare against what the true twist covariance actually is

@@ -38,11 +38,10 @@ from .belief import (
     marginal_pair,
 )
 from .mc import (
-    ChainNoiseSpec,
     InvalidSpecError,
     SampleBatch,
     SamplingError,
-    build_chain_joint,
+    chain_joint,
     chi2_quantile,
     containment_fraction,
     cov_error,
@@ -59,7 +58,7 @@ from .ssc import (
     ssc_to_pose,
     tail_to_tail,
 )
-from .convert import ConversionError, SigmaPointSingularityError, UtConfig, ut_convert
+from .convert import ConversionError, SigmaPointSingularityError, ut_convert
 from .graph import (
     Edge,
     Marginals,
@@ -98,11 +97,10 @@ __all__ = [
     "compose_chain",
     "inverse",
     "marginal_pair",
-    "ChainNoiseSpec",
     "InvalidSpecError",
     "SampleBatch",
     "SamplingError",
-    "build_chain_joint",
+    "chain_joint",
     "chi2_quantile",
     "containment_fraction",
     "cov_error",
@@ -118,7 +116,6 @@ __all__ = [
     "tail_to_tail",
     "ConversionError",
     "SigmaPointSingularityError",
-    "UtConfig",
     "ut_convert",
     "Edge",
     "Marginals",

@@ -20,8 +20,6 @@ time; the weighted sums keep that per-point order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .belief import JointPoseBelief
@@ -47,39 +45,31 @@ class SigmaPointSingularityError(RuntimeError):
         )
 
 
-@dataclass(frozen=True)
-class UtConfig:
-    """Julier's unscented-transform weights, which need ``dim + kappa > 0``.
+def sigma_points(mean: np.ndarray, cov: np.ndarray, kappa: float = 0.0):
+    """Sigma points and Julier's weights for a Gaussian, which need
+    ``dim + kappa > 0``, spread along the columns of the principal square
+    root of ``cov`` (:func:`~corrpose.mc._sqrt_factor`), so the points and
+    the result are continuous in ``cov``, singular ``cov`` included (an
+    indefinite one raises :class:`ConversionError`).
 
     The default ``kappa = 0`` keeps every weight nonnegative for any stacked
     dimension (``kappa = 3 - dim`` goes negative for dim >= 3 and can produce
     indefinite outputs).  The scaled transform at ``(alpha, kappa)`` is
     ``kappa' = alpha^2 (dim + kappa) - dim`` here, but for the centre point's
     covariance weight, which :func:`ut_convert` drops.
+
+    Far from the linear range the converted covariance depends on which
+    square root spreads the points: on the ``convert-demo`` default, a
+    Cholesky factor in place of the principal root moves it by 37% of its
+    largest entry.
     """
-
-    kappa: float = 0.0
-
-    def spread_and_weights(self, dim: int) -> tuple[float, np.ndarray]:
-        """(squared point spread, weights) for ``dim``."""
-        denom = dim + self.kappa
-        if denom <= 0:
-            raise ValueError(f"dim + kappa must be positive, got {denom}")
-        w = np.full(2 * dim + 1, 1.0 / (2.0 * denom))
-        w[0] = self.kappa / denom
-        return denom, w
-
-
-def sigma_points(mean: np.ndarray, cov: np.ndarray, cfg: UtConfig):
-    """Sigma point set and weights for a Gaussian, spread along the columns
-    of the principal square root of ``cov``
-    (:func:`~corrpose.mc._sqrt_factor`), so the points and the result are
-    continuous in ``cov``, singular ``cov`` included (an indefinite one
-    raises :class:`ConversionError`)."""
     dim = mean.shape[0]
-    spread, w = cfg.spread_and_weights(dim)
-    L = _sqrt_factor(cov, err=ConversionError)
-    offsets = np.sqrt(spread) * L
+    spread = dim + kappa
+    if spread <= 0:
+        raise ValueError(f"dim + kappa must be positive, got {spread}")
+    w = np.full(2 * dim + 1, 1.0 / (2.0 * spread))
+    w[0] = kappa / spread
+    offsets = np.sqrt(spread) * _sqrt_factor(cov, err=ConversionError)
     points = np.empty((2 * dim + 1, dim))
     points[0] = mean
     points[1 : dim + 1] = mean[None, :] + offsets.T
@@ -109,7 +99,7 @@ def _centered_logs(b: SscBelief, points: np.ndarray, rows: np.ndarray) -> np.nda
     return logs.reshape(rows.size, 6 * n)
 
 
-def ut_convert(b: SscBelief, cfg: UtConfig = UtConfig()) -> JointPoseBelief:
+def ut_convert(b: SscBelief, kappa: float = 0.0) -> JointPoseBelief:
     """Twist-space joint belief of an Euler-coordinate belief.
 
     Means map pose-wise through the coordinate-to-group function; the stacked
@@ -118,7 +108,7 @@ def ut_convert(b: SscBelief, cfg: UtConfig = UtConfig()) -> JointPoseBelief:
     whose log is zero but for rounding; :func:`ut_residual_mean` keeps it
     when ``kappa != 0`` and gives the size of the neglected weighted mean.
     """
-    points, w = sigma_points(b.mean, b.cov, cfg)
+    points, w = sigma_points(b.mean, b.cov, kappa)
     means = [ssc_to_pose(b.pose_mean(i)) for i in range(b.n)]
     # l of the central point is zero but for rounding, and it is dropped
     rows = np.flatnonzero((w != 0.0) & (points != points[0]).any(axis=1))
@@ -130,13 +120,13 @@ def ut_convert(b: SscBelief, cfg: UtConfig = UtConfig()) -> JointPoseBelief:
     return JointPoseBelief(tuple(range(b.n)), means, cov)
 
 
-def ut_residual_mean(b: SscBelief, cfg: UtConfig = UtConfig()) -> np.ndarray:
+def ut_residual_mean(b: SscBelief, kappa: float = 0.0) -> np.ndarray:
     """Weighted mean of the sigma-point logs (diagnostic).
 
     The covariance formula does not subtract this residual; its norm bounds
     the resulting bias and shrinks with the input covariance.
     """
-    points, w = sigma_points(b.mean, b.cov, cfg)
+    points, w = sigma_points(b.mean, b.cov, kappa)
     rows = np.flatnonzero(w != 0.0)
     out = np.zeros(6 * b.n)
     for wk, ell in zip(w[rows], _centered_logs(b, points, rows)):

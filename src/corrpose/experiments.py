@@ -48,14 +48,13 @@ from .belief import (
     between_ignoring_correlation,
     compose_chain,
 )
-from .convert import UtConfig, ut_convert
+from .convert import ut_convert
 from .liegroup import Pose, homogeneous
 from .mc import (
-    ChainNoiseSpec,
     InvalidSpecError,
     _sample_covs,
     _sqrt_factor,
-    build_chain_joint,
+    chain_joint,
     chi2_quantile,
     containment_fraction,
     cov_error,
@@ -287,13 +286,13 @@ def _ssc_chain_cov(step_belief: SscBelief, n_steps: int) -> SscBelief:
     return acc
 
 
-def _chain_spec(cfg, value, rho) -> ChainNoiseSpec:
-    """The chain of one sweep point, ``cfg`` with the key that ``sweep`` names
-    set to ``value``, its steps correlated by ``rho``; building it checks the
-    joint, and one that is not PSD raises :class:`InvalidSpecError`."""
+def _sweep_chain(cfg, value, rho):
+    """Chain joint of one sweep point, ``cfg`` with the key that ``sweep``
+    names set to ``value``, its steps correlated by ``rho``; one that is not
+    PSD raises :class:`InvalidSpecError`."""
     point = {**cfg, cfg["sweep"]: value}
     cov = _step_cov(point["sigma_t"], point["sigma_r"])
-    return ChainNoiseSpec(_STEP_MEAN, cov, point["N"], rho)
+    return chain_joint(_STEP_MEAN, cov, point["N"], rho)
 
 
 def _check_chain_joints(cfg) -> None:
@@ -301,7 +300,7 @@ def _check_chain_joints(cfg) -> None:
     makes one of them not PSD exits 2 before any sampling."""
     for value in cfg["values"]:
         try:
-            _chain_spec(cfg, value, cfg["rho"])
+            _sweep_chain(cfg, value, cfg["rho"])
         except InvalidSpecError as e:
             raise ConfigError(f"config key 'rho': {e}") from None
 
@@ -310,21 +309,18 @@ def _chain_point(cfg, value, seed):
     """Rows of one sweep point: ``cfg`` with the key that ``sweep`` names set to ``value``."""
     t0 = time.perf_counter()
     sweep, methods, p, dof_mode = cfg["sweep"], cfg["methods"], cfg["p"], cfg["dof_mode"]
-    spec = _chain_spec(cfg, value, cfg["rho"])
-    n_steps, cov = spec.n_steps, spec.step_cov
-    joint = build_chain_joint(spec)
+    joint = _sweep_chain(cfg, value, cfg["rho"])
     chain = compose_chain(joint)
     predicted = {}
     if "lie-correlated" in methods:
         predicted["lie-correlated"] = chain.cov
     if "lie-independent" in methods:
-        ind = build_chain_joint(_chain_spec(cfg, value, 0.0))
-        predicted["lie-independent"] = compose_chain(ind).cov
+        predicted["lie-independent"] = compose_chain(_sweep_chain(cfg, value, 0.0)).cov
     mean_final = chain.mean
 
     batch = sample_joint(joint, cfg["M"], seed)
     acc = batch.pose_matrices(0)
-    for k in range(1, n_steps):
+    for k in range(1, joint.n):
         acc = acc @ batch.pose_matrices(k)
     xis, ok = twists_about(acc, mean_final)
     mc_twist = _sample_covs(xis[None], ok[None])[0]
@@ -333,8 +329,7 @@ def _chain_point(cfg, value, seed):
     rows = []
     for method in methods:
         if method == "ssc":
-            step_ssc = lie_to_ssc(UncertainPose(_STEP_MEAN, cov))
-            pred = _ssc_chain_cov(step_ssc, n_steps)
+            pred = _ssc_chain_cov(lie_to_ssc(joint.marginal(0)), joint.n)
             r = param_residuals(acc[ok], pose_to_ssc(mean_final))
             mc = _sample_covs(r[None], np.ones((1, r.shape[0]), dtype=bool))[0]
             containment = containment_fraction(r, pred.cov, p, dof_mode)
@@ -401,10 +396,7 @@ def run_relpose_alpha_sweep(cfg) -> list[Path]:
         pair = relpose_pair(alpha)
         aware = between(pair)
         naive = between_ignoring_correlation(pair)
-        if alpha == 0.0:
-            mc = np.zeros((6, 6))
-        else:
-            mc = mc_relative_cov(pair, cfg["M"], [cfg["seed"], idx])
+        mc = mc_relative_cov(pair, cfg["M"], [cfg["seed"], idx])
         rows.append((alpha, "lie-correlated", cov_error(aware.cov, mc)))
         rows.append((alpha, "lie-independent", cov_error(naive.cov, mc)))
     header = ["alpha", "method", "cov_error"]
@@ -670,7 +662,7 @@ def run_convert_demo(cfg) -> list[Path]:
     coord_cov = _sample_covs(r[None], np.ones((1, M), dtype=bool))[0]
     coord_belief = SscBelief(x_hat, coord_cov)
 
-    converted = ut_convert(coord_belief, UtConfig(kappa=cfg["kappa"]))
+    converted = ut_convert(coord_belief, cfg["kappa"])
     conv_belief = UncertainPose(converted.means[0], converted.cov)
     conv_pos = sample_joint(conv_belief, M, [seed, 1]).pose_matrices(0)[:, :2, 3]
 

@@ -291,6 +291,7 @@ def load_graph(path) -> PoseGraph:
     ``VERTEX2`` or ``EDGE2`` line raises :class:`GraphParseError`.  Lines
     starting with ``#`` are comments; unknown record types are skipped and
     counted on the returned graph.  A repeated vertex id keeps its last line.
+    A line that is not ASCII, comments included, raises :class:`GraphParseError`.
     The lines are read into lists and the graph is made from their arrays;
     an edge whose information is not symmetric PSD is still reported before
     a malformed line after it.
@@ -299,14 +300,13 @@ def load_graph(path) -> PoseGraph:
     ends: list[tuple[int, int]] = []
     edges: list[list[float]] = []
     skipped = 0
-    with open(path, "r", encoding="ascii") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            tok = line.split()
-            tag = tok[0]
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh.read().splitlines(), start=1):
             try:
+                tok = raw.decode("ascii").split()
+                if not tok or tok[0].startswith("#"):
+                    continue
+                tag = tok[0]
                 if tag in _TORO_TAGS:
                     raise ValueError(f"{tag} is a TORO record, which is not read; "
                                      "write the graph as g2o VERTEX_SE2/EDGE_SE2")

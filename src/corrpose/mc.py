@@ -22,7 +22,7 @@ draw.  :func:`mc_relative_cov` is its one-pair call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -37,7 +37,7 @@ _MAX_SINGULAR_FRACTION = 1e-3
 
 
 class InvalidSpecError(ValueError):
-    """A chain-noise specification implies a non-PSD joint covariance."""
+    """The step covariance and rho given to :func:`chain_joint` imply a non-PSD joint."""
 
 
 class SamplingError(RuntimeError):
@@ -94,7 +94,7 @@ class SampleBatch:
 
     twists: np.ndarray  # (M, block_dim * n)
     block_dim: int
-    means: tuple[Pose, ...] = field(default=())
+    means: tuple[Pose, ...]
 
     def __post_init__(self):
         t = np.asarray(self.twists, dtype=float)
@@ -118,58 +118,37 @@ class SampleBatch:
 
     def pose_matrices(self, i: int) -> np.ndarray:
         """Realized homogeneous matrices exp(hat(xi_i)) @ T_bar_i, shape (M, d+1, d+1)."""
-        if not self.means:
-            raise ValueError("batch carries no mean poses")
         return exp_many(self.block(i)) @ self.means[i].matrix()
 
 
-@dataclass(frozen=True)
-class ChainNoiseSpec:
-    """Homogeneous noisy chain: one step mean/covariance repeated N times,
-    consecutive steps correlated with coefficient rho (lag-1 only)."""
-
-    step_mean: Pose
-    step_cov: np.ndarray
-    n_steps: int
-    rho: float = 0.0
-    _joint: JointPoseBelief = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.n_steps < 1:
-            raise ValueError("chain needs at least one step")
-        cov = np.asarray(self.step_cov, dtype=float)
-        m = self.step_mean.twist_dim
-        if cov.shape != (m, m):
-            raise ValueError(f"step covariance must be {m}x{m}")
-        object.__setattr__(self, "step_cov", cov)
-        try:
-            joint = JointPoseBelief(
-                range(self.n_steps), (self.step_mean,) * self.n_steps, _chain_cov(self)
-            )
-        except ValueError as e:
-            raise InvalidSpecError(f"implied {e} (rho={self.rho}, N={self.n_steps})") from None
-        object.__setattr__(self, "_joint", joint)
-
-
-def _chain_cov(spec: ChainNoiseSpec) -> np.ndarray:
-    m, n, k = spec.step_mean.twist_dim, spec.n_steps, np.arange(spec.n_steps)
-    cov = np.zeros((n, m, n, m))
-    off = spec.rho * spec.step_cov
-    cov[k, :, k] = spec.step_cov
-    cov[k[:-1], :, k[1:]] = off
-    cov[k[1:], :, k[:-1]] = off.T
-    return cov.reshape(n * m, n * m)
-
-
-def build_chain_joint(spec: ChainNoiseSpec) -> JointPoseBelief:
-    """Joint belief of the N chained steps implied by a :class:`ChainNoiseSpec`.
+def chain_joint(step_mean: Pose, step_cov, n_steps: int, rho: float = 0.0) -> JointPoseBelief:
+    """Joint belief of a homogeneous noisy chain: ``n_steps`` steps of mean
+    ``step_mean`` and covariance ``step_cov``, consecutive steps correlated
+    with coefficient ``rho`` (lag 1 only).
 
     Diagonal blocks are the step covariance, lag-1 off-diagonal blocks are
-    ``rho * step_cov``, everything beyond lag 1 is zero.  The joint is made
-    and checked once, when the spec is: PSD is decided by the belief checks
-    (:func:`~corrpose.belief.checked_covs`), not by an analytic bound on rho.
+    ``rho * step_cov``, everything beyond lag 1 is zero.  PSD is decided by
+    the belief checks (:func:`~corrpose.belief.checked_covs`), not by an
+    analytic bound on rho; a joint that fails them raises
+    :class:`InvalidSpecError`.
     """
-    return spec._joint
+    if n_steps < 1:
+        raise ValueError("chain needs at least one step")
+    step_cov = np.asarray(step_cov, dtype=float)
+    m, k = step_mean.twist_dim, np.arange(n_steps)
+    if step_cov.shape != (m, m):
+        raise ValueError(f"step covariance must be {m}x{m}")
+    cov = np.zeros((n_steps, m, n_steps, m))
+    off = rho * step_cov
+    cov[k, :, k] = step_cov
+    cov[k[:-1], :, k[1:]] = off
+    cov[k[1:], :, k[:-1]] = off.T
+    try:
+        return JointPoseBelief(
+            range(n_steps), (step_mean,) * n_steps, cov.reshape(n_steps * m, n_steps * m)
+        )
+    except ValueError as e:
+        raise InvalidSpecError(f"implied {e} (rho={rho}, N={n_steps})") from None
 
 
 def sample_joint(b, M: int, seed) -> SampleBatch:
@@ -315,14 +294,14 @@ def chi2_quantile(dof: int, p: float) -> float:
     return 2.0 * float(special.gammaincinv(dof / 2.0, p))
 
 
-def containment_fraction(batch, sigma, p: float, dof_mode: str = "full") -> float:
-    """Fraction of twist samples inside the chi-square(p) ellipsoid of ``sigma``.
+def containment_fraction(twists, sigma, p: float, dof_mode: str = "full") -> float:
+    """Fraction of the rows of an (M, m) twist array inside the chi-square(p)
+    ellipsoid of ``sigma``.
 
     ``dof_mode='full'`` uses all twist channels, ``'position_only'`` only the
-    translational ones (leading d entries).  ``batch`` may be a
-    :class:`SampleBatch` or a plain (M, m) array of twists.
+    translational ones (leading d entries).
     """
-    twists = batch.twists if isinstance(batch, SampleBatch) else np.asarray(batch, dtype=float)
+    twists = np.asarray(twists, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
     m = sigma.shape[0]
     if twists.ndim != 2 or twists.shape[1] != m:

@@ -455,14 +455,14 @@ def _point_stacked_log(point, mean_inverses, k):
     return out
 
 
-def point_ut_convert(b, cfg=None, *, sigma=None):
+def point_ut_convert(b, kappa=0.0, *, sigma=None):
     """``ut_convert`` one point at a time, with the points and covariance
-    weights ``sigma`` if given, else those of ``cfg``."""
+    weights ``sigma`` if given, else those of ``kappa``."""
     from corrpose.belief import JointPoseBelief
-    from corrpose.convert import UtConfig, sigma_points
+    from corrpose.convert import sigma_points
     from corrpose.ssc import ssc_to_pose
 
-    points, w = sigma or sigma_points(b.mean, b.cov, cfg or UtConfig())
+    points, w = sigma or sigma_points(b.mean, b.cov, kappa)
     means = [ssc_to_pose(b.pose_mean(i)) for i in range(b.n)]
     mean_inverses = [T.inverse() for T in means]
     dim = 6 * b.n
@@ -476,13 +476,13 @@ def point_ut_convert(b, cfg=None, *, sigma=None):
     return JointPoseBelief(tuple(range(b.n)), means, cov)
 
 
-def point_ut_residual_mean(b, cfg=None, *, sigma=None):
+def point_ut_residual_mean(b, kappa=0.0, *, sigma=None):
     """``ut_residual_mean`` one point at a time, with the points and mean
-    weights ``sigma`` if given, else those of ``cfg``."""
-    from corrpose.convert import UtConfig, sigma_points
+    weights ``sigma`` if given, else those of ``kappa``."""
+    from corrpose.convert import sigma_points
     from corrpose.ssc import ssc_to_pose
 
-    points, w = sigma or sigma_points(b.mean, b.cov, cfg or UtConfig())
+    points, w = sigma or sigma_points(b.mean, b.cov, kappa)
     means = [ssc_to_pose(b.pose_mean(i)) for i in range(b.n)]
     mean_inverses = [T.inverse() for T in means]
     out = np.zeros(6 * b.n)

@@ -10,7 +10,7 @@ import numpy as np
 
 import corrpose as cp
 from corrpose import experiments, graph as gr, ssc
-from corrpose.convert import UtConfig, sigma_points, ut_convert
+from corrpose.convert import sigma_points, ut_convert
 from corrpose.liegroup import log_many_masked
 from oracles import dense_covariance, random_pose, random_psd, ssc_matrices
 
@@ -307,7 +307,7 @@ def test_criterion_7_ut_conversion():
     counts_ok = True
     for n in (1, 2):
         bb = ssc.SscBelief(np.tile(mean, n), np.kron(np.eye(n), cov))
-        points, w = sigma_points(bb.mean, bb.cov, UtConfig())
+        points, w = sigma_points(bb.mean, bb.cov)
         counts_ok &= points.shape[0] == 12 * n + 1
         counts_ok &= abs(w.sum() - 1.0) < 1e-12
 

@@ -186,7 +186,7 @@ def test_chain_ten_steps_matches_monte_carlo():
     # scale-3 noise, rho = 0.4, mean translation must reach (10, 0, 0)
     step = cp.Pose(np.eye(3), [1.0, 0.0, 0.0])
     sig = np.diag([0.003, 3e-5, 1e-5, 1e-5, 1e-5, 0.009])
-    joint = cp.build_chain_joint(cp.ChainNoiseSpec(step, sig, 10, 0.4))
+    joint = cp.chain_joint(step, sig, 10, 0.4)
     out = cp.compose_chain(joint)
     npt.assert_allclose(out.mean.t, [10.0, 0.0, 0.0], atol=1e-12)
 

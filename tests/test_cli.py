@@ -46,12 +46,13 @@ def test_missing_graph_file_exits_2(tmp_path, capsys):
     ("VERTEX_SE2 0 0 0 0\nVERTEX_SE2 1 1 0 0\nEDGE_SE2 0 1 1 0 0 1 0 0 1 0 1\n"
      "VERTEX_SE2 x 0 0\n", "line 4: "),
     ("VERTEX_SE2 0 0 0 0\nEDGE_SE2 0 1 1 0 0 1 0 0 1 0 1\n", "missing vertex 1"),
-], ids=["malformed-line", "dangling-edge"])
+    ("VERTEX_SE2 0 0 0 0\n# caf\u00e9\nVERTEX_SE2 1 1 0 0\n", "line 2: 'ascii' codec"),
+], ids=["malformed-line", "dangling-edge", "non-ascii-byte"])
 def test_malformed_graph_file_exits_2(tmp_path, capsys, experiment, body, message):
     # a file that does not parse or validate is a config error, like a
     # missing one; a graph that only fails to solve exits 1 (below)
     g2o = tmp_path / "bad.g2o"
-    g2o.write_text(body)
+    g2o.write_bytes(body.encode("utf-8"))
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"graph": str(g2o)}))
     assert run_cli(experiment, "--config", str(cfg), "--out", str(tmp_path)) == 2

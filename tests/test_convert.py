@@ -54,7 +54,7 @@ def test_sigma_point_count_and_weight_sum():
         mean = np.tile(DEMO_MEAN, n)
         cov = np.kron(np.eye(n), DEMO_COV)
         b = ssc.SscBelief(mean, cov)
-        points, w = convert.sigma_points(b.mean, b.cov, convert.UtConfig())
+        points, w = convert.sigma_points(b.mean, b.cov)
         assert points.shape == (12 * n + 1, 6 * n)
         npt.assert_allclose(w.sum(), 1.0, atol=1e-12)
         assert (w >= 0).all()
@@ -63,14 +63,14 @@ def test_sigma_point_count_and_weight_sum():
 def test_scaled_mode_mean_weights_sum_to_one():
     # the scaled transform's alpha = 0.5, kappa = 0 is kappa' = -4.5 at dim 6,
     # whose centre weight is negative
-    spread, w = convert.UtConfig(kappa=0.5 ** 2 * 6 - 6).spread_and_weights(6)
+    _, w = convert.sigma_points(DEMO_MEAN, DEMO_COV, kappa=0.5 ** 2 * 6 - 6)
     npt.assert_allclose(w.sum(), 1.0, atol=1e-12)
-    assert spread > 0 and w[0] < 0
+    assert w[1] > 0 and w[0] < 0  # w[1] = 1 / (2 (dim + kappa))
 
 
 def test_bad_configs_rejected():
-    with pytest.raises(ValueError):
-        convert.UtConfig(kappa=-6.0).spread_and_weights(6)
+    with pytest.raises(ValueError, match="dim \\+ kappa must be positive"):
+        convert.sigma_points(DEMO_MEAN, DEMO_COV, kappa=-6.0)
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +162,7 @@ def test_converts_every_covariance_the_belief_accepts():
     Q = np.linalg.qr(np.random.default_rng(3).normal(size=(6, 6)))[0]
     b = ssc.SscBelief(DEMO_MEAN, (Q * w) @ Q.T)
     assert np.linalg.eigvalsh(b.cov).min() < 0.0
-    points, w = convert.sigma_points(b.mean, b.cov, convert.UtConfig())
+    points, w = convert.sigma_points(b.mean, b.cov)
     d = points - b.mean
     assert np.abs(np.einsum("k,ki,kj->ij", w, d, d) - b.cov).max() < 1e-10
     out = convert.ut_convert(b).cov
@@ -187,7 +187,7 @@ def test_ut_convert_continuous_across_a_clipped_eigenvalue():
 def test_unfactorizable_covariance_raises():
     bad = np.eye(6)
     with pytest.raises(convert.ConversionError, match="indefinite"):
-        convert.sigma_points(DEMO_MEAN, bad - 2 * np.eye(6), convert.UtConfig())
+        convert.sigma_points(DEMO_MEAN, bad - 2 * np.eye(6))
 
 
 def _singularity(f, b):
@@ -229,10 +229,10 @@ def test_sigma_point_singularity_in_second_pose_block():
 
 # each a function of the stacked dimension; "scaled" is the scaled
 # transform's alpha = 0.5, kappa = 0 (see the shifted-kappa test below)
-UT_CONFIGS = {
-    "standard": lambda dim: convert.UtConfig(),
-    "kappa1": lambda dim: convert.UtConfig(kappa=1.0),
-    "scaled": lambda dim: convert.UtConfig(kappa=0.5 ** 2 * dim - dim),
+UT_KAPPAS = {
+    "standard": lambda dim: 0.0,
+    "kappa1": lambda dim: 1.0,
+    "scaled": lambda dim: 0.5 ** 2 * dim - dim,
 }
 
 
@@ -248,27 +248,27 @@ def joint_belief(n, seed):
     return ssc.SscBelief(mean, cov)
 
 
-def assert_matches_point_oracle(b, cfg):
-    got, want = convert.ut_convert(b, cfg), point_ut_convert(b, cfg)
+def assert_matches_point_oracle(b, kappa):
+    got, want = convert.ut_convert(b, kappa), point_ut_convert(b, kappa)
     assert np.array_equal(got.cov, want.cov)
     for T, T_want in zip(got.means, want.means):
         assert np.array_equal(T.R, T_want.R) and np.array_equal(T.t, T_want.t)
-    assert np.array_equal(convert.ut_residual_mean(b, cfg), point_ut_residual_mean(b, cfg))
+    assert np.array_equal(convert.ut_residual_mean(b, kappa), point_ut_residual_mean(b, kappa))
 
 
-@pytest.mark.parametrize("cfg", UT_CONFIGS.values(), ids=UT_CONFIGS.keys())
+@pytest.mark.parametrize("kappa", UT_KAPPAS.values(), ids=UT_KAPPAS.keys())
 @pytest.mark.parametrize("n", [1, 2, 3, 20])
-def test_bit_identical_to_point_oracle(n, cfg):
+def test_bit_identical_to_point_oracle(n, kappa):
     for seed in range(3 if n < 20 else 1):
-        assert_matches_point_oracle(joint_belief(n, seed), cfg(6 * n))
+        assert_matches_point_oracle(joint_belief(n, seed), kappa(6 * n))
 
 
-@pytest.mark.parametrize("cfg", UT_CONFIGS.values(), ids=UT_CONFIGS.keys())
-def test_bit_identical_near_branch_cut(cfg):
+@pytest.mark.parametrize("kappa", UT_KAPPAS.values(), ids=UT_KAPPAS.keys())
+def test_bit_identical_near_branch_cut(kappa):
     # yaw spreads put sigma-point rotations near 3 rad in block 0 and within
     # the log's near-pi axis branch in block 1
-    cfg = cfg(12)
-    spread = cfg.spread_and_weights(12)[0]
+    kappa = kappa(12)
+    spread = 12 + kappa
     rng = np.random.default_rng(21)
     cov = np.zeros((12, 12))
     cov[:3, :3] = random_psd(rng, 3, 0.1)
@@ -277,7 +277,7 @@ def test_bit_identical_near_branch_cut(cfg):
     cov[5, 5] = 3.0 ** 2 / spread
     cov[11, 11] = (np.pi - 5e-5) ** 2 / spread
     mean = np.concatenate([DEMO_MEAN, DEMO_MEAN + [1.0, 0.5, 0, 0.1, -0.2, 0.2]])
-    assert_matches_point_oracle(ssc.SscBelief(mean, cov), cfg)
+    assert_matches_point_oracle(ssc.SscBelief(mean, cov), kappa)
 
 
 @pytest.mark.parametrize("alpha,kappa", [(0.5, 0.0), (1.3, 2.0)])
@@ -287,14 +287,14 @@ def test_scaled_weights_equal_standard_weights_at_shifted_kappa(n, alpha, kappa)
     # kappa' = alpha^2 (dim + kappa) - dim: the same points and mean weights,
     # and covariance weights that differ only at the dropped centre point
     dim = 6 * n
-    cfg = convert.UtConfig(kappa=alpha ** 2 * (dim + kappa) - dim)
+    shifted = alpha ** 2 * (dim + kappa) - dim
     for seed in range(3):
         b = joint_belief(n, seed)
         points, wm, wc = scaled_sigma_points(b.mean, b.cov, alpha, kappa)
-        got, w = convert.sigma_points(b.mean, b.cov, cfg)
+        got, w = convert.sigma_points(b.mean, b.cov, shifted)
         assert np.array_equal(got, points) and np.array_equal(w, wm)
-        assert np.array_equal(convert.ut_convert(b, cfg).cov,
+        assert np.array_equal(convert.ut_convert(b, shifted).cov,
                               point_ut_convert(b, sigma=(points, wc)).cov)
-        assert np.array_equal(convert.ut_residual_mean(b, cfg),
+        assert np.array_equal(convert.ut_residual_mean(b, shifted),
                               point_ut_residual_mean(b, sigma=(points, wm)))
 

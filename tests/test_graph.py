@@ -100,6 +100,19 @@ def test_load_malformed_number_reports_line(tmp_path):
         gr.load_graph(p)
 
 
+@pytest.mark.parametrize("line", [b"# caf\xc3\xa9", b"VERTEX_SE2 1 1 0 0 # caf\xc3\xa9"],
+                         ids=["comment", "vertex"])
+def test_load_non_ascii_byte_reports_line(tmp_path, line):
+    # the file used to be decoded outside the per-line checks, so a
+    # non-ASCII byte raised a bare UnicodeDecodeError with no line number
+    p = tmp_path / "g.g2o"
+    p.write_bytes(b"VERTEX_SE2 0 0 0 0\r\n" + line + b"\r\nVERTEX_SE2 2 2 0 0\n")
+    message = "^line 2: 'ascii' codec can't decode byte 0xc3"
+    with pytest.raises(gr.GraphParseError, match=message) as exc:
+        gr.load_graph(p)
+    assert exc.value.line_no == 2
+
+
 def test_load_missing_endpoint_is_validation_error(tmp_path):
     p = tmp_path / "g.g2o"
     p.write_text("VERTEX_SE2 0 0 0 0\nEDGE_SE2 0 7 1 0 0 1 0 0 1 0 1\n")

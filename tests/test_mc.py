@@ -18,7 +18,7 @@ STEP_SIG = np.diag([0.003, 3e-5, 1e-5, 1e-5, 1e-5, 0.009])
 # ---------------------------------------------------------------------------
 
 def test_chain_joint_uncorrelated_is_block_diagonal():
-    joint = cp.build_chain_joint(cp.ChainNoiseSpec(STEP, STEP_SIG, 4, rho=0.0))
+    joint = cp.chain_joint(STEP, STEP_SIG, 4)
     for a in range(4):
         for b in range(4):
             blk = joint.block(a, b)
@@ -29,7 +29,7 @@ def test_chain_joint_uncorrelated_is_block_diagonal():
 
 
 def test_chain_joint_lag_structure():
-    joint = cp.build_chain_joint(cp.ChainNoiseSpec(STEP, STEP_SIG, 5, rho=0.4))
+    joint = cp.chain_joint(STEP, STEP_SIG, 5, rho=0.4)
     npt.assert_array_equal(joint.block(1, 2), 0.4 * STEP_SIG)
     assert not joint.block(0, 2).any()  # zero beyond lag 1
 
@@ -38,11 +38,23 @@ def test_chain_joint_psd_boundary_by_belief_checks():
     # For equal marginals with lag-1 blocks rho*Sigma the joint is a Kronecker
     # product with the tridiagonal Toeplitz(1, rho); rho >= 1/2 loses PSD as N
     # grows.  The belief checks place the rho = 0.6 boundary at N = 5.
-    cp.build_chain_joint(cp.ChainNoiseSpec(STEP, STEP_SIG, 10, rho=0.4))
-    cp.build_chain_joint(cp.ChainNoiseSpec(STEP, STEP_SIG, 3, rho=0.6))
+    cp.chain_joint(STEP, STEP_SIG, 10, rho=0.4)
+    cp.chain_joint(STEP, STEP_SIG, 3, rho=0.6)
     with pytest.raises(cp.InvalidSpecError,
                        match=r"not positive semi-definite .*\(rho=0.6, N=5\)"):
-        cp.ChainNoiseSpec(STEP, STEP_SIG, 5, rho=0.6)
+        cp.chain_joint(STEP, STEP_SIG, 5, rho=0.6)
+
+
+@pytest.mark.parametrize("n_steps, step_cov, message", [
+    (0, STEP_SIG, "^chain needs at least one step$"),
+    (3, STEP_SIG[:3, :3], "^step covariance must be 6x6$"),
+])
+def test_chain_joint_input_checks(n_steps, step_cov, message):
+    # plain ValueErrors, not InvalidSpecError: the input is malformed, not
+    # a chain whose joint fails the PSD check
+    with pytest.raises(ValueError, match=message) as exc:
+        cp.chain_joint(STEP, step_cov, n_steps)
+    assert not isinstance(exc.value, cp.InvalidSpecError)
 
 
 @pytest.mark.parametrize("rho,N,accepted", [(1 + 1e-8, 2, True), (0.6, 5, False)])
@@ -56,7 +68,7 @@ def test_chain_spec_and_joint_belief_agree(rho, N, accepted):
     cov = np.kron(np.eye(N), sig) + np.kron(np.eye(N, k=1) + np.eye(N, k=-1), rho * sig)
     verdicts = []
     for make in (lambda: cp.JointPoseBelief(range(N), (_STEP_MEAN,) * N, cov),
-                 lambda: cp.ChainNoiseSpec(_STEP_MEAN, sig, N, rho)):
+                 lambda: cp.chain_joint(_STEP_MEAN, sig, N, rho)):
         try:
             make()
             verdicts.append(True)
@@ -64,7 +76,7 @@ def test_chain_spec_and_joint_belief_agree(rho, N, accepted):
             verdicts.append(False)
     assert verdicts == [accepted, accepted]
     if accepted:
-        joint = cp.build_chain_joint(cp.ChainNoiseSpec(_STEP_MEAN, sig, N, rho))
+        joint = cp.chain_joint(_STEP_MEAN, sig, N, rho)
         assert np.array_equal(joint.cov, cov)
 
 
@@ -441,9 +453,9 @@ def test_containment_calibration():
     sig = random_psd(np.random.default_rng(6), 6, 0.01)
     u = cp.UncertainPose(cp.Pose.identity(3), sig)
     batch = cp.sample_joint(u, 100_000, 8)
-    frac = cp.containment_fraction(batch, sig, 0.999)
+    frac = cp.containment_fraction(batch.twists, sig, 0.999)
     assert abs(frac - 0.999) <= 0.002
-    frac3 = cp.containment_fraction(batch, sig, 0.95, dof_mode="position_only")
+    frac3 = cp.containment_fraction(batch.twists, sig, 0.95, dof_mode="position_only")
     assert abs(frac3 - 0.95) <= 0.01
 
 
@@ -463,7 +475,7 @@ def test_containment_is_a_per_row_mahalanobis_count(width, dof_mode):
     d2 = np.array([np.dot(x, np.linalg.solve(S, x)) for x in batch.twists[:, :dof]])
     inside, ties = np.sum(d2 <= q), np.sum(np.abs(d2 - q) <= 1e-12 * q)
     assert 0.2 < inside / 2000 < 0.8
-    got = round(cp.containment_fraction(batch, sig, 0.9, dof_mode) * 2000)
+    got = round(cp.containment_fraction(batch.twists, sig, 0.9, dof_mode) * 2000)
     assert abs(got - inside) <= ties
 
 
@@ -471,7 +483,7 @@ def test_containment_shrinks_for_underestimated_covariance():
     sig = np.eye(6) * 0.01
     u = cp.UncertainPose(cp.Pose.identity(3), sig)
     batch = cp.sample_joint(u, 20_000, 9)
-    assert cp.containment_fraction(batch, 0.25 * sig, 0.999) < 0.95
+    assert cp.containment_fraction(batch.twists, 0.25 * sig, 0.999) < 0.95
 
 
 def test_containment_rejects_singular_selection():
