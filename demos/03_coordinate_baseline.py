@@ -31,10 +31,7 @@ for _ in range(N - 1):
     acc = head_to_tail(SscBelief.pair(acc, step_ssc))
 
 # simulate the true trajectories
-batch = cp.sample_joint(joint, M, seed=7)
-final = batch.pose_matrices(0)
-for k in range(1, N):
-    final = final @ batch.pose_matrices(k)
+final = cp.sample_chain(joint, M, seed=7)
 xis, ok = log_many_masked(final @ aware.mean.inverse().matrix())
 params = param_residuals(final[ok], pose_to_ssc(aware.mean))
 

@@ -22,7 +22,7 @@ yaw_heavy = np.diag([0.005, 0.005, 1e-5, 1e-5, 1e-5, 0.09])
 # ground truth: a twist-space Gaussian around the mean pose
 T_bar = ssc_to_pose(mean_params)
 true = cp.UncertainPose(T_bar, yaw_heavy)
-mats = cp.sample_joint(true, 20_000, seed=3).pose_matrices(0)
+mats = cp.sample_chain(true, 20_000, seed=3)
 
 # fit the coordinate representation (what an Euler-based estimator reports)
 res = param_residuals(mats, mean_params)

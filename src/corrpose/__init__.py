@@ -47,6 +47,7 @@ from .mc import (
     cov_error,
     mc_relative_cov,
     normalized_cov_error,
+    sample_chain,
     sample_joint,
 )
 from .ssc import (
@@ -106,6 +107,7 @@ __all__ = [
     "cov_error",
     "mc_relative_cov",
     "normalized_cov_error",
+    "sample_chain",
     "sample_joint",
     "GimbalLockError",
     "SscBelief",

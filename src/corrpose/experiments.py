@@ -52,6 +52,7 @@ from .convert import ut_convert
 from .liegroup import Pose, homogeneous
 from .mc import (
     InvalidSpecError,
+    _blocks,
     _sample_covs,
     _sqrt_factor,
     chain_joint,
@@ -61,7 +62,7 @@ from .mc import (
     mc_relative_cov,
     normalized_cov_error,
     relative_samples,
-    sample_joint,
+    sample_chain,
     twists_about,
 )
 from .ssc import (
@@ -279,11 +280,27 @@ def _step_cov(sigma_t: float, sigma_r: float) -> np.ndarray:
 _STEP_MEAN = Pose(np.eye(3), np.array([1.0, 0.0, 0.0]))
 
 
-def _ssc_chain_cov(step_belief: SscBelief, n_steps: int) -> SscBelief:
-    acc = step_belief
-    for _ in range(n_steps - 1):
-        acc = head_to_tail(SscBelief.pair(acc, step_belief))
-    return acc
+def _ssc_chain_cov(step: UncertainPose, n_steps: int, walks: dict) -> np.ndarray:
+    """Covariance of the SSC head-to-tail chain of ``n_steps`` copies of
+    ``step``.  ``walks`` maps a step covariance's bytes (every step has the
+    mean ``_STEP_MEAN``) to the prefixes of its chain walked so far, one per
+    length, so one run walks each chain once, to its longest point."""
+    walk = walks.setdefault(step.cov.tobytes(), [lie_to_ssc(step)])
+    while len(walk) < n_steps:
+        walk.append(head_to_tail(SscBelief.pair(walk[-1], walk[0])))
+    return walk[n_steps - 1].cov
+
+
+def _kept_param_residuals(mats: np.ndarray, ok: np.ndarray, x_hat: np.ndarray) -> np.ndarray:
+    """:func:`~corrpose.ssc.param_residuals` of the kept rows of a sampled
+    pose stack, over the row blocks of :func:`~corrpose.mc.sample_chain`."""
+    r = np.empty((int(ok.sum()), 6))
+    n = 0
+    for lo, hi in _blocks(mats.shape[0]):
+        kept = mats[lo:hi][ok[lo:hi]]
+        r[n : n + kept.shape[0]] = param_residuals(kept, x_hat)
+        n += kept.shape[0]
+    return r
 
 
 def _sweep_chain(cfg, value, rho):
@@ -305,8 +322,9 @@ def _check_chain_joints(cfg) -> None:
             raise ConfigError(f"config key 'rho': {e}") from None
 
 
-def _chain_point(cfg, value, seed):
-    """Rows of one sweep point: ``cfg`` with the key that ``sweep`` names set to ``value``."""
+def _chain_point(cfg, value, seed, walks):
+    """Rows of one sweep point: ``cfg`` with the key that ``sweep`` names set
+    to ``value``; ``walks`` as for :func:`_ssc_chain_cov`."""
     t0 = time.perf_counter()
     sweep, methods, p, dof_mode = cfg["sweep"], cfg["methods"], cfg["p"], cfg["dof_mode"]
     joint = _sweep_chain(cfg, value, cfg["rho"])
@@ -318,10 +336,7 @@ def _chain_point(cfg, value, seed):
         predicted["lie-independent"] = compose_chain(_sweep_chain(cfg, value, 0.0)).cov
     mean_final = chain.mean
 
-    batch = sample_joint(joint, cfg["M"], seed)
-    acc = batch.pose_matrices(0)
-    for k in range(1, joint.n):
-        acc = acc @ batch.pose_matrices(k)
+    acc = sample_chain(joint, cfg["M"], seed)
     xis, ok = twists_about(acc, mean_final)
     mc_twist = _sample_covs(xis[None], ok[None])[0]
     xis = xis[ok]
@@ -329,11 +344,11 @@ def _chain_point(cfg, value, seed):
     rows = []
     for method in methods:
         if method == "ssc":
-            pred = _ssc_chain_cov(lie_to_ssc(joint.marginal(0)), joint.n)
-            r = param_residuals(acc[ok], pose_to_ssc(mean_final))
+            pred = _ssc_chain_cov(joint.marginal(0), joint.n, walks)
+            r = _kept_param_residuals(acc, ok, pose_to_ssc(mean_final))
             mc = _sample_covs(r[None], np.ones((1, r.shape[0]), dtype=bool))[0]
-            containment = containment_fraction(r, pred.cov, p, dof_mode)
-            err = cov_error(pred.cov, mc)
+            containment = containment_fraction(r, pred, p, dof_mode)
+            err = cov_error(pred, mc)
         else:
             containment = containment_fraction(xis, predicted[method], p, dof_mode)
             err = cov_error(predicted[method], mc_twist)
@@ -350,8 +365,9 @@ def run_compose_sweep(cfg) -> list[Path]:
 
     Keys: ``TABLES["compose-sweep"]``.
     """
+    walks = {}
     rows = [row for idx, value in enumerate(cfg["values"])
-            for row in _chain_point(cfg, value, [cfg["seed"], idx])]
+            for row in _chain_point(cfg, value, [cfg["seed"], idx], walks)]
     header = ["sweep_var", "value", "method", "containment", "cov_error"]
     return [_write_csv(cfg["out"] / "compose_sweep.csv", header, rows)]
 
@@ -655,16 +671,17 @@ def run_convert_demo(cfg) -> list[Path]:
     diag = np.asarray(cfg["cov_lie_diag"], dtype=float)
     T_bar = ssc_to_pose(np.asarray(cfg["mean_params"], dtype=float))
     true_belief = UncertainPose(T_bar, np.diag(diag))
-    mats = sample_joint(true_belief, M, [seed, 0]).pose_matrices(0)
-    pos = mats[:, :2, 3]
+    mats = sample_chain(true_belief, M, [seed, 0])
+    pos = mats[:, :2, 3].copy()  # the stack is freed before the second cloud
     x_hat = pose_to_ssc(T_bar)
-    r = param_residuals(mats, x_hat)
+    r = _kept_param_residuals(mats, np.ones(M, dtype=bool), x_hat)
+    del mats
     coord_cov = _sample_covs(r[None], np.ones((1, M), dtype=bool))[0]
     coord_belief = SscBelief(x_hat, coord_cov)
 
     converted = ut_convert(coord_belief, cfg["kappa"])
     conv_belief = UncertainPose(converted.means[0], converted.cov)
-    conv_pos = sample_joint(conv_belief, M, [seed, 1]).pose_matrices(0)[:, :2, 3]
+    conv_pos = sample_chain(conv_belief, M, [seed, 1])[:, :2, 3]
 
     loci = {
         "true": (pos.mean(axis=0), np.cov(pos.T) if diag.any() else np.zeros((2, 2))),

@@ -657,10 +657,25 @@ class MatrixRelativeSamples(NamedTuple):
     kept: np.ndarray  # (M,) False where the logarithm hit its branch boundary
 
 
+def pose_matrices(batch, i):
+    """Realized poses exp(hat(xi_i)) @ T_bar_i of pose i of a sample batch, (M, d+1, d+1)."""
+    return exp_many(batch.block(i)) @ batch.means[i].matrix()
+
+
+def chain_pose_matrices(b, M, seed):
+    """Composed poses of a belief's sample_joint draws, one stacked step at a
+    time over all M rows: the reference for mc.sample_chain."""
+    batch = sample_joint(b, M, seed)
+    acc = pose_matrices(batch, 0)
+    for k in range(1, batch.n_poses):
+        acc = acc @ pose_matrices(batch, k)
+    return acc
+
+
 def matrix_relative_samples(b, M, seed):
     batch = sample_joint(b, M, seed)
-    T1 = batch.pose_matrices(0)
-    T2 = batch.pose_matrices(1)
+    T1 = pose_matrices(batch, 0)
+    T2 = pose_matrices(batch, 1)
     Tm = inv_many(T1) @ T2
     rel = b.means[0].inverse() @ b.means[1]
     xis, ok = twists_about(Tm, rel)

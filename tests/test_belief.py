@@ -12,12 +12,12 @@ import pytest
 
 import corrpose as cp
 from corrpose.liegroup import log_many_masked
-from oracles import random_pose, random_psd
+from oracles import pose_matrices, random_pose, random_psd
 
 
 def _mc_compose_cov(pair, M, seed):
     batch = cp.sample_joint(pair, M, seed)
-    Tm = batch.pose_matrices(0) @ batch.pose_matrices(1)
+    Tm = pose_matrices(batch, 0) @ pose_matrices(batch, 1)
     mean_inv = (pair.means[0] @ pair.means[1]).inverse().matrix()
     xis, ok = log_many_masked(Tm @ mean_inv)
     kept = xis[ok]
@@ -26,7 +26,7 @@ def _mc_compose_cov(pair, M, seed):
 
 def _mc_inverse_cov(u, M, seed):
     batch = cp.sample_joint(u, M, seed)
-    Tm = cp.inv_many(batch.pose_matrices(0))
+    Tm = cp.inv_many(pose_matrices(batch, 0))
     xis, ok = log_many_masked(Tm @ u.mean.matrix())
     kept = xis[ok]
     return kept.T @ kept / kept.shape[0]
@@ -191,9 +191,9 @@ def test_chain_ten_steps_matches_monte_carlo():
     npt.assert_allclose(out.mean.t, [10.0, 0.0, 0.0], atol=1e-12)
 
     batch = cp.sample_joint(joint, 10_000, 999)
-    acc = batch.pose_matrices(0)
+    acc = pose_matrices(batch, 0)
     for k in range(1, 10):
-        acc = acc @ batch.pose_matrices(k)
+        acc = acc @ pose_matrices(batch, k)
     xis, ok = log_many_masked(acc @ out.mean.inverse().matrix())
     mc = xis[ok].T @ xis[ok] / ok.sum()
     assert rel_frob(out.cov, mc) < 0.10

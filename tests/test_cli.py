@@ -183,7 +183,7 @@ def _assert_config_exit_2(tmp_path, monkeypatch, capsys, experiment, payload, me
 def test_compose_sweep_m_and_p_checked_before_sampling(tmp_path, monkeypatch, capsys, payload,
                                                        message):
     _assert_config_exit_2(tmp_path, monkeypatch, capsys, "compose-sweep",
-                          {"values": [2], **payload}, message, "sample_joint")
+                          {"values": [2], **payload}, message, "sample_chain")
 
 
 # rho = 0.9 gives a PSD joint at N = 2 but not at N = 5 (lag-1 correlation
@@ -197,7 +197,7 @@ def test_compose_sweep_m_and_p_checked_before_sampling(tmp_path, monkeypatch, ca
 def test_compose_sweep_rho_checked_before_sampling(tmp_path, monkeypatch, capsys, payload,
                                                    message):
     err = _assert_config_exit_2(tmp_path, monkeypatch, capsys, "compose-sweep", payload,
-                                message, "sample_joint")
+                                message, "sample_chain")
     assert "config key 'rho'" in err
 
 
@@ -223,7 +223,7 @@ def test_relpose_alpha_sweep_m_checked_before_sampling(tmp_path, monkeypatch, ca
 def test_compose_sweep_values_checked_before_sampling(tmp_path, monkeypatch, capsys, payload,
                                                       message):
     _assert_config_exit_2(tmp_path, monkeypatch, capsys, "compose-sweep", payload, message,
-                          "sample_joint")
+                          "sample_chain")
 
 
 @pytest.mark.parametrize("alphas,message", [
@@ -252,7 +252,7 @@ def test_relpose_alpha_sweep_alphas_checked_before_sampling(tmp_path, monkeypatc
 def test_convert_demo_m_and_p_checked_before_sampling(tmp_path, monkeypatch, capsys, payload,
                                                       message):
     _assert_config_exit_2(tmp_path, monkeypatch, capsys, "convert-demo", payload, message,
-                          "sample_joint")
+                          "sample_chain")
 
 
 def test_slam_relpose_m_checked_before_graph_work(tmp_path, monkeypatch, capsys):
@@ -303,9 +303,9 @@ _GRAPH = experiments.graphmod
      "generate_grid_world", _GRAPH),
     ("relpose-alpha-sweep", {"alphas": [1.0], "methods": ["ssc"]}, "methods", "alphas",
      "mc_relative_cov", experiments),
-    ("compose-sweep", {"values": [2], "sigma": 1.0}, "sigma", "sigma_t", "sample_joint",
+    ("compose-sweep", {"values": [2], "sigma": 1.0}, "sigma", "sigma_t", "sample_chain",
      experiments),
-    ("convert-demo", {"kapa": 1.0}, "kapa", "kappa", "sample_joint", experiments),
+    ("convert-demo", {"kapa": 1.0}, "kapa", "kappa", "sample_chain", experiments),
 ])
 def test_unknown_key_exits_2(tmp_path, monkeypatch, capsys, experiment, payload, key, known,
                              never_called, owner):
@@ -509,6 +509,28 @@ def test_compose_sweep_branch_cut_budget_exits_1(tmp_path, monkeypatch, capsys):
     cfg = _write_cfg(tmp_path, {"values": [2], "M": 1000, "methods": ["lie-correlated"]})
     assert run_cli("compose-sweep", "--config", str(cfg), "--out", str(tmp_path)) == 1
     assert "branch boundary" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("payload,walked", [
+    # one step belief: its chain is walked once, to the longest point, where
+    # each point used to walk its own (1 + 4 + 9 + 14 + 19 = 47 steps)
+    ({"sweep": "N", "values": [2, 5, 10, 15, 20]}, 19),
+    ({"sweep": "N", "values": [20, 2, 10]}, 19),
+    # each sigma_r value has its own step belief, so its own chain
+    ({"sweep": "sigma_r", "values": [1.0, 2.0], "N": 4}, 6),
+])
+def test_compose_sweep_walks_each_ssc_chain_once(tmp_path, monkeypatch, payload, walked):
+    real = experiments.head_to_tail
+    calls = []
+
+    def head_to_tail(b):
+        calls.append(b)
+        return real(b)
+
+    monkeypatch.setattr(experiments, "head_to_tail", head_to_tail)
+    cfg = _write_cfg(tmp_path, {**payload, "M": 200, "methods": ["ssc"]})
+    assert run_cli("compose-sweep", "--config", str(cfg), "--out", str(tmp_path)) == 0
+    assert len(calls) == walked
 
 
 # ---------------------------------------------------------------------------

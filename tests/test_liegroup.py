@@ -587,7 +587,7 @@ def test_exp_many_se3_against_mpmath():
 # result must be C-contiguous float64, the layout the callers' stacked @
 # rounds in.
 def test_exp_many_se3_bits_do_not_depend_on_layout():
-    from oracles import entrywise_se3_exp
+    from oracles import entrywise_se3_exp, pose_matrices
 
     from corrpose import SampleBatch
     from corrpose.liegroup import _COEFF_CUTOFF as c
@@ -617,7 +617,7 @@ def test_exp_many_se3_bits_do_not_depend_on_layout():
     assert not (got[0] - np.eye(4)).any()
     # a batch's realized poses are this stack times the block's mean
     means = tuple(random_pose(rng, 3) for _ in range(3))
-    poses = SampleBatch(draws, 6, means).pose_matrices(1)
+    poses = pose_matrices(SampleBatch(draws, 6, means), 1)
     assert poses.tobytes() == (exp_many(xis) @ means[1].matrix()).tobytes()
 
 

@@ -6,7 +6,7 @@ import pytest
 from scipy import stats
 
 import corrpose as cp
-from oracles import random_pose, random_psd
+from oracles import chain_pose_matrices, random_pose, random_psd
 
 
 STEP = cp.Pose(np.eye(3), [1.0, 0.0, 0.0])
@@ -173,6 +173,81 @@ def test_pair_block_draws_equal_one_shot_draws():
     for cov, seed, row in zip(covs, seeds, got):
         want = np.random.default_rng(seed).standard_normal((1000, 6)) @ _sqrt_factor(cov).T
         assert np.array_equal(row, want)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_sample_chain_equals_per_step_loop(dim, n):
+    # the composed poses of sample_joint's draws, each step one exp_many, one
+    # product with its mean and one stacked product over all M rows, byte for
+    # byte: M around the _DRAW_ROWS and _CHAIN_ROWS edges, one block, two
+    # blocks with the last taking seven rows more, and compose-sweep's M
+    rng = np.random.default_rng([dim, n])
+    means = [random_pose(rng, dim) for _ in range(n)]
+    cov = random_psd(rng, n * (3 if dim == 2 else 6), 0.05)
+    if n == 1:
+        b = cp.UncertainPose(means[0], cov)
+    elif n == 2:
+        b = cp.PosePairBelief(means, cov)
+    else:
+        b = cp.JointPoseBelief(range(n), means, cov)
+    for M in (2, 3, 1023, 1024, 1025, 2047, 2049, 4103, 10_000):
+        got = cp.sample_chain(b, M, [n, M])
+        assert got.shape == (M, dim + 1, dim + 1)
+        assert got.tobytes() == chain_pose_matrices(b, M, [n, M]).tobytes(), M
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_blocked_twists_about_equals_one_shot_log(dim):
+    # the logarithm over the row blocks into preallocated outputs against one
+    # log_many_masked call; rows at pi, inside the 0.1% budget, are masked
+    from corrpose.mc import twists_about
+
+    rng = np.random.default_rng(dim)
+    mean = random_pose(rng, dim)
+    m = 3 if dim == 2 else 6
+    for M in (2, 2047, 2049, 4103, 10_000):
+        xis = rng.normal(0, 0.5, (M, m))
+        if M > 2000:
+            xis[[5, -3], m - 1] = np.pi  # angle pi about the last axis
+            xis[[5, -3], dim:m - 1] = 0.0
+        mats = cp.exp_many(xis) @ mean.matrix()
+        got, ok = twists_about(mats, mean)
+        want, want_ok = cp.liegroup.log_many_masked(mats @ mean.inverse().matrix())
+        assert ok.tobytes() == want_ok.tobytes()
+        assert (~ok).sum() == (2 if M > 2000 else 0)
+        assert got.tobytes() == want.tobytes(), M
+    with pytest.raises(cp.SamplingError, match="branch boundary"):
+        twists_about(mats[:500], mean)  # 1 of 500 rows at pi
+
+
+def test_compose_point_peak_memory(tmp_path, monkeypatch):
+    # one N = 20, M = 10,000 compose-sweep point, SSC baseline included,
+    # holds its (M, 4, 4) chain and one row block of draws, never the (M, 120)
+    # draw matrix (9.6 MB): measured 5.5 MB, and 14.3 MB when the point drew,
+    # exponentiated and logged all M rows at once
+    import tracemalloc
+
+    from corrpose import experiments
+
+    real = experiments._chain_point
+    peaks = []
+
+    def chain_point(*args):
+        tracemalloc.start()
+        try:
+            rows = real(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        return rows
+
+    monkeypatch.setattr(experiments, "_chain_point", chain_point)
+    experiments.run_experiment("compose-sweep", {
+        "sweep": "N", "values": [20], "M": 10_000, "out": str(tmp_path), "seed": 0,
+    })
+    [peak] = peaks
+    assert peak < 7e6
 
 
 def test_sample_rank_deficient_covariance_ok():
