@@ -135,6 +135,17 @@ class JointPoseBelief:
     def __setattr__(self, name, value):  # pragma: no cover - guard rail
         raise AttributeError("JointPoseBelief is immutable")
 
+    @classmethod
+    def _of_checked(cls, keys: tuple, means: tuple[Pose, ...], cov: np.ndarray
+                    ) -> "JointPoseBelief":
+        """The belief of distinct keys, means of one group and a read-only
+        symmetric covariance known to pass :func:`checked_covs`, not checked again."""
+        joint = object.__new__(cls)
+        object.__setattr__(joint, "keys", keys)
+        object.__setattr__(joint, "means", means)
+        object.__setattr__(joint, "cov", cov)
+        return joint
+
     @property
     def n(self) -> int:
         return len(self.means)

@@ -41,6 +41,7 @@ import numpy as np
 
 from . import graph as graphmod
 from .belief import (
+    JointPoseBelief,
     PosePairBelief,
     UncertainPose,
     between,
@@ -181,8 +182,6 @@ def resolve_config(name: str, cfg) -> MappingProxyType:
     resolved = _resolve(TABLES[name], cfg)
     if "graph" in cfg and "generate" in cfg:
         raise ConfigError("config keys 'graph' and 'generate' exclude each other; give one")
-    if name == "compose-sweep":
-        _check_chain_joints(resolved)
     return resolved
 
 
@@ -303,37 +302,47 @@ def _kept_param_residuals(mats: np.ndarray, ok: np.ndarray, x_hat: np.ndarray) -
     return r
 
 
-def _sweep_chain(cfg, value, rho):
-    """Chain joint of one sweep point, ``cfg`` with the key that ``sweep``
-    names set to ``value``, its steps correlated by ``rho``; one that is not
-    PSD raises :class:`InvalidSpecError`."""
-    point = {**cfg, cfg["sweep"]: value}
-    cov = _step_cov(point["sigma_t"], point["sigma_r"])
-    return chain_joint(_STEP_MEAN, cov, point["N"], rho)
-
-
-def _check_chain_joints(cfg) -> None:
-    """Check every sweep point's chain joint at resolution, so a ``rho`` that
-    makes one of them not PSD exits 2 before any sampling."""
+def _chain_joints(cfg) -> list[JointPoseBelief]:
+    """Chain joint of each sweep point, ``cfg`` with the key that ``sweep``
+    names set to the point's value, its steps correlated by ``rho``.  All are
+    built and checked before any point samples, so a ``rho`` that makes one
+    of them not PSD exits 2 before any sampling."""
+    joints = []
     for value in cfg["values"]:
+        point = {**cfg, cfg["sweep"]: value}
+        cov = _step_cov(point["sigma_t"], point["sigma_r"])
         try:
-            _sweep_chain(cfg, value, cfg["rho"])
+            joints.append(chain_joint(_STEP_MEAN, cov, point["N"], cfg["rho"]))
         except InvalidSpecError as e:
             raise ConfigError(f"config key 'rho': {e}") from None
+    return joints
 
 
-def _chain_point(cfg, value, seed, walks):
-    """Rows of one sweep point: ``cfg`` with the key that ``sweep`` names set
-    to ``value``; ``walks`` as for :func:`_ssc_chain_cov`."""
+def _uncorrelated(joint: JointPoseBelief) -> JointPoseBelief:
+    """``joint`` with its cross blocks zeroed: the chain at rho = 0.  Its
+    diagonal blocks are principal blocks of the checked joint, so by eigenvalue
+    interlacing it passes the same checks and is not checked again."""
+    n, m = joint.n, joint.block_dim
+    k = np.arange(n)
+    cov = np.zeros((n, m, n, m))
+    cov[k, :, k] = joint.cov.reshape(n, m, n, m)[k, :, k]
+    cov = cov.reshape(n * m, n * m)
+    cov.flags.writeable = False
+    return JointPoseBelief._of_checked(joint.keys, joint.means, cov)
+
+
+def _chain_point(cfg, joint, value, seed, walks):
+    """Rows of one sweep point: its chain ``joint`` from :func:`_chain_joints`
+    at ``value`` of the key that ``sweep`` names; ``walks`` as for
+    :func:`_ssc_chain_cov`."""
     t0 = time.perf_counter()
     sweep, methods, p, dof_mode = cfg["sweep"], cfg["methods"], cfg["p"], cfg["dof_mode"]
-    joint = _sweep_chain(cfg, value, cfg["rho"])
     chain = compose_chain(joint)
     predicted = {}
     if "lie-correlated" in methods:
         predicted["lie-correlated"] = chain.cov
     if "lie-independent" in methods:
-        predicted["lie-independent"] = compose_chain(_sweep_chain(cfg, value, 0.0)).cov
+        predicted["lie-independent"] = compose_chain(_uncorrelated(joint)).cov
     mean_final = chain.mean
 
     acc = sample_chain(joint, cfg["M"], seed)
@@ -365,9 +374,10 @@ def run_compose_sweep(cfg) -> list[Path]:
 
     Keys: ``TABLES["compose-sweep"]``.
     """
+    joints = _chain_joints(cfg)
     walks = {}
-    rows = [row for idx, value in enumerate(cfg["values"])
-            for row in _chain_point(cfg, value, [cfg["seed"], idx], walks)]
+    rows = [row for idx, (value, joint) in enumerate(zip(cfg["values"], joints))
+            for row in _chain_point(cfg, joint, value, [cfg["seed"], idx], walks)]
     header = ["sweep_var", "value", "method", "containment", "cov_error"]
     return [_write_csv(cfg["out"] / "compose_sweep.csv", header, rows)]
 
@@ -774,7 +784,7 @@ TABLES = {
         "N": (10, _POSITIVE_INT),
         "sigma_t": (3.0, _POSITIVE),
         "sigma_r": (3.0, _POSITIVE),
-        # every sweep point's chain joint is checked at resolution
+        # every sweep point's chain joint is checked before any sampling
         "rho": (0.4, _FINITE),
         "M": (10_000, _DRAWS),
         "p": (0.999, _PROBABILITY),
@@ -811,7 +821,11 @@ TABLES = {
 def run_experiment(name: str, cfg) -> list[Path]:
     """Run experiment ``name`` on ``cfg`` once :func:`resolve_config` accepts it."""
     resolved = resolve_config(name, cfg)
-    resolved["out"].mkdir(parents=True, exist_ok=True)
+    try:
+        resolved["out"].mkdir(parents=True, exist_ok=True)
+    except OSError as e:  # say, a file at the path or above it
+        raise ConfigError(f"config key 'out': cannot make directory {resolved['out']}: "
+                          f"{e.strerror}") from None
     return EXPERIMENTS[name](resolved)
 
 
@@ -822,6 +836,10 @@ def load_config(path) -> dict:
     try:
         with open(p, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
+    except OSError as e:  # say, a directory
+        raise ConfigError(f"config file {p} cannot be read: {e.strerror}") from None
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"config file {p} is not UTF-8 text: {e}") from None
     except json.JSONDecodeError as e:
         raise ConfigError(f"config file {p} is not valid JSON: {e}") from None
     if not isinstance(cfg, dict):

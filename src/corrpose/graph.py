@@ -20,6 +20,11 @@ new vertex stacks).  The generator, the loader, :func:`solve` and
 :class:`Edge` per vertex or edge; ``vertices`` and ``edges`` are read-only
 views built whole on first read.  The stacked products are those a Pose
 would form, so the arrays equal the per-object results bit for bit.
+
+scipy is imported by the functions that call it, not by the module:
+``scipy.sparse`` at a graph's first assembly, ``scipy.sparse.linalg`` at
+its first factor and ``scipy.sparse.csgraph`` at its first connectivity
+check, so importing corrpose loads no scipy.
 """
 
 from __future__ import annotations
@@ -28,11 +33,9 @@ import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from types import MappingProxyType
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.csgraph
-import scipy.sparse.linalg
 
 from .belief import _PSD_TOL, PosePairBelief, checked_covs
 from .liegroup import (
@@ -49,6 +52,9 @@ from .liegroup import (
     planar_blocks,
 )
 from .mc import _sqrt_factor
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 # Gauss-Newton stops once chi2 falls by less than this fraction, or after
 # this many iterations.
@@ -270,6 +276,8 @@ class PoseGraph:
         n, (i, j) = self.n_vertices, self._edge_rows.T
         if not n:
             return False
+        # imported here, so that importing corrpose loads no scipy
+        import scipy.sparse.csgraph
         adjacency = scipy.sparse.coo_array((np.ones(i.shape[0]), (i, j)), shape=(n, n))
         return scipy.sparse.csgraph.connected_components(
             adjacency, directed=False, return_labels=False) == 1
@@ -414,6 +422,8 @@ class _System:
         data = np.bincount(self._slots, np.concatenate([B, B, -B, -B]),
                            minlength=self._indices.shape[0] + 1)[:-1]
         m = 3 * self.n - 3
+        # imported here, so that scipy.sparse loads at a graph's first solve only
+        import scipy.sparse
         H = scipy.sparse.csc_matrix((data, self._indices, self._indptr), shape=(m, m))
         gj = np.einsum("eba,eb->ea", WJ, np.einsum("eab,eb->ea", self.W, r)).ravel()
         g = np.bincount(self._grad_rows, np.concatenate([-gj, gj]), minlength=3 * self.n)[3:]
@@ -446,6 +456,8 @@ def _factor(info: scipy.sparse.csc_matrix):
     a minimum-degree order of H + H' with diagonal pivots, so perm_r == perm_c
     and U = D L'.  Singular matrices raise, also when a pivot D_jj is not
     positive or is only rounding (SuperLU stops on an exact zero alone)."""
+    # imported here, so that scipy.sparse.linalg loads at a graph's first factor only
+    import scipy.sparse.linalg
     try:
         lu = scipy.sparse.linalg.splu(info, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                                       options=dict(SymmetricMode=True, Equil=False))

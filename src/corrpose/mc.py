@@ -8,7 +8,10 @@ containment counting.  Everything is deterministic per seed.
 Containment, :func:`containment_fraction`, counts the samples x whose
 squared Mahalanobis distance ``x^T Sigma^-1 x``, taken for the whole stack
 as one product ``X @ Sigma^-1`` and the row sums of its elementwise product
-with X, is at most the chi-square(p) quantile of the channels counted.
+with X, is at most the chi-square(p) quantile of the channels counted.  That
+quantile, :func:`chi2_quantile`, is the module's one call into scipy: it
+imports ``scipy.special`` when first called, so importing corrpose loads
+no scipy and a run that counts no containment never loads it.
 
 Every draw is one step, :func:`_draws`: seeded standard normals times the
 principal square root of the covariance, :func:`_sqrt_factor`, which is also
@@ -32,7 +35,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy import special
 
 from .belief import _PSD_TOL, JointPoseBelief, PosePairBelief, UncertainPose, relative_mean_blocks
 from .liegroup import Pose, exp_many, log_between_many, log_many_masked
@@ -364,6 +366,8 @@ def chi2_quantile(dof: int, p: float) -> float:
         raise ValueError("p must be in (0, 1)")
     if dof < 1:
         raise ValueError("dof must be positive")
+    # imported here, so that runs that count no containment never load scipy.special
+    from scipy import special
     return 2.0 * float(special.gammaincinv(dof / 2.0, p))
 
 

@@ -74,6 +74,33 @@ def test_invalid_json_exits_2(tmp_path):
     assert run_cli("compose-sweep", "--config", str(cfg)) == 2
 
 
+# a directory or a UTF-16 file used to exit 1 with a bare IsADirectoryError
+# or UnicodeDecodeError
+@pytest.mark.parametrize("make,message", [
+    (Path.mkdir, "cannot be read"),
+    (lambda p: p.write_bytes('{"M": 500}'.encode("utf-16")), "is not UTF-8 text"),
+], ids=["directory", "utf-16"])
+def test_unreadable_config_file_exits_2(tmp_path, capsys, make, message):
+    cfg = tmp_path / "c.json"
+    make(cfg)
+    assert run_cli("relpose-alpha-sweep", "--config", str(cfg),
+                   "--out", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert f"config file {cfg} {message}" in err
+
+
+# an existing file, or a path under one, used to exit 1 with a bare
+# FileExistsError or NotADirectoryError once resolution had passed
+@pytest.mark.parametrize("out", ["f", "f/sub"])
+def test_bad_out_exits_2_before_any_work(tmp_path, monkeypatch, capsys, out):
+    (tmp_path / "f").write_text("kept")
+    calls = []
+    monkeypatch.setattr(experiments, "mc_relative_cov", lambda *a, **k: calls.append(a))
+    assert run_cli("relpose-alpha-sweep", "--out", str(tmp_path / out)) == 2
+    assert calls == [] and (tmp_path / "f").read_text() == "kept"
+    assert f"config key 'out': cannot make directory {tmp_path / out}" in capsys.readouterr().err
+
+
 def test_unknown_experiment_raises_config_error():
     with pytest.raises(experiments.ConfigError):
         experiments.run_experiment("frobnicate", {})
@@ -415,6 +442,36 @@ def test_python_m_corrpose_runs_from_source_tree(tmp_path):
     assert len(read_csv(tmp_path / "out" / "slam_relpose.csv")) == 3
 
 
+def _modules_loaded_by(code):
+    """Names in ``sys.modules`` after ``code`` runs in a fresh interpreter on
+    the source tree: other tests load scipy into this one."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", code + "\nimport sys\nprint(*sys.modules, sep='\\n')"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+def test_import_loads_no_scipy():
+    # scipy loads where it is called: the graph solver and the chi-square quantile
+    loaded = _modules_loaded_by("import corrpose, corrpose.cli")
+    assert "numpy" in loaded
+    assert sorted(m for m in loaded if m == "scipy" or m.startswith("scipy.")) == []
+
+
+def test_slam_relpose_loads_no_scipy_special(tmp_path):
+    # slam-relpose counts no containment, so it never takes a chi-square quantile
+    cfg = _write_cfg(tmp_path, {"generate": {"n_poses": 30}, "offsets": [5],
+                                "pairs_per_offset": 3, "M": 100})
+    loaded = _modules_loaded_by(
+        "from corrpose import cli\n"
+        f"assert cli.main(['slam-relpose', '--config', {str(cfg)!r}, "
+        f"'--out', {str(tmp_path / 'out')!r}]) == 0")
+    assert "scipy.sparse.linalg" in loaded and "scipy.special" not in loaded
+
+
 def test_csv_has_header_and_17_digit_floats(tmp_path):
     assert (
         run_cli(
@@ -531,6 +588,37 @@ def test_compose_sweep_walks_each_ssc_chain_once(tmp_path, monkeypatch, payload,
     cfg = _write_cfg(tmp_path, {**payload, "M": 200, "methods": ["ssc"]})
     assert run_cli("compose-sweep", "--config", str(cfg), "--out", str(tmp_path)) == 0
     assert len(calls) == walked
+
+
+@pytest.mark.parametrize("payload", [
+    {"sweep": "N", "values": [1, 2, 5]},
+    {"sweep": "sigma_r", "values": [1.0, 2.0], "N": 4, "rho": -0.3},
+])
+def test_compose_sweep_builds_each_chain_joint_once(tmp_path, monkeypatch, payload):
+    # each point's correlated joint used to be built and checked twice, and a
+    # rho = 0 joint a third time for the lie-independent prediction alone
+    real_joint, real_compose = experiments.chain_joint, experiments.compose_chain
+    rhos, composed = [], []
+
+    def chain_joint(*args):
+        rhos.append(args[3])
+        return real_joint(*args)
+
+    def compose_chain(b):
+        composed.append(b)
+        return real_compose(b)
+
+    monkeypatch.setattr(experiments, "chain_joint", chain_joint)
+    monkeypatch.setattr(experiments, "compose_chain", compose_chain)
+    cfg = _write_cfg(tmp_path, {**payload, "M": 200})
+    assert run_cli("compose-sweep", "--config", str(cfg), "--out", str(tmp_path)) == 0
+    assert rhos == [payload.get("rho", 0.4)] * len(payload["values"])
+    # the lie-independent prediction composes the rho = 0 chain, bit for bit
+    assert len(composed) == 2 * len(payload["values"])
+    for joint, uncorrelated in zip(composed[::2], composed[1::2]):
+        zero = real_joint(joint.means[0], joint.block(0, 0), joint.n, 0.0)
+        assert uncorrelated.means == joint.means
+        assert uncorrelated.cov.tobytes() == zero.cov.tobytes()
 
 
 # ---------------------------------------------------------------------------
